@@ -15,7 +15,11 @@ Scale notes:
 - schema-evolution control events take effect at the epoch boundary they
   arrive in (full-row upserts + aux spill make this deterministic and
   safe for the whole epoch; the reference's order-sensitive registry,
-  transform/aws_dms.py:140-144, is preserved at epoch granularity).
+  transform/aws_dms.py:140-144, is preserved at epoch granularity). The
+  Dataset path finds them with one marker scan of the log before its
+  first epoch; the actor path reads the log once, and its decode tasks
+  hand each epoch's control events back to the driver before the
+  appliers flush (see :mod:`commons_codec_ray.stages.actor_applier`).
 """
 
 from __future__ import annotations
@@ -530,7 +534,8 @@ class CDCPipeline:
     def _apply_schema_event(self, row: dict[str, Any]) -> None:
         """Interpret one control record against the registry. Three
         control grammars reach here (everything the marker prescan
-        matches): the Debezium/DMS control shape (``create-table`` /
+        matches, and every schema-change row the actor path's decode
+        tasks return): the Debezium/DMS control shape (``create-table`` /
         ``drop-table`` with a ``table-def``), Maxwell ``output_ddl``
         payloads (``table-create``/``table-alter`` carrying the full new
         definition in ``def``, ``table-drop``), and Canal ``isDdl`` rows
@@ -602,7 +607,8 @@ class CDCPipeline:
             safe for lakes far bigger than cluster RAM.
           - ``"actors"``: stateful applier actor pool — partition state
             held in actor memory across epochs, explicit hash exchange
-            via multi-return decode tasks (see
+            via multi-return decode tasks, which also return the
+            epoch's control events (see
             :mod:`commons_codec_ray.stages.actor_applier`). Fastest for
             many-epoch streaming ingest whose working set fits the pool;
             both modes produce byte-identical lakes.
@@ -692,34 +698,21 @@ class CDCPipeline:
         start, epoch = ckpt.next_offset, ckpt.last_epoch + 1
         if start > max_offset:
             return []
-        # spawn the applier pool FIRST (non-blocking actor creation) so
-        # the ~1 s of fresh-process imports overlaps the control prescan;
-        # the first run_epoch waits on readiness
+        # actor creation does not block: the ~1 s of fresh-process imports
+        # overlaps the first epoch's decode tasks. Control events come
+        # back from those tasks — the log is read once per epoch.
         runner = self._get_runner(keep_actors)
         results = []
         try:
-            all_controls = self._scan_control_events(
-                rd.read_parquet(
-                    files,
-                    filter=pc.field("source_offset") >= start,
-                    columns=["lsn", "source_offset", "dialect", "payload"],
-                    override_num_blocks=_decode_parallelism(),
-                )
-            )
             lo = start
             while lo <= max_offset:
                 hi = min(lo + epoch_size, max_offset + 1)
                 t0 = time.time()
-                epoch_controls = [
-                    r for r in all_controls if lo <= r["source_offset"] < hi
-                ]
-                for row in epoch_controls:
-                    self._apply_schema_event(row)
-                if epoch_controls:
-                    runner.refresh_extra_columns()
                 self.store.ensure_dirs(epoch)
                 prev_wm = self._last_watermark(self.store.read_checkpoint())
-                lineage, dead = runner.run_epoch(files, epoch, lo, hi, watermark_us=prev_wm)
+                lineage, dead, epoch_controls = runner.run_epoch(
+                    files, epoch, lo, hi, self._apply_schema_event, watermark_us=prev_wm
+                )
                 n_dead = 0
                 if dead is not None and dead.num_rows:
                     n_dead = dead.num_rows

@@ -13,8 +13,14 @@ appliers … in-actor Arrow-backed state table") is:
 - ``K`` **decode tasks** per epoch (raw ``@ray.remote``), each reading a
   row-group slice of the envelope log, decoding, LWW-combining within
   the slice, and hash-splitting its output into ``A`` sub-tables
-  returned as separate objects (``num_returns=A``) — an explicit hash
-  exchange through the object store, no sampling, no sort;
+  returned as separate objects (``num_returns=A + 1``) — an explicit
+  hash exchange through the object store, no sampling, no sort;
+- the decode tasks' trailing objects carry the slice's schema-change
+  and dead-letter rows, so the log is read once per epoch: the driver
+  applies the epoch's control events to the registry in lsn order and
+  hands the evolved columns to the actors before they flush. If the
+  controls change the OBJECT/MAP column set the decode itself depends
+  on, the actors drop the epoch's pending ops and it is decoded again;
 - each actor merges its ``K`` sub-tables into its state, writes its
   partition files for the epoch (tmp + atomic rename), and returns
   lineage rows; the driver commits the manifest + checkpoint exactly as
@@ -36,9 +42,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -46,9 +53,9 @@ import pyarrow.parquet as pq
 import ray
 
 from commons_codec_ray.config import PipelineConfig
-from commons_codec_ray.schemas import OP_DEAD, OP_SCHEMA_CHANGE
+from commons_codec_ray.schemas import OP_DEAD, OP_SCHEMA_CHANGE, empty_ops_table
 from commons_codec_ray.stages.applier import apply_ops_to_base
-from commons_codec_ray.stages.decode_stage import DecodeEnvelopes
+from commons_codec_ray.stages.decode_stage import DecodeEnvelopes, object_columns
 
 
 @ray.remote
@@ -62,8 +69,9 @@ def decode_split_task(
     """Read assigned row groups, decode, split by ``pid % num_actors``.
 
     Returns ``num_actors + 1`` objects: one ops sub-table per actor plus
-    a trailing dead-letter table (kept separate so appliers stay on the
-    data-only fast path).
+    a trailing table of the slice's schema-change and dead-letter rows
+    (``op``, ``lsn``, ``source_offset``, ``aux``, ``error``), kept
+    separate so appliers stay on the data-only fast path.
     """
     decode = DecodeEnvelopes(config, combine=True)
     parts: list[pa.Table] = []
@@ -75,21 +83,19 @@ def decode_split_task(
         tbl = tbl.filter(mask)
         if tbl.num_rows:
             parts.append(decode(tbl))
-    if parts:
-        ops = pa.concat_tables(parts)
-    else:
-        from commons_codec_ray.schemas import empty_ops_table
+    ops = pa.concat_tables(parts) if parts else empty_ops_table()
 
-        ops = empty_ops_table()
-
-    dead = ops.filter(pc.equal(ops["op"], pa.scalar(OP_DEAD, pa.int8())))
-    data = ops.filter(pc.less(ops["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8())))
-    pid = data["partition_id"].to_numpy(zero_copy_only=False)
-    actor_of = pid % num_actors
-    out = []
-    for a in range(num_actors):
-        out.append(data.filter(pa.array(actor_of == a)))
-    out.append(dead.select(["lsn", "source_offset", "aux", "error"]))
+    special_mask = pc.greater_equal(ops["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
+    special = ops.filter(special_mask).select(["op", "lsn", "source_offset", "aux", "error"])
+    data = ops.filter(pc.invert(special_mask))
+    # one stable sort by owning actor, then contiguous slices: O(N log N)
+    # instead of one boolean-mask pass over the table per actor
+    owner = data["partition_id"].to_numpy(zero_copy_only=False) % num_actors
+    order = np.argsort(owner, kind="stable")
+    data = data.take(pa.array(order))
+    bounds = np.searchsorted(owner[order], np.arange(num_actors + 1))
+    out = [data.slice(bounds[a], bounds[a + 1] - bounds[a]) for a in range(num_actors)]
+    out.append(special)
     return tuple(out)
 
 
@@ -233,6 +239,10 @@ class PartitionApplier:
             self._pending = [reduced]
             self._pending_rows = reduced.num_rows
 
+    def discard_pending(self) -> None:
+        """Drop the epoch's ingested ops; it is being decoded again."""
+        self._pending, self._pending_rows = [], 0
+
     def flush_epoch(self, epoch: int, watermark_us: int | None = None) -> list[dict[str, Any]]:
         ops = (
             pa.concat_tables(self._pending, promote_options="permissive")
@@ -250,8 +260,6 @@ class PartitionApplier:
         lineage: list[dict[str, Any]] = []
         if ops is None or ops.num_rows == 0:
             return lineage
-        import numpy as np
-
         if "table_name" not in ops.column_names:
             ops = ops.append_column(
                 "table_name", pa.array(["transcripts"] * ops.num_rows, pa.string())
@@ -452,18 +460,20 @@ class ActorPoolApplyRunner:
         num_decode_tasks: int | None = None,
     ):
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        # appliers get ~1/3 of cores, decoders the rest; both bounded by P
+        # one applier per ~3 cores (at least 2, at most P), one decode
+        # task per core (at least 4)
         self.num_actors = num_actors or max(2, min(config.num_partitions, cpus // 3))
         self.num_decode_tasks = num_decode_tasks or max(4, cpus)
         self.config = config
         self.lake_root = lake_root
         self._meta_cache: dict = {}  # parquet footer stats, per file
         extra = _extra_columns_json(config)
-        # fractional CPU: appliers are burst-shaped (idle while decode
-        # streams, busy on ingest/flush) — a full slot each would starve
-        # the decode tasks at low cluster sizes
+        # no CPU reservation: appliers are burst-shaped (idle while decode
+        # streams, busy on ingest/flush), and a reserved slot would sit
+        # idle through the decode stage — at one logical CPU the decode
+        # tasks would never schedule at all
         self.actors = [
-            PartitionApplier.options(num_cpus=0.5).remote(
+            PartitionApplier.options(num_cpus=0).remote(
                 a,
                 self.num_actors,
                 lake_root,
@@ -478,8 +488,7 @@ class ActorPoolApplyRunner:
             for a in range(self.num_actors)
         ]
         # actor spawn is ~1 s of fresh-process imports — don't block here;
-        # the caller overlaps it with the control-event prescan and the
-        # first run_epoch waits on readiness
+        # the first run_epoch overlaps it with its decode tasks
         self._ping_refs = [a.ping.remote() for a in self.actors]
 
     def wait_ready(self) -> None:
@@ -487,9 +496,25 @@ class ActorPoolApplyRunner:
             ray.get(self._ping_refs)
             self._ping_refs = None
 
-    def refresh_extra_columns(self) -> None:
-        extra = _extra_columns_json(self.config)
-        ray.get([a.set_extra_columns.remote(extra) for a in self.actors])
+    def _decode_and_ingest(
+        self, slices: list[list[tuple[str, list[int]]]], lo: int, hi: int
+    ) -> tuple[list, list]:
+        """Submit one decode task per slice and queue each task's
+        sub-tables on their actors; returns (ingest refs, refs of the
+        tasks' trailing schema-change/dead-letter tables)."""
+        A = self.num_actors
+        config_ref = ray.put(self.config)  # registry as of now, shipped once
+        refs_matrix = [
+            decode_split_task.options(num_returns=A + 1).remote(sl, lo, hi, config_ref, A)
+            for sl in slices
+        ]
+        # incremental push: each actor ingests one decode task's slice as
+        # soon as that task finishes (per-actor ordered queue) — the merge
+        # overlaps the decode stage; flush_epoch is the only barrier.
+        ingest_refs = [
+            self.actors[a].ingest.remote(refs[a]) for refs in refs_matrix for a in range(A)
+        ]
+        return ingest_refs, [refs[A] for refs in refs_matrix]
 
     def run_epoch(
         self,
@@ -497,36 +522,50 @@ class ActorPoolApplyRunner:
         epoch: int,
         lo: int,
         hi: int,
+        on_control: Callable[[dict[str, Any]], None],
         watermark_us: int | None = None,
-    ) -> tuple[list[dict[str, Any]], pa.Table | None]:
-        """Returns (lineage rows, dead-letter table or None)."""
-        self.wait_ready()
+    ) -> tuple[list[dict[str, Any]], pa.Table | None, list[dict[str, Any]]]:
+        """Decode, exchange and apply one epoch.
+
+        The epoch's schema-change rows come back from the decode tasks
+        and are passed to ``on_control`` in lsn order before any actor
+        flushes, so they take effect at this epoch's boundary. Returns
+        (lineage rows, dead-letter table or None, schema-change rows)."""
         slices = plan_file_slices(
             envelope_files, lo, hi, self.num_decode_tasks, self._meta_cache
         )
         if not slices:
-            return [], None
-        A = self.num_actors
-        refs_matrix = [
-            decode_split_task.options(num_returns=A + 1).remote(
-                sl, lo, hi, self.config, A
-            )
-            for sl in slices
-        ]
-        # incremental push: each actor ingests one decode task's slice as
-        # soon as that task finishes (per-actor ordered queue) — the merge
-        # overlaps the decode stage; flush_epoch is the only barrier.
-        ingest_refs = [
-            self.actors[a].ingest.remote(refs[a])
-            for refs in refs_matrix
-            for a in range(A)
-        ]
+            return [], None, []
+        decoded_with = object_columns(self.config)
+        ingest_refs, special_refs = self._decode_and_ingest(slices, lo, hi)
+        self.wait_ready()
+        special = pa.concat_tables(ray.get(special_refs))
+        control_mask = pc.equal(special["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
+        controls = sorted(
+            special.filter(control_mask).select(["lsn", "source_offset", "aux"]).to_pylist(),
+            key=lambda r: r["lsn"],
+        )
+        calls = list(ingest_refs)
+        if controls:
+            for row in controls:
+                on_control(row)
+            if object_columns(self.config) != decoded_with:
+                # the epoch was decoded against the old OBJECT/MAP set:
+                # drop what the actors hold and decode it again
+                calls += [a.discard_pending.remote() for a in self.actors]
+                ingest_refs, special_refs = self._decode_and_ingest(slices, lo, hi)
+                calls += ingest_refs
+                special = pa.concat_tables(ray.get(special_refs))
+            # Ray runs one caller's calls to an actor in order, so the
+            # new columns reach every actor before its flush
+            extra = _extra_columns_json(self.config)
+            calls += [a.set_extra_columns.remote(extra) for a in self.actors]
         flush_futures = [a.flush_epoch.remote(epoch, watermark_us) for a in self.actors]
-        dead_tables = [t for t in ray.get([refs[A] for refs in refs_matrix]) if t.num_rows]
         lineage = [row for rows in ray.get(flush_futures) for row in rows]
-        ray.get(ingest_refs)  # surface any ingest errors
-        dead = pa.concat_tables(dead_tables) if dead_tables else None
-        return lineage, dead
+        ray.get(calls)  # surface any ingest errors
+        dead = special.filter(pc.equal(special["op"], pa.scalar(OP_DEAD, pa.int8())))
+        dead = dead.select(["lsn", "source_offset", "aux", "error"]) if dead.num_rows else None
+        return lineage, dead, controls
 
     def shutdown(self) -> None:
         for a in self.actors:

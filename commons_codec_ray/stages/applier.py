@@ -121,6 +121,13 @@ def materialize_aux_columns(ops: pa.Table, extra_columns: list[tuple[str, pa.Dat
     types = dict(extra_columns)
     for name in wanted:
         vals = [(p.get(name) if p else None) for p in parsed]
+        if pa.types.is_string(types[name]):
+            # OBJECT/MAP columns resolve to string: a re-parsed JSON value
+            # is stored as its canonical JSON text
+            vals = [
+                _json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else v
+                for v in vals
+            ]
         out = out.append_column(name, pa.array(vals).cast(types[name]))
     return out
 

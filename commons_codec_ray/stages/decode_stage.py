@@ -82,6 +82,15 @@ def _extract_table(payload: dict, default: str) -> str:
     return default
 
 
+def object_columns(config: PipelineConfig) -> frozenset[str]:
+    """The configured table's OBJECT/MAP columns: the only registry input
+    of :class:`DecodeEnvelopes` that a control event can change."""
+    ctypes = config.registry.column_types.get(config.table, {})
+    return frozenset(
+        name for name, t in ctypes.items() if (t or "").upper() in ("OBJECT", "MAP")
+    )
+
+
 class DecodeEnvelopes:
     """Envelope decode stage.
 
@@ -115,10 +124,7 @@ class DecodeEnvelopes:
         self.layout = layout
         self.decoders = dict(DECODERS)
         self.loads = _loads
-        ctypes = self.config.registry.column_types.get(self.config.table, {})
-        self.object_columns = frozenset(
-            name for name, t in ctypes.items() if (t or "").upper() in ("OBJECT", "MAP")
-        )
+        self.object_columns = object_columns(self.config)
         # declarative per-table transform rules from the registry —
         # loaded ONCE per actor (load-once-per-worker pattern)
         from commons_codec_ray.decode.treatments import load_treatments

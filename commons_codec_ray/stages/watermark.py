@@ -157,16 +157,17 @@ def forward_fill(
     bucketize = _bucketize_cuts(order_col, cuts)
 
     def partial(t: pa.Table) -> pa.Table:
+        # drop nulls in Arrow: a nullable int64 column would come out of
+        # to_numpy as float64 and round values at or beyond 2^53
         t2 = bucketize(t)
-        v = t2[value_col].to_numpy(zero_copy_only=False)
-        nn = pd.notna(v)
-        if not nn.any():
+        t2 = t2.filter(pc.is_valid(t2[value_col]))
+        if t2.num_rows == 0:
             empty = pa.array([], pa.int64())
             return pa.table({"_wb": empty, "_o": empty, "_t": empty, "_v": empty})
-        o = t2[order_col].to_numpy(zero_copy_only=False).astype(np.int64)[nn]
-        tb = t2[tiebreak_col].to_numpy(zero_copy_only=False).astype(np.int64)[nn]
-        b = t2["_wb"].to_numpy()[nn]
-        vv = v[nn]
+        o = t2[order_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        tb = t2[tiebreak_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = t2["_wb"].to_numpy()
+        vv = t2[value_col].to_numpy(zero_copy_only=False)
         idx = np.lexsort((tb, o, b))
         b_s = b[idx]
         last = np.nonzero(np.r_[b_s[1:] != b_s[:-1], True])[0]

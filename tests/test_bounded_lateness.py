@@ -142,6 +142,15 @@ def test_forward_fill_tiebreak_within_equal_order_keys(ray_session):
     assert _ffill_run(obs, num_buckets=2) == [None, 100, 100, 100]
 
 
+def test_forward_fill_carry_is_int64_exact(ray_session):
+    # 2^53 + 1 has no float64 form: the carry into later buckets must
+    # not pass through a float column on its way
+    big = 2**53 + 1
+    obs = [(i, i, big if i == 0 else None) for i in range(100)]
+    got = _ffill_run(obs, num_buckets=4)
+    assert got[50:] == [big] * 50
+
+
 def test_gopher_signals_exact_counts():
     texts = [
         # keep: 12 words, all-distinct except one stop hit, no dup trigram

@@ -7,6 +7,7 @@ import json
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 
 from commons_codec_ray.config import PipelineConfig, SchemaRegistry, resolve_logical_type
 from commons_codec_ray.pipelines.cdc import CDCPipeline
@@ -66,7 +67,8 @@ def test_added_column_materializes_and_backfills_null(tmp_path):
 
 def test_added_column_actor_mode(tmp_path):
     """Schema evolution must behave identically through the actor-pool
-    apply path (control prescan → registry → refresh_extra_columns)."""
+    apply path (decode tasks return the control → registry →
+    set_extra_columns before the flush)."""
     log = tmp_path / "env.parquet"
     write_log(
         log,
@@ -277,3 +279,61 @@ def test_type_widening_replay_never_rewrites_committed_files(tmp_path, ray_sessi
     # the unified read surfaces float64 with int-phase values exact
     df = pipe.read_lake().to_pandas()
     assert str(df["rating"].dtype) in ("float64", "Float64")
+
+
+def _object_column_log(control_epoch_before_data: bool):
+    """A create-table control registering ``meta`` as OBJECT on
+    ``transcripts``, plus data rows carrying ``meta`` as a JSON string.
+    With epoch_size=2 the control shares epoch 1 with the first ``meta``
+    row, or (``control_epoch_before_data``) lands one epoch earlier."""
+    columns = {
+        "conv_id": {"type": "STRING"}, "turn_idx": {"type": "INT32"},
+        "role": {"type": "STRING"}, "text": {"type": "STRING"},
+        "tool": {"type": "STRING"}, "ts": {"type": "TIMESTAMP"},
+        "meta": {"type": "OBJECT"},
+    }
+    meta = {"meta": '{"score":3,"lang":"en"}'}  # not in canonical form
+    rows = [data_envelope(0, "a", 0, "before", extra=meta),
+            data_envelope(1, "b", 0, "before", extra=meta),
+            control_envelope(2, columns)]
+    if control_epoch_before_data:
+        rows += [data_envelope(3, "c", 0, "plain"),
+                 data_envelope(4, "a", 1, "after", extra=meta),
+                 data_envelope(5, "b", 0, "after", extra=meta)]
+    else:
+        rows += [data_envelope(3, "a", 1, "after", extra=meta),
+                 data_envelope(4, "b", 0, "after", extra=meta),
+                 data_envelope(5, "c", 0, "plain")]
+    return rows
+
+
+@pytest.mark.parametrize("control_epoch_before_data", [False, True])
+def test_object_column_control_same_lake_in_both_modes(tmp_path, control_epoch_before_data):
+    """A control event that registers an OBJECT column changes how the
+    decoder treats that column (JSON strings are re-parsed). The actor
+    path learns the epoch's controls from its decode tasks, so when they
+    land in the same epoch as the data it must decode that epoch again;
+    either way its lake and manifests must equal the groupby path's."""
+    log = tmp_path / "env.parquet"
+    write_log(log, _object_column_log(control_epoch_before_data))
+    lakes, manifests = {}, {}
+    for mode in ("groupby", "actors"):
+        pipe = CDCPipeline(tmp_path / f"lake_{mode}", PipelineConfig(num_partitions=4, epoch_size=2))
+        results = pipe.replay(str(log), mode=mode, epoch_size=2)
+        refs = pipe.read_lake(with_lsn=True).to_arrow_refs()
+        lakes[mode] = pa.concat_tables(ray.get(refs), promote_options="permissive").sort_by(
+            [("conv_id", "ascending"), ("turn_idx", "ascending")]
+        )
+        manifests[mode] = [
+            pipe.store.read_manifest(r["epoch"])["metrics"]["schema_events"] for r in results
+        ]
+    # rows decoded after the control carry the re-parsed value, which
+    # the lake stores as canonical JSON text; rows before it stay null
+    canonical = '{"lang": "en", "score": 3}'
+    for mode, lake in lakes.items():
+        keys = zip(lake["conv_id"].to_pylist(), lake["turn_idx"].to_pylist())
+        metas = dict(zip(keys, lake["meta"].to_pylist()))
+        want = {("a", 0): None, ("a", 1): canonical, ("b", 0): canonical, ("c", 0): None}
+        assert metas == want, mode
+    assert lakes["actors"].equals(lakes["groupby"])
+    assert manifests["actors"] == manifests["groupby"] == [0, 1, 0]
