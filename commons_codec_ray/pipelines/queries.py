@@ -9725,10 +9725,10 @@ def q_bfs_levels(sf_dir: str):
     doubling graph (src → 2·src + 1..7 mod 1200, jump picked by the
     event id) so the frontier genuinely branches and deepens — the
     q_pagerank block graph never leaves its 8-node block. Source 0,
-    6 levels; level-synchronous bucketed exchanges with the visited set
-    riding the stream as partitioned tagged rows; the oracle unrolls
-    the same duplicate-free frontiers as difference CTEs
-    (AS MATERIALIZED — each is referenced twice)."""
+    6 levels; the adjacency and the visited set stay on shard actors
+    and each level is one superstep that expands only the new
+    frontier; the oracle unrolls the same duplicate-free frontiers as
+    difference CTEs (AS MATERIALIZED — each is referenced twice)."""
     from commons_codec_ray.stages.graph import bfs_levels
 
     events = rd.read_parquet(
@@ -9753,9 +9753,11 @@ def q_sssp(sf_dir: str):
     — bounded Bellman–Ford; the min-plus member of the traversal
     family, q_bfs_levels is the hop-count special case). Same doubling
     graph, edge weight 1 + (event_id·5) % 9 — multi-edges collapse to
-    their MIN weight on both sides — source 0, 6 relaxation rounds.
-    Delta-relaxation (only improved nodes re-relax) is bit-identical
-    to the textbook recurrence, which the oracle unrolls as min-CTEs."""
+    their MIN weight on both sides — source 0, 6 relaxation rounds,
+    each one superstep on the shard actors that hold the adjacency and
+    the distances. Delta-relaxation (only improved nodes re-relax) is
+    bit-identical to the textbook recurrence, which the oracle unrolls
+    as min-CTEs."""
     from commons_codec_ray.stages.graph import sssp
 
     events = rd.read_parquet(

@@ -29,9 +29,17 @@ pure-Dataset variant whose single ``union + groupby`` exchange per
 round documents the same fused shape without actors.  Round-0
 contributions come straight off the shard-local edges (uniform init
 score, no exchange); per-round state is one int64 per node.
+
+The same actor shape carries ``components_sharded``, ``kcore_sharded``
+and ``sssp`` (hence ``bfs_levels``): all four run on one scaffold,
+:func:`_shard_pool`, which spawns the shards with one set of options
+(no CPU reserved), routes the static rows to them once, and kills every
+shard on the way out, however the call ends.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -40,7 +48,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from commons_codec_ray.util import adaptive_buckets, hash_bucket
+from commons_codec_ray.util import adaptive_buckets, hash_bucket, pool_size
 
 SCALE = 1_000_000_000_000
 
@@ -296,22 +304,171 @@ def personalized_pagerank(
     )
 
 
+# --- shard scaffold: the actor-sharded operators' one driver shape ----------
+# Static rows are routed ONCE to the shard owning their ``_b``
+# (``bucket % A``); afterwards each superstep moves only messages, as
+# direct plasma objects between shards, and the driver forwards A² refs
+# per superstep, never data.
+
+
 @ray.remote
-def _pagerank_route(tbl: pa.Table, num_shards: int) -> list[pa.Table] | pa.Table:
+def _route_to_shards(tbl: pa.Table, num_shards: int) -> list[pa.Table] | pa.Table:
     """Split one setup block by owning shard (``_b % num_shards``) so
     each row moves to its shard actor exactly once (plasma → actor,
     never via the driver)."""
-    b = tbl["_b"].to_numpy(zero_copy_only=False)
-    owner = b % num_shards
+    if not tbl.num_rows:  # an empty block skips map_batches: it has no ``_b``
+        return _returns([tbl] * num_shards)
+    owner = tbl["_b"].to_numpy(zero_copy_only=False) % num_shards
     order = np.argsort(owner, kind="stable")
     t = tbl.take(pa.array(order))
     bounds = np.searchsorted(owner[order], np.arange(num_shards + 1))
-    parts = [t.slice(bounds[o], bounds[o + 1] - bounds[o]) for o in range(num_shards)]
-    return parts if num_shards > 1 else parts[0]
+    return _returns(
+        [t.slice(bounds[o], bounds[o + 1] - bounds[o]) for o in range(num_shards)]
+    )
+
+
+# stages/dedup.py routes its LSH setup blocks through the old name
+_pagerank_route = _route_to_shards
+
+
+def _returns(outs: list):
+    """The value of a ``num_returns=len(outs)`` call: Ray stores a
+    single return whole, so one outbox goes back bare."""
+    return outs if len(outs) > 1 else outs[0]
+
+
+def _fan_out(method, A: int, *args) -> list:
+    """Call a task or shard method that returns one table per owner
+    shard; always a list of ``A`` refs."""
+    refs = method.options(num_returns=A).remote(*args)
+    return [refs] if A == 1 else refs
+
+
+def _inbox(outs: list, o: int) -> list:
+    """Shard ``o``'s inbox: its slice of every shard's outboxes."""
+    return [out[o] for out in outs]
+
+
+@contextmanager
+def _shard_pool(shard_cls, setup_refs, A: int, *init_args):
+    """Yield ``A`` actors ``shard_cls(A, *init_args)`` that hold the
+    setup blocks' rows, each row routed once to its owner.
+
+    Every shard gets the same options: SPREAD placement and no CPU
+    reservation, so the tasks the driver still needs (routing,
+    ``from_arrow_refs``) find a slot even on a one-CPU cluster. Every
+    shard spawned is killed on the way out, however the body leaves.
+    """
+    shards = []
+    try:
+        for _ in range(A):
+            shards.append(
+                shard_cls.options(num_cpus=0, scheduling_strategy="SPREAD").remote(
+                    A, *init_args
+                )
+            )
+        acks = []
+        for blk in setup_refs:
+            parts = _fan_out(_route_to_shards, A, blk, A)
+            acks.extend(w.add_static.remote(p) for w, p in zip(shards, parts))
+        ray.get(acks)
+        yield shards
+    finally:
+        for w in shards:
+            ray.kill(w, no_restart=True)
+
+
+def _collect(refs: list):
+    """The shards' result tables as a Dataset. Called inside the pool:
+    the results are computed before the shards die, and stay in the
+    object store after. All-empty results keep their schema."""
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    ds = rd.from_arrow_refs(refs)
+    return ds if ds.count() else rd.from_arrow(ray.get(refs[0]))
+
+
+def _cat(inboxes, col: str) -> np.ndarray:
+    """One int64 column of every inbox table, concatenated."""
+    parts = [t[col].to_numpy(zero_copy_only=False) for t in inboxes]
+    return np.concatenate(parts).astype(np.int64, copy=False) if parts else np.empty(0, np.int64)
+
+
+def _find(sorted_keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``q`` sits in ``sorted_keys``, and which are there."""
+    pos = np.searchsorted(sorted_keys, q)
+    hit = np.zeros(len(q), bool)
+    inside = pos < len(sorted_keys)
+    hit[inside] = sorted_keys[pos[inside]] == q[inside]
+    return pos, hit
+
+
+def _firsts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the first row of every run of equal ``keys`` (sorted)."""
+    new = np.zeros(len(keys[0]), bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return new
+
+
+class _Shard:
+    """What every shard actor shares: the static rows routed to it, and
+    the owner of a node (``hash_bucket(node) % A``, the routing rule)."""
+
+    def __init__(self, num_shards: int, nb: int):
+        self.A = num_shards
+        self.nb = nb
+        self._parts: list[pa.Table] = []
+
+    def add_static(self, tbl: pa.Table) -> None:
+        if tbl.num_rows:
+            self._parts.append(tbl)
+
+    def _static(self, *cols: str) -> list[np.ndarray]:
+        """The routed rows' columns as int64 arrays; frees the parts."""
+        t = pa.concat_tables(self._parts) if self._parts else None
+        self._parts = []
+        return [
+            t[c].to_numpy(zero_copy_only=False).astype(np.int64)
+            if t is not None
+            else np.empty(0, np.int64)
+            for c in cols
+        ]
+
+    def _adjacency(self) -> np.ndarray:
+        """CSR of the routed (key, peer) rows, duplicates dropped: the
+        owned nodes ``v``, their degrees ``counts``, the ``peer`` of each
+        edge and its owner. Returns each node's first edge."""
+        k, p = self._static("key", "peer")
+        order = np.lexsort((p, k))
+        k, p = k[order], p[order]
+        keep = _firsts(k, p)
+        k, self.peer = k[keep], p[keep]
+        starts = np.flatnonzero(_firsts(k))
+        self.v = k[starts]
+        self.counts = np.diff(np.r_[starts, len(k)])
+        self.p_owner = self._owner(self.peer)
+        return starts
+
+    def _owner(self, keys: np.ndarray) -> np.ndarray:
+        return hash_bucket(keys, self.nb).to_numpy(zero_copy_only=False) % self.A
+
+    def _slices(self, bounds, **cols: np.ndarray) -> list[pa.Table]:
+        """Rows ``bounds[o]:bounds[o+1]`` of ``cols`` for each shard o."""
+        return [
+            pa.table({c: pa.array(v[bounds[o]:bounds[o + 1]]) for c, v in cols.items()})
+            for o in range(self.A)
+        ]
+
+    def _split(self, owners: np.ndarray, **cols: np.ndarray) -> list[pa.Table]:
+        """One table of ``cols`` per owner shard."""
+        order = np.argsort(owners, kind="stable")
+        bounds = np.searchsorted(owners[order], np.arange(self.A + 1))
+        return self._slices(bounds, **{c: v[order] for c, v in cols.items()})
 
 
 @ray.remote
-class _PagerankShard:
+class _PagerankShard(_Shard):
     """One shard of the static PageRank state: the distinct out-edges of
     every node whose bucket this shard owns, plus the shard's node set.
 
@@ -323,50 +480,27 @@ class _PagerankShard:
     :func:`pagerank_unioned` and to the unrolled-CTE SQL oracle.
     """
 
-    def __init__(self, num_shards: int):
-        self.A = num_shards
-        self._parts: list[pa.Table] = []
-
-    def add_static(self, tbl: pa.Table) -> None:
-        if tbl.num_rows:
-            self._parts.append(tbl)
-
-    def build(self, nb: int) -> int:
+    def build(self) -> int:
         """Dedupe edges, count outdegrees, freeze per-owner edge layout.
         Returns the shard-local node count (summed on the driver for N).
         """
-        if self._parts:
-            t = pa.concat_tables(self._parts)
-            kind = t["kind"].to_numpy(zero_copy_only=False)
-            e_sel = kind == 0
-            s = t["key"].to_numpy(zero_copy_only=False)[e_sel].astype(np.int64)
-            d = t["dst"].to_numpy(zero_copy_only=False)[e_sel].astype(np.int64)
-            v = np.unique(t["key"].to_numpy(zero_copy_only=False)[~e_sel]).astype(np.int64)
-        else:
-            s = d = np.empty(0, np.int64)
-            v = np.empty(0, np.int64)
-        self._parts = []
+        key, d, kind = self._static("key", "dst", "kind")
+        e_sel = kind == 0
+        v = np.unique(key[~e_sel])
+        s, d = key[e_sel], d[e_sel]
         # distinct directed edges (multi-edges collapse, self-loops stay)
-        if len(s):
-            order = np.lexsort((d, s))
-            s, d = s[order], d[order]
-            keep = np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])]
-            s, d = s[keep], d[keep]
-            # outdegree per source over the distinct edges (every edge of
-            # a source lives in this shard — routing keys on hash(src))
-            starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-            counts = np.diff(np.r_[starts, len(s)])
-            deg = np.repeat(counts, counts)
-        else:
-            deg = np.empty(0, np.int64)
+        order = np.lexsort((d, s))
+        s, d = s[order], d[order]
+        keep = _firsts(s, d)
+        s, d = s[keep], d[keep]
+        # outdegree per source over the distinct edges (every edge of
+        # a source lives in this shard — routing keys on hash(src))
+        counts = np.diff(np.r_[np.flatnonzero(_firsts(s)), len(s)])
+        deg = np.repeat(counts, counts)
         self.v = v
         # freeze the per-owner layout: reorder edges by the owner of
         # their destination so each iteration's outbox is a pure slice
-        owner = (
-            hash_bucket(d, nb).to_numpy(zero_copy_only=False) % self.A
-            if len(d)
-            else np.empty(0, np.int64)
-        )
+        owner = self._owner(d)
         order = np.argsort(owner, kind="stable")
         self.dst = d[order]
         self.deg = deg[order].astype(np.int64)
@@ -375,45 +509,25 @@ class _PagerankShard:
         return int(len(v))
 
     def _outbox(self, c_edge: np.ndarray):
-        outs = [
-            pa.table(
-                {
-                    "key": pa.array(self.dst[self.bounds[o]:self.bounds[o + 1]]),
-                    "c": pa.array(c_edge[self.bounds[o]:self.bounds[o + 1]]),
-                }
-            )
-            for o in range(self.A)
-        ]
-        return outs if self.A > 1 else outs[0]
+        return _returns(self._slices(self.bounds, key=self.dst, c=c_edge))
 
     def contrib0(self, s0: int):
-        return self._outbox(s0 // self.deg if len(self.deg) else self.deg)
+        return self._outbox(s0 // self.deg)
 
     def step(self, last: bool, base: int, *inboxes: pa.Table):
-        nv = len(self.v)
-        tot = np.zeros(nv, np.int64)
-        if inboxes:
-            keys = np.concatenate(
-                [t["key"].to_numpy(zero_copy_only=False) for t in inboxes]
-            )
-            cs = np.concatenate(
-                [t["c"].to_numpy(zero_copy_only=False) for t in inboxes]
-            )
-            if len(keys):
-                pos = np.searchsorted(self.v, keys)
-                order = np.argsort(pos, kind="stable")
-                ps, csv = pos[order], cs[order]
-                starts = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
-                # int64 reduceat is exact — summation order can't drift
-                tot[ps[starts]] = np.add.reduceat(csv, starts)
+        tot = np.zeros(len(self.v), np.int64)
+        keys, cs = _cat(inboxes, "key"), _cat(inboxes, "c")
+        if len(keys):
+            pos = np.searchsorted(self.v, keys)
+            order = np.argsort(pos, kind="stable")
+            ps, csv = pos[order], cs[order]
+            starts = np.flatnonzero(_firsts(ps))
+            # int64 reduceat is exact — summation order can't drift
+            tot[ps[starts]] = np.add.reduceat(csv, starts)
         score = base + 85 * tot // 100
         if last:
-            return pa.table(
-                {"node": pa.array(self.v), "score": pa.array(score)}
-            )
-        return self._outbox(
-            score[self.src_pos] // self.deg if len(self.deg) else self.deg
-        )
+            return pa.table({"node": pa.array(self.v), "score": pa.array(score)})
+        return self._outbox(score[self.src_pos] // self.deg)
 
 
 def pagerank(
@@ -435,8 +549,8 @@ def pagerank(
     :func:`pagerank_unioned`, hence bit-identical results at any shard
     or bucket count.
     """
-    from commons_codec_ray.util import pool_size
-
+    if iterations < 1:
+        raise ValueError(f"pagerank needs iterations >= 1, got {iterations}")
     nb = num_buckets or adaptive_buckets()
 
     def explode_setup(t: pa.Table) -> pa.Table:
@@ -471,53 +585,19 @@ def pagerank(
         .to_arrow_refs()
     )
     A = num_shards or pool_size(max(1, len(setup_refs)))
-    shards = [
-        _PagerankShard.options(scheduling_strategy="SPREAD").remote(A)
-        for _ in range(A)
-    ]
-    try:
-        # route every setup block to its owning shards (plasma → actor)
-        acks = []
-        for blk in setup_refs:
-            parts = _pagerank_route.options(num_returns=A).remote(blk, A)
-            if A == 1:
-                parts = [parts]
-            acks.extend(
-                shards[o].add_static.remote(parts[o]) for o in range(A)
-            )
-        ray.get(acks)
-        n_nodes = sum(ray.get([w.build.remote(nb) for w in shards]))
+    with _shard_pool(_PagerankShard, setup_refs, A, nb) as shards:
+        n_nodes = sum(ray.get([w.build.remote() for w in shards]))
         s0 = SCALE // n_nodes
         base = 15 * s0 // 100
-
-        def _fan(refs_or_ref):
-            return [refs_or_ref] if A == 1 else refs_or_ref
-
-        outs = [
-            _fan(w.contrib0.options(num_returns=A).remote(s0)) for w in shards
-        ]
-        for k in range(iterations):
-            last = k == iterations - 1
-            nxt = []
-            for o, w in enumerate(shards):
-                inbox = [outs[i][o] for i in range(A)]
-                if last:
-                    nxt.append(w.step.remote(True, base, *inbox))
-                else:
-                    nxt.append(
-                        _fan(
-                            w.step.options(num_returns=A).remote(
-                                False, base, *inbox
-                            )
-                        )
-                    )
-            outs = nxt
-        # final refs must be computed before the actors die
-        ray.wait(outs, num_returns=len(outs), fetch_local=False)
-        return rd.from_arrow_refs(outs)
-    finally:
-        for w in shards:
-            ray.kill(w, no_restart=True)
+        outs = [_fan_out(w.contrib0, A, s0) for w in shards]
+        for _ in range(iterations - 1):
+            outs = [
+                _fan_out(w.step, A, False, base, *_inbox(outs, o))
+                for o, w in enumerate(shards)
+            ]
+        return _collect(
+            [w.step.remote(True, base, *_inbox(outs, o)) for o, w in enumerate(shards)]
+        )
 
 
 def _orient_by_exchange(edges, deg_partial, pack_sb, nb):
@@ -812,7 +892,7 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
 
 
 @ray.remote
-class _CCShard:
+class _CCShard(_Shard):
     """One shard of static connected-components state: the symmetric
     adjacency (CSR) of every node whose hash bucket this shard owns,
     plus the node's current min-reachable label.
@@ -830,60 +910,15 @@ class _CCShard:
     every round; results are identical (min id per component).
     """
 
-    def __init__(self, num_shards: int, nb: int):
-        self.A = num_shards
-        self.nb = nb
-        self._parts: list[pa.Table] = []
-
-    def add_static(self, tbl: pa.Table) -> None:
-        if tbl.num_rows:
-            self._parts.append(tbl)
-
     def build(self) -> int:
-        if self._parts:
-            t = pa.concat_tables(self._parts)
-            k = t["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            p = t["peer"].to_numpy(zero_copy_only=False).astype(np.int64)
-        else:
-            k = p = np.empty(0, np.int64)
-        self._parts = []
-        if len(k):
-            order = np.lexsort((p, k))
-            k, p = k[order], p[order]
-            keep = np.r_[True, (k[1:] != k[:-1]) | (p[1:] != p[:-1])]
-            k, p = k[keep], p[keep]
-            starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-            self.v = k[starts]
-            self.counts = np.diff(np.r_[starts, len(k)])
-            self.peer = p
-            self.p_owner = (
-                hash_bucket(p, self.nb).to_numpy(zero_copy_only=False) % self.A
-            )
-            # local head start: min over own id and direct neighbors
-            self.label = np.minimum(self.v, np.minimum.reduceat(p, starts))
-        else:
-            self.v = np.empty(0, np.int64)
-            self.counts = np.empty(0, np.int64)
-            self.peer = np.empty(0, np.int64)
-            self.p_owner = np.empty(0, np.int64)
-            self.label = np.empty(0, np.int64)
+        starts = self._adjacency()
+        # local head start: min over own id and direct neighbors
+        self.label = np.minimum(self.v, np.minimum.reduceat(self.peer, starts))
         self.changed = np.ones(len(self.v), bool)
         return int(len(self.v))
 
     def _route(self, keys: np.ndarray, labs: np.ndarray, owners: np.ndarray):
-        order = np.argsort(owners, kind="stable")
-        keys, labs = keys[order], labs[order]
-        bounds = np.searchsorted(owners[order], np.arange(self.A + 1))
-        outs = [
-            pa.table(
-                {
-                    "key": pa.array(keys[bounds[o]:bounds[o + 1]]),
-                    "lab": pa.array(labs[bounds[o]:bounds[o + 1]]),
-                }
-            )
-            for o in range(self.A)
-        ]
-        return outs if self.A > 1 else outs[0]
+        return _returns(self._split(owners, key=keys, lab=labs))
 
     def hop(self):
         """Emit (peer, label[u]) for every node u whose label changed
@@ -897,67 +932,36 @@ class _CCShard:
         owners = self.p_owner[e_sel]
         imp = labs < peers
         peers, labs, owners = peers[imp], labs[imp], owners[imp]
-        if len(peers):
-            order = np.lexsort((labs, peers))
-            peers, labs, owners = peers[order], labs[order], owners[order]
-            first = np.r_[True, peers[1:] != peers[:-1]]
-            peers, labs, owners = peers[first], labs[first], owners[first]
-        return self._route(peers, labs, owners)
+        order = np.lexsort((labs, peers))
+        first = order[_firsts(peers[order])]
+        return self._route(peers[first], labs[first], owners[first])
 
     def jump_query(self):
         """Emit (u, label[u]) to the shard owning node label[u] for
         every non-root node: the pointer-jump read of label[label[u]]."""
         sel = self.label != self.v
         q, l = self.v[sel], self.label[sel]
-        owners = (
-            hash_bucket(l, self.nb).to_numpy(zero_copy_only=False) % self.A
-            if len(l)
-            else np.empty(0, np.int64)
-        )
-        return self._route(q, l, owners)
+        return self._route(q, l, self._owner(l))
 
     def jump_answer(self, *inboxes: pa.Table):
         """Answer pointer-jump queries: (u, l) -> (u, label[l]) routed
         back to u's owner, dropping non-improving answers."""
-        if inboxes:
-            q = np.concatenate(
-                [t["key"].to_numpy(zero_copy_only=False) for t in inboxes]
-            )
-            l = np.concatenate(
-                [t["lab"].to_numpy(zero_copy_only=False) for t in inboxes]
-            )
-        else:
-            q = l = np.empty(0, np.int64)
-        if len(q):
-            ans = self.label[np.searchsorted(self.v, l)]
-            imp = ans < l
-            q, ans = q[imp], ans[imp]
-        else:
-            ans = l
-        owners = (
-            hash_bucket(q, self.nb).to_numpy(zero_copy_only=False) % self.A
-            if len(q)
-            else np.empty(0, np.int64)
-        )
-        return self._route(q, ans, owners)
+        q, l = _cat(inboxes, "key"), _cat(inboxes, "lab")
+        ans = self.label[np.searchsorted(self.v, l)]
+        imp = ans < l
+        q, ans = q[imp], ans[imp]
+        return self._route(q, ans, self._owner(q))
 
     def apply(self, *inboxes: pa.Table) -> int:
         """Fold incoming (node, label) messages with min; returns the
         number of labels that improved (drives driver-side convergence)."""
-        if not inboxes:
-            return 0
-        keys = np.concatenate(
-            [t["key"].to_numpy(zero_copy_only=False) for t in inboxes]
-        )
-        labs = np.concatenate(
-            [t["lab"].to_numpy(zero_copy_only=False) for t in inboxes]
-        )
+        keys, labs = _cat(inboxes, "key"), _cat(inboxes, "lab")
         if not len(keys):
             return 0
         pos = np.searchsorted(self.v, keys)
         order = np.argsort(pos, kind="stable")
         ps, ls = pos[order], labs[order]
-        starts = np.flatnonzero(np.r_[True, ps[1:] != ps[:-1]])
+        starts = np.flatnonzero(_firsts(ps))
         mn = np.minimum.reduceat(ls, starts)
         idx = ps[starts]
         imp = mn < self.label[idx]
@@ -992,8 +996,6 @@ def components_sharded(
     at the first round with zero improvements anywhere. Identical
     output to ``dedup_clusters_distributed`` at any shard count.
     """
-    from commons_codec_ray.util import pool_size
-
     nb = num_buckets or adaptive_buckets()
 
     def explode_setup(t: pa.Table) -> pa.Table:
@@ -1011,61 +1013,21 @@ def components_sharded(
         .to_arrow_refs()
     )
     A = num_shards or pool_size(max(1, len(setup_refs)))
-    shards = [
-        _CCShard.options(scheduling_strategy="SPREAD").remote(A, nb)
-        for _ in range(A)
-    ]
-    try:
-        acks = []
-        for blk in setup_refs:
-            parts = _pagerank_route.options(num_returns=A).remote(blk, A)
-            if A == 1:
-                parts = [parts]
-            acks.extend(
-                shards[o].add_static.remote(parts[o]) for o in range(A)
-            )
-        ray.get(acks)
+    with _shard_pool(_CCShard, setup_refs, A, nb) as shards:
         ray.get([w.build.remote() for w in shards])
 
-        def _fan(refs_or_ref):
-            return [refs_or_ref] if A == 1 else refs_or_ref
+        def apply(outs) -> int:
+            return sum(ray.get([w.apply.remote(*_inbox(outs, o)) for o, w in enumerate(shards)]))
 
         for _ in range(max_rounds):
-            houts = [
-                _fan(w.hop.options(num_returns=A).remote()) for w in shards
-            ]
-            ch_hop = ray.get(
-                [
-                    shards[o].apply.remote(*[houts[i][o] for i in range(A)])
-                    for o in range(A)
-                ]
+            changed = apply([_fan_out(w.hop, A) for w in shards])
+            qouts = [_fan_out(w.jump_query, A) for w in shards]
+            changed += apply(
+                [_fan_out(w.jump_answer, A, *_inbox(qouts, o)) for o, w in enumerate(shards)]
             )
-            qouts = [
-                _fan(w.jump_query.options(num_returns=A).remote())
-                for w in shards
-            ]
-            aouts = [
-                _fan(
-                    shards[o].jump_answer.options(num_returns=A).remote(
-                        *[qouts[i][o] for i in range(A)]
-                    )
-                )
-                for o in range(A)
-            ]
-            ch_jump = ray.get(
-                [
-                    shards[o].apply.remote(*[aouts[i][o] for i in range(A)])
-                    for o in range(A)
-                ]
-            )
-            if sum(ch_hop) + sum(ch_jump) == 0:
+            if changed == 0:
                 break
-        outs = [w.result.remote() for w in shards]
-        ray.wait(outs, num_returns=len(outs), fetch_local=False)
-        return rd.from_arrow_refs(outs)
-    finally:
-        for w in shards:
-            ray.kill(w, no_restart=True)
+        return _collect([w.result.remote() for w in shards])
 
 
 def _sym_edges(edges_ds, src: str, dst: str, op_name: str = "graph op"):
@@ -1207,8 +1169,8 @@ def kcore(edges_ds, k: int = 3, max_rounds: int = 64, src: str = "src", dst: str
     return sym.groupby("u").map_groups(final_deg, batch_format="pyarrow")
 
 
-@ray.remote(num_cpus=0.5)
-class _KCoreShard:
+@ray.remote
+class _KCoreShard(_Shard):
     """One shard of static k-core state: the deduped symmetric
     adjacency (CSR) of every node whose hash bucket this shard owns,
     plus each owned node's current alive-degree.
@@ -1227,42 +1189,11 @@ class _KCoreShard:
     """
 
     def __init__(self, num_shards: int, nb: int, k: int):
-        self.A = num_shards
-        self.nb = nb
+        super().__init__(num_shards, nb)
         self.k = k
-        self._parts: list[pa.Table] = []
-
-    def add_static(self, tbl: pa.Table) -> None:
-        if tbl.num_rows:
-            self._parts.append(tbl)
 
     def build(self) -> int:
-        if self._parts:
-            t = pa.concat_tables(self._parts)
-            k = t["key"].to_numpy(zero_copy_only=False).astype(np.int64)
-            p = t["peer"].to_numpy(zero_copy_only=False).astype(np.int64)
-        else:
-            k = p = np.empty(0, np.int64)
-        self._parts = []
-        if len(k):
-            order = np.lexsort((p, k))
-            k, p = k[order], p[order]
-            keep = np.r_[True, (k[1:] != k[:-1]) | (p[1:] != p[:-1])]
-            k, p = k[keep], p[keep]
-            starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-            self.v = k[starts]
-            self.counts = np.diff(np.r_[starts, len(k)])
-            self.starts = np.r_[starts, len(k)]
-            self.peer = p
-            self.p_owner = (
-                hash_bucket(p, self.nb).to_numpy(zero_copy_only=False) % self.A
-            )
-        else:
-            self.v = np.empty(0, np.int64)
-            self.counts = np.empty(0, np.int64)
-            self.starts = np.zeros(1, np.int64)
-            self.peer = np.empty(0, np.int64)
-            self.p_owner = np.empty(0, np.int64)
+        self._adjacency()
         self.deg = self.counts.copy()
         self.alive = np.ones(len(self.v), bool)
         return int(len(self.v))
@@ -1274,28 +1205,15 @@ class _KCoreShard:
         dead = self.alive & (self.deg < self.k)
         self.alive[dead] = False
         e_sel = np.repeat(dead, self.counts)
-        peers = self.peer[e_sel]
-        owners = self.p_owner[e_sel]
-        order = np.argsort(owners, kind="stable")
-        peers = peers[order]
-        bounds = np.searchsorted(owners[order], np.arange(self.A + 1))
-        outs = [
-            pa.table({"key": pa.array(peers[bounds[o]:bounds[o + 1]])})
-            for o in range(self.A)
-        ]
-        return (*outs, int(dead.sum()))
+        return (
+            *self._split(self.p_owner[e_sel], key=self.peer[e_sel]),
+            int(dead.sum()),
+        )
 
     def decrement(self, *inboxes: pa.Table) -> None:
         """Apply death notices: each occurrence of an owned node means
         one of its neighbors died this round."""
-        if not len(self.v):
-            return
-        keys = [t["key"].to_numpy(zero_copy_only=False) for t in inboxes if t.num_rows]
-        if not keys:
-            return
-        keys = np.concatenate(keys)
-        pos = np.searchsorted(self.v, keys)
-        np.subtract.at(self.deg, pos, 1)
+        np.subtract.at(self.deg, np.searchsorted(self.v, _cat(inboxes, "key")), 1)
 
     def result(self) -> pa.Table:
         sel = self.alive
@@ -1324,8 +1242,6 @@ def kcore_sharded(
     the full edge table twice per round. Identical (node, deg) output
     at any shard count; rounds = peel depth, same early stop.
     """
-    from commons_codec_ray.util import pool_size
-
     nb = num_buckets or adaptive_buckets()
 
     def explode_setup(t: pa.Table) -> pa.Table:
@@ -1345,37 +1261,15 @@ def kcore_sharded(
         .to_arrow_refs()
     )
     A = num_shards or pool_size(max(1, len(setup_refs)))
-    shards = [
-        _KCoreShard.options(scheduling_strategy="SPREAD").remote(A, nb, k)
-        for _ in range(A)
-    ]
-    try:
-        acks = []
-        for blk in setup_refs:
-            parts = _pagerank_route.options(num_returns=A).remote(blk, A)
-            if A == 1:
-                parts = [parts]
-            acks.extend(
-                shards[o].add_static.remote(parts[o]) for o in range(A)
-            )
-        ray.get(acks)
+    with _shard_pool(_KCoreShard, setup_refs, A, nb, k) as shards:
         ray.get([w.build.remote() for w in shards])
-
-        converged = False
         for _ in range(max_rounds):
             # peel returns A message tables + the local death count
             pouts = [w.peel.options(num_returns=A + 1).remote() for w in shards]
-            n_dead = sum(ray.get([p[A] for p in pouts]))
-            if n_dead == 0:
-                converged = True
+            if sum(ray.get([p[A] for p in pouts])) == 0:
                 break
-            ray.get(
-                [
-                    shards[o].decrement.remote(*[pouts[i][o] for i in range(A)])
-                    for o in range(A)
-                ]
-            )
-        if not converged:
+            ray.get([w.decrement.remote(*_inbox(pouts, o)) for o, w in enumerate(shards)])
+        else:
             # same contract as kcore: an intermediate state still contains
             # sub-k-degree nodes — raising beats a silently wrong "core"
             raise RuntimeError(
@@ -1383,19 +1277,7 @@ def kcore_sharded(
                 f"max_rounds={max_rounds}; raise max_rounds (peel depth is "
                 "data-dependent, worst case O(n) on a path)"
             )
-        outs = [w.result.remote() for w in shards]
-        ray.wait(outs, num_returns=len(outs), fetch_local=False)
-        ds = rd.from_arrow_refs(outs)
-        if ds.count() == 0:  # keep the (node, deg) schema stable
-            return rd.from_arrow(
-                pa.table(
-                    {"node": pa.array([], pa.int64()), "deg": pa.array([], pa.int64())}
-                )
-            )
-        return ds
-    finally:
-        for w in shards:
-            ray.kill(w, no_restart=True)
+        return _collect([w.result.remote() for w in shards])
 
 
 def densest_subgraph(
@@ -2069,12 +1951,11 @@ def bfs_levels(edges_ds, source: int, max_levels: int = 6,
     frontiers or citation-hop cuts).
 
     The hop count IS the min-plus distance under unit weights, so this
-    is a named entry point over :func:`sssp` with ``w = 1`` — one
-    adjacency-bucketing setup exchange, one ``union + groupby``
-    exchange per level, the per-node best level riding the stream as
-    partitioned state rows, and only newly-reached (improved) nodes
-    expanding — exactly the level-synchronous frontier. See
-    :func:`sssp` for the exchange shape and exactness notes.
+    is a named entry point over :func:`sssp` with ``w = 1``: the
+    adjacency is routed to shard actors once, and each level is one
+    superstep in which only newly-reached (improved) nodes expand —
+    exactly the level-synchronous frontier. See :func:`sssp` for the
+    superstep shape and exactness notes.
     """
 
     def unit(t: pa.Table) -> pa.Table:
@@ -2101,156 +1982,129 @@ def bfs_levels(edges_ds, source: int, max_levels: int = 6,
     )
 
 
+@ray.remote
+class _SSSPShard(_Shard):
+    """One shard of single-source shortest-path state: the distinct
+    out-edges (CSR by source; a multi-edge keeps its MIN weight, the
+    only one a shortest path can use) of every node whose hash bucket
+    this shard owns, and the best distance found so far for each owned
+    node already reached, as node-sorted int64 arrays.
+
+    The edges are routed here ONCE. A superstep folds the inbox's
+    (node, dist) candidates into the state and relaxes the out-edges of
+    the nodes whose distance improved; only those candidates cross
+    shards.
+    """
+
+    def build(self) -> int:
+        s, d, w = self._static("key", "dst", "w")
+        order = np.lexsort((w, d, s))
+        s, d, w = s[order], d[order], w[order]
+        keep = _firsts(s, d)  # the min-weight copy of each (src, dst)
+        s, self.dst, self.w = s[keep], d[keep], w[keep]
+        starts = np.flatnonzero(_firsts(s))
+        self.src = s[starts]
+        self.off = np.r_[starts, len(s)]
+        self.d_owner = self._owner(self.dst)
+        self.node = np.empty(0, np.int64)
+        self.dist = np.empty(0, np.int64)
+        return int(len(s))
+
+    def _fold(self, inboxes) -> tuple[np.ndarray, np.ndarray]:
+        """Fold (key, dist) candidates into the state with min; returns
+        the improved nodes and their new distances, sorted by node. The
+        state join is an int64 ``searchsorted``: no pandas, no float."""
+        keys, ds = _cat(inboxes, "key"), _cat(inboxes, "dist")
+        order = np.lexsort((ds, keys))
+        first = order[_firsts(keys[order])]
+        keys, ds = keys[first], ds[first]
+        pos, hit = _find(self.node, keys)
+        imp = ~hit
+        imp[hit] = ds[hit] < self.dist[pos[hit]]
+        lower = hit & imp
+        self.dist[pos[lower]] = ds[lower]
+        self.node = np.insert(self.node, pos[~hit], keys[~hit])
+        self.dist = np.insert(self.dist, pos[~hit], ds[~hit])
+        return keys[imp], ds[imp]
+
+    def step(self, *inboxes: pa.Table):
+        """One superstep: fold the inbox, relax the improved nodes'
+        out-edges. Returns A outboxes (by owner of dst) and the number
+        of candidates sent. ``dist + w`` past int64 raises, as a BIGINT
+        add does in SQL, instead of wrapping."""
+        u, du = self._fold(inboxes)
+        i, has = _find(self.src, u)
+        lo, du = self.off[i[has]], du[has]
+        n = self.off[i[has] + 1] - lo
+        e = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        du, w = np.repeat(du, n), self.w[e]
+        cand = du + w
+        over = ((du ^ cand) & (w ^ cand)) < 0  # the sum's sign flipped: it wrapped
+        if over.any():
+            j = np.flatnonzero(over)[0]
+            raise OverflowError(f"sssp: distance {du[j]} + weight {w[j]} overflows int64")
+        return (
+            *self._split(self.d_owner[e], key=self.dst[e], dist=cand),
+            int(len(e)),
+        )
+
+    def result(self, *inboxes: pa.Table) -> pa.Table:
+        """The last superstep: fold the inbox, return (node, dist)."""
+        self._fold(inboxes)
+        return pa.table({"node": pa.array(self.node), "dist": pa.array(self.dist)})
+
+
 def sssp(edges_ds, source: int, rounds: int = 6,
          src: str = "src", dst: str = "dst", weight: str = "w",
-         num_buckets: int | None = None):
+         num_buckets: int | None = None, num_shards: int | None = None):
     """Single-source shortest paths, ``rounds`` Bellman–Ford
     relaxation rounds — ``(node:int64, dist:int64)`` for every node
     reachable from ``source`` by a path of ≤ ``rounds`` edges, with the
     exact min-plus distance over int64 weights (the WEIGHTED traversal
     member; :func:`bfs_levels` is the hop-count special case).
 
-    Same level-synchronous tagged-union shape as :func:`bfs_levels`:
-    one setup exchange buckets the distinct adjacency at hash(src)
-    (multi-edges collapse to their MIN weight — the only one a
-    shortest path can use), then each round is one ``union + groupby``
-    exchange. Per-node best-so-far distances ride the stream as
-    partitioned state rows; a round folds incoming relaxation
-    candidates into the state and re-relaxes only the IMPROVED nodes —
-    bit-identical to the textbook d_k(v) = min(d_{k-1}(v),
-    min_{(u,v,w)} d_{k-1}(u)+w) recurrence (an unimproved node's
-    relaxations were already folded in an earlier round), which is
-    exactly what the oracle's unrolled min-CTEs replay. Exact integer
-    arithmetic throughout; weights must be ≥ 0 for the ≤-rounds-edges
-    truncation to bound true distances.
+    The ``(src, dst, w)`` rows are routed ONCE to shard actors by
+    hash(src) (:class:`_SSSPShard`), which keep the adjacency and the
+    per-node best distances. The driver seeds ``(source, 0)`` at its
+    owner, then runs ``rounds + 1`` supersteps: each folds the incoming
+    candidates into the state and relaxes only the IMPROVED nodes'
+    out-edges (the last one just folds). That is bit-identical to the
+    textbook d_k(v) = min(d_{k-1}(v), min_{(u,v,w)} d_{k-1}(u)+w)
+    recurrence — an unimproved node's relaxations were folded one
+    superstep earlier — which is what the oracle's unrolled min-CTEs
+    replay. A superstep that sends nothing ends the loop early: the
+    later ones would fold nothing. Exact integer arithmetic throughout,
+    and ``dist + w`` past int64 raises ``OverflowError``; weights must
+    be ≥ 0 for the ≤-rounds-edges truncation to bound true distances.
     """
     nb = num_buckets or adaptive_buckets()
-    KIND_EDGE, KIND_STATE, KIND_CAND = np.int8(0), np.int8(1), np.int8(2)
 
     def explode(t: pa.Table) -> pa.Table:
         s = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
         d = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
         w = t[weight].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {
-                "_b": hash_bucket(s, nb),
-                "key": pa.array(s),
-                "other": pa.array(d),
-                "val": pa.array(w),
-                "kind": pa.array(np.full(len(s), KIND_EDGE)),
-            }
+            {"_b": hash_bucket(s, nb), "key": pa.array(s), "dst": pa.array(d), "w": pa.array(w)}
         )
 
-    def dedupe_group(g: pd.DataFrame) -> pa.Table:
-        e = g.groupby(["key", "other"], sort=False, as_index=False)["val"].min()
-        n = len(e)
-        bucket = np.int64(g["_b"].iloc[0])
-        return pa.table(
-            {
-                "_b": pa.array(np.full(n, bucket)),
-                "key": pa.array(e["key"].to_numpy(np.int64)),
-                "other": pa.array(e["other"].to_numpy(np.int64)),
-                "val": pa.array(e["val"].to_numpy(np.int64)),
-                "kind": pa.array(np.full(n, KIND_EDGE)),
-            }
-        )
-
-    static = (
+    setup_refs = (
         edges_ds.map_batches(explode, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(dedupe_group, batch_format="pandas")
         .materialize()
+        .to_arrow_refs()
     )
-
-    seed_b = int(hash_bucket(np.array([source], np.int64), nb)[0].as_py())
-    seed = rd.from_arrow(
-        pa.table(
-            {
-                "_b": pa.array([seed_b], pa.int64()),
-                "key": pa.array([int(source)], pa.int64()),
-                "other": pa.array([0], pa.int64()),
-                "val": pa.array([0], pa.int64()),
-                "kind": pa.array([KIND_CAND], pa.int8()),
-            }
-        )
-    )
-
-    def step(last: bool):
-        def go(g: pd.DataFrame) -> pa.Table:
-            state = g[g["kind"] == KIND_STATE]
-            cand = g[g["kind"] == KIND_CAND]
-            bucket = np.int64(g["_b"].iloc[0])
-            old = pd.Series(
-                state["val"].to_numpy(np.int64),
-                index=state["key"].to_numpy(np.int64),
-            )
-            cbest = cand.groupby("key")["val"].min()
-            best = pd.concat([old, cbest]).groupby(level=0).min()
-            nodes = best.index.to_numpy(np.int64)
-            dist = best.to_numpy(np.int64)
-            # improved = nodes whose best dropped below their old state
-            # (or that had no state at all). Pure-int64 alignment: a
-            # pandas reindex would NaN-promote to float64 and lose
-            # exactness above 2^53
-            imp_mask = np.ones(len(nodes), dtype=bool)
-            if len(old):
-                oi = old.index.to_numpy(np.int64)
-                ov = old.to_numpy(np.int64)
-                srt = np.argsort(oi, kind="stable")
-                oi, ov = oi[srt], ov[srt]
-                pos = np.minimum(np.searchsorted(oi, nodes), len(oi) - 1)
-                has = oi[pos] == nodes
-                imp_mask = ~has | (dist < ov[pos])
+    A = num_shards or pool_size(max(1, len(setup_refs)))
+    seed = pa.table({"key": pa.array([source], pa.int64()), "dist": pa.array([0], pa.int64())})
+    owner = hash_bucket(np.array([source], np.int64), nb)[0].as_py() % A
+    with _shard_pool(_SSSPShard, setup_refs, A, nb) as shards:
+        ray.get([w.build.remote() for w in shards])
+        inboxes = [[seed] if o == owner else [] for o in range(A)]
+        for _ in range(rounds):
             outs = [
-                pa.table(
-                    {
-                        "_b": pa.array(np.full(len(nodes), bucket)),
-                        "key": pa.array(nodes),
-                        "other": pa.array(np.zeros(len(nodes), np.int64)),
-                        "val": pa.array(dist),
-                        "kind": pa.array(np.full(len(nodes), KIND_STATE)),
-                    }
-                )
+                w.step.options(num_returns=A + 1).remote(*inboxes[o])
+                for o, w in enumerate(shards)
             ]
-            if not last and imp_mask.any():
-                imp_nodes = nodes[imp_mask]
-                imp_dist = pd.Series(dist[imp_mask], index=imp_nodes)
-                e = g[g["kind"] == KIND_EDGE]
-                sel = e[np.isin(e["key"].to_numpy(np.int64), imp_nodes)]
-                if len(sel):
-                    u = sel["key"].to_numpy(np.int64)
-                    nxt = sel["other"].to_numpy(np.int64)
-                    relax = imp_dist.loc[u].to_numpy(np.int64) + sel["val"].to_numpy(np.int64)
-                    outs.append(
-                        pa.table(
-                            {
-                                "_b": hash_bucket(nxt, nb),
-                                "key": pa.array(nxt),
-                                "other": pa.array(np.zeros(len(nxt), np.int64)),
-                                "val": pa.array(relax),
-                                "kind": pa.array(np.full(len(nxt), KIND_CAND)),
-                            }
-                        )
-                    )
-            return pa.concat_tables(outs)
-
-        return go
-
-    stream = seed
-    for k in range(rounds + 1):
-        stream = (
-            static.union(stream)
-            .groupby("_b")
-            .map_groups(step(last=(k == rounds)), batch_format="pandas")
-        )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        sel = t["kind"].to_numpy(zero_copy_only=False) == KIND_STATE
-        return pa.table(
-            {
-                "node": pa.array(t["key"].to_numpy(zero_copy_only=False)[sel]),
-                "dist": pa.array(t["val"].to_numpy(zero_copy_only=False)[sel]),
-            }
-        )
-
-    return stream.map_batches(finalize, batch_format="pyarrow")
+            sent = sum(ray.get([out[A] for out in outs]))
+            inboxes = [_inbox(outs, o) for o in range(A)]
+            if not sent:
+                break
+        return _collect([w.result.remote(*inboxes[o]) for o, w in enumerate(shards)])

@@ -133,9 +133,56 @@ def test_vacuum_retention_bounds_time_travel(ray_session, tmp_path):
         pipe.read_lake(epoch=0).count()
 
 
-def test_bfs_levels_matches_python_bfs(ray_session):
+def _python_bfs(src, dst, source, max_levels):
+    """Hop level of every node within ``max_levels`` directed hops."""
     from collections import deque
 
+    adj = {}
+    for u, v in zip(src.tolist(), dst.tolist()):
+        adj.setdefault(u, set()).add(v)
+    want = {source: 0}
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        if want[u] >= max_levels:
+            continue
+        for v in sorted(adj.get(u, ())):
+            if v not in want:
+                want[v] = want[u] + 1
+                q.append(v)
+    return want
+
+
+def _python_bellman_ford(src, dst, w, source, rounds):
+    """Min-weight dedupe of multi-edges, then synchronous Bellman-Ford
+    over Python ints (no wrap, no float)."""
+    emin = {}
+    for u, v, ww in zip(src.tolist(), dst.tolist(), w.tolist()):
+        emin[(u, v)] = min(emin.get((u, v), ww), ww)
+    d = {source: 0}
+    for _ in range(rounds):
+        nxt = dict(d)
+        for (u, v), ww in emin.items():
+            if u in d and (v not in nxt or d[u] + ww < nxt[v]):
+                nxt[v] = d[u] + ww
+        d = nxt
+    return d
+
+
+def _edges(src, dst, w=None, blocks=1):
+    cols = {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
+    if w is not None:
+        cols["w"] = pa.array(w, pa.int64())
+    t = pa.table(cols)
+    cuts = np.linspace(0, t.num_rows, blocks + 1).astype(int)
+    return rd.from_arrow([t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
+
+
+def _as_dict(df, col):
+    return dict(zip(df["node"].tolist(), df[col].tolist()))
+
+
+def test_bfs_levels_matches_python_bfs(ray_session):
     from commons_codec_ray.stages.graph import bfs_levels
 
     rng = np.random.RandomState(11)
@@ -147,21 +194,7 @@ def test_bfs_levels_matches_python_bfs(ray_session):
     ds = rd.from_arrow(pa.table({"src": pa.array(src), "dst": pa.array(dst)}))
     max_levels = 4
     got = bfs_levels(ds, source=0, max_levels=max_levels).to_pandas()
-
-    adj = {}
-    for u, v in zip(src.tolist(), dst.tolist()):
-        adj.setdefault(u, set()).add(v)
-    want = {0: 0}
-    q = deque([0])
-    while q:
-        u = q.popleft()
-        if want[u] >= max_levels:
-            continue
-        for v in sorted(adj.get(u, ())):
-            if v not in want:
-                want[v] = want[u] + 1
-                q.append(v)
-    assert dict(zip(got["node"], got["level"])) == want
+    assert _as_dict(got, "level") == _python_bfs(src, dst, 0, max_levels)
     assert 201 not in set(got["node"])  # island stays unreached
 
 
@@ -202,16 +235,78 @@ def test_sssp_matches_python_bellman_ford(ray_session):
         pa.table({"src": pa.array(src), "dst": pa.array(dst), "w": pa.array(w)})
     )
     got = sssp(ds, source=3, rounds=rounds).to_pandas()
+    assert _as_dict(got, "dist") == _python_bellman_ford(src, dst, w, 3, rounds)
 
-    # min-weight dedupe of multi-edges, then synchronous Bellman-Ford
-    emin = {}
-    for u, v, ww in zip(src.tolist(), dst.tolist(), w.tolist()):
-        emin[(u, v)] = min(emin.get((u, v), 1 << 60), ww)
-    d = {3: 0}
-    for _ in range(rounds):
-        nxt = dict(d)
-        for (u, v), ww in emin.items():
-            if u in d and d[u] + ww < nxt.get(v, 1 << 60):
-                nxt[v] = d[u] + ww
-        d = nxt
-    assert dict(zip(got["node"], got["dist"])) == d
+
+def _random_weighted(seed, n_nodes=60, n_edges=400, w_lo=1, w_hi=10):
+    rng = np.random.RandomState(seed)
+    return (
+        rng.randint(0, n_nodes, n_edges).astype(np.int64),
+        rng.randint(0, n_nodes, n_edges).astype(np.int64),
+        rng.randint(w_lo, w_hi, n_edges).astype(np.int64),
+    )
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
+def test_sssp_shard_counts_and_blocks(ray_session, num_shards):
+    """Same distances at any shard count, over input split into blocks."""
+    from commons_codec_ray.stages.graph import sssp
+
+    src, dst, w = _random_weighted(17)
+    ds = _edges(src, dst, w, blocks=4)
+    got = sssp(ds, source=5, rounds=5, num_shards=num_shards).to_pandas()
+    assert _as_dict(got, "dist") == _python_bellman_ford(src, dst, w, 5, 5)
+
+
+def test_sssp_and_bfs_edge_cases(ray_session):
+    from commons_codec_ray.stages.graph import bfs_levels, sssp
+
+    src, dst, w = _random_weighted(29)
+    ds, unweighted = _edges(src, dst, w, blocks=3), _edges(src, dst, blocks=3)
+    # rounds=0: the source alone
+    assert _as_dict(sssp(ds, source=7, rounds=0).to_pandas(), "dist") == {7: 0}
+    assert _as_dict(bfs_levels(unweighted, source=7, max_levels=0).to_pandas(), "level") == {7: 0}
+    # a source with no edges at all, and one with in-edges only
+    sink = int(dst[0])
+    src_k, dst_k, w_k = src[src != sink], dst[src != sink], w[src != sink]
+    for source, (s, d, ww) in ((999, (src, dst, w)), (sink, (src_k, dst_k, w_k))):
+        got = sssp(_edges(s, d, ww), source=source, rounds=4).to_pandas()
+        assert _as_dict(got, "dist") == {source: 0}
+        got = bfs_levels(_edges(s, d), source=source, max_levels=4).to_pandas()
+        assert _as_dict(got, "level") == {source: 0}
+    # an empty edge dataset: still the source at distance 0
+    none = np.empty(0, np.int64)
+    got = sssp(_edges(none, none, none), source=4, rounds=3).to_pandas()
+    assert _as_dict(got, "dist") == {4: 0}
+    got = bfs_levels(_edges(none, none), source=4, max_levels=3).to_pandas()
+    assert _as_dict(got, "level") == {4: 0}
+    # a deeper BFS over several blocks
+    got = bfs_levels(unweighted, source=7, max_levels=6).to_pandas()
+    assert _as_dict(got, "level") == _python_bfs(src, dst, 7, 6)
+
+
+def test_sssp_weights_above_2_53_stay_exact(ray_session):
+    """int64 distances past float64's exact range: no float anywhere."""
+    from commons_codec_ray.stages.graph import sssp
+
+    src, dst, w = _random_weighted(41, w_lo=0, w_hi=1000)
+    w = w + (1 << 55)  # 5 hops stay below 2^58
+    got = sssp(_edges(src, dst, w, blocks=2), source=1, rounds=5, num_shards=2).to_pandas()
+    want = _python_bellman_ford(src, dst, w, 1, 5)
+    assert max(want.values()) > 1 << 53
+    assert got["dist"].dtype == np.int64
+    assert _as_dict(got, "dist") == want
+
+
+def test_sssp_overflow_raises_instead_of_wrapping(ray_session):
+    """dist + w past int64 max raises, like a SQL BIGINT add."""
+    from commons_codec_ray.stages.graph import sssp
+
+    i64_max = (1 << 63) - 1
+    src = np.array([0, 1, 2], np.int64)
+    dst = np.array([1, 2, 3], np.int64)
+    w = np.array([1 << 62, (1 << 62) - 1, 1], np.int64)
+    got = sssp(_edges(src, dst, w), source=0, rounds=2).to_pandas()
+    assert _as_dict(got, "dist") == {0: 0, 1: 1 << 62, 2: i64_max}
+    with pytest.raises(OverflowError, match="overflows int64"):
+        sssp(_edges(src, dst, w), source=0, rounds=3).to_pandas()

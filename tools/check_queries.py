@@ -56,13 +56,22 @@ def main() -> int:
         del argv[i : i + 2]
     sf_dir = argv[0] if argv else "/root/testdata/sf0.001"
     only = set(argv[1:])
+    import os
+    from pathlib import Path
+
+    # check the checkout this file is in, in the driver and in every Ray
+    # worker (workers import the engine through PYTHONPATH)
+    root = str(Path(__file__).resolve().parent.parent)
+    sys.path.insert(0, root)
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p
+    )
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     con = duckdb.connect()
