@@ -357,7 +357,7 @@ class CDCPipeline:
         ckpt = self.store.read_checkpoint()
         if ckpt.registry_json and ckpt.registry_json != "{}":
             self.config.registry = SchemaRegistry.from_json(ckpt.registry_json)
-        # cached tail-mode actor pool (see _get_runner); released by
+        # cached tail-mode applier pool (see _get_runner); released by
         # close(), on epoch failure, or with the pipeline object
         self._runner = None
 
@@ -605,13 +605,16 @@ class CDCPipeline:
             ``map_batches``, one ``groupby(partition_id)`` exchange,
             appliers re-read base state from Parquet per epoch. Memory-
             safe for lakes far bigger than cluster RAM.
-          - ``"actors"``: stateful applier actor pool — partition state
-            held in actor memory across epochs, explicit hash exchange
-            via multi-return decode tasks, which also return the
-            epoch's control events (see
-            :mod:`commons_codec_ray.stages.actor_applier`). Fastest for
-            many-epoch streaming ingest whose working set fits the pool;
-            both modes produce byte-identical lakes.
+          - ``"actors"``: stateful applier pool — partition state held
+            in applier memory across epochs, explicit hash exchange via
+            multi-return decode tasks, which also return the epoch's
+            control events (see
+            :mod:`commons_codec_ray.stages.actor_applier`). A small
+            replay runs its one applier in the driver, a large one
+            spawns applier actors; the epoch manifests record which
+            (``metrics.appliers``). Fastest for many-epoch streaming
+            ingest whose working set fits the pool; both modes produce
+            byte-identical lakes.
         """
         if mode == "actors":
             return self._replay_actors(
@@ -653,12 +656,15 @@ class CDCPipeline:
             lo = hi
         return results
 
-    def _get_runner(self, keep: bool):
-        """Actor-pool runner for the apply stage. With ``keep`` (tail
-        mode) the pool persists across replay calls — actor spawn costs
-        ~1 s of fresh-worker imports, paid per POLL otherwise. Safe to
-        reuse only while every epoch commits: on any epoch failure the
-        pool is torn down so the next call reloads from the checkpoint."""
+    def _get_runner(self, keep: bool, files: list[str], lo: int, hi: int):
+        """Applier-pool runner for replaying ``[lo, hi)`` of ``files``;
+        the range and the committed lake size it (one applier in the
+        driver, or spawned actors). With ``keep`` (tail mode) the pool
+        persists across replay calls, sized by the first: a spawned pool
+        would pay ~0.5-1 s of fresh-worker start per POLL otherwise, and
+        an in-driver applier would reload its state from the lake. Safe
+        to reuse only while every epoch commits: on any epoch failure the
+        pool is dropped so the next call reloads from the checkpoint."""
         from commons_codec_ray.stages.actor_applier import ActorPoolApplyRunner
 
         if self._runner is not None:
@@ -667,7 +673,7 @@ class CDCPipeline:
             self._release_runner()
         ckpt = self.store.read_checkpoint()
         runner = ActorPoolApplyRunner(
-            str(self.store.root), self.config, dict(ckpt.partitions)
+            str(self.store.root), self.config, dict(ckpt.partitions), files, lo, hi
         )
         if keep:
             self._runner = runner
@@ -679,7 +685,7 @@ class CDCPipeline:
             self._runner = None
 
     def close(self) -> None:
-        """Release the cached tail-mode actor pool (if any)."""
+        """Release the cached tail-mode applier pool (if any)."""
         self._release_runner()
 
     def _replay_actors(
@@ -698,10 +704,11 @@ class CDCPipeline:
         start, epoch = ckpt.next_offset, ckpt.last_epoch + 1
         if start > max_offset:
             return []
-        # actor creation does not block: the ~1 s of fresh-process imports
-        # overlaps the first epoch's decode tasks. Control events come
-        # back from those tasks — the log is read once per epoch.
-        runner = self._get_runner(keep_actors)
+        # a small replay applies in the driver; a spawned pool does not
+        # block here, its process start overlaps the first epoch's decode
+        # tasks. Control events come back from those tasks — the log is
+        # read once per epoch.
+        runner = self._get_runner(keep_actors, files, start, max_offset + 1)
         results = []
         try:
             lo = start
@@ -727,6 +734,7 @@ class CDCPipeline:
                     "dead_letters": n_dead,
                     "schema_events": len(epoch_controls),
                     "duration_s": round(time.time() - t0, 3),
+                    "appliers": runner.appliers,
                     **_watermark_metrics(lineage),
                 }
                 self.store.commit_epoch(
@@ -736,8 +744,8 @@ class CDCPipeline:
                 epoch += 1
                 lo = hi
         except BaseException:
-            # epoch failed: actor state may be ahead of the checkpoint —
-            # tear the pool down so the next run reloads committed state
+            # epoch failed: applier state may be ahead of the checkpoint —
+            # drop the pool so the next run reloads committed state
             runner.shutdown()
             self._runner = None
             raise
@@ -770,8 +778,9 @@ class CDCPipeline:
         head = _max_column_value(envelopes_path, "source_offset")
         if head < ckpt.next_offset:
             return 0
-        # tail mode keeps the applier pool warm across polls (actor spawn
-        # is ~1 s of fresh-worker imports — per-poll latency otherwise)
+        # tail mode keeps the applier pool warm across polls (a spawned
+        # pool's ~0.5-1 s process start, an in-driver applier's state
+        # reload: per-poll latency otherwise)
         self.replay(envelopes_path, max_offset=head, mode=mode, keep_actors=True)
         return self.store.read_checkpoint().next_offset - ckpt.next_offset
 
@@ -796,7 +805,7 @@ class CDCPipeline:
             else:
                 idle += 1
                 time.sleep(poll_interval_s)
-        self.close()  # release the warm tail-mode actor pool
+        self.close()  # release the warm tail-mode applier pool
         return {"polls": polls, "offsets_ingested": ingested}
 
     # ------------------------------------------------------------------ reads
@@ -1129,6 +1138,7 @@ class CDCPipeline:
                     "events": met.get("events", 0),
                     "late_events": met.get("late_events", 0),
                     "max_event_ts_us": met.get("max_event_ts_us"),
+                    "appliers": met.get("appliers"),
                     "events_per_s": round(
                         met.get("events", 0) / met["duration_s"], 1
                     )

@@ -11976,6 +11976,13 @@ GROUP BY 1, 2
 """
 
 
+def _no_null_value(t: pa.Table, query: str) -> None:
+    """Refuse a NULL ``value``: its cents lane would cast NaN to
+    INT64_MIN and corrupt every total after it."""
+    if t["value"].null_count:
+        raise ValueError(f"{query}: events.value holds NULL; this query requires none")
+
+
 def q_running_total(sf_dir: str):
     """Global running revenue total in (ts, event_id) order — the
     cumulative-metric backfill every analytics lake materializes.
@@ -11983,12 +11990,14 @@ def q_running_total(sf_dir: str):
     (:func:`stages.watermark.running_sum`): quantile range buckets,
     one tiny per-bucket Sum pre-pass, driver exclusive prefix, ONE
     keyed exchange — never a global sort or single-partition window.
-    Exact integer cents end to end."""
+    Exact integer cents end to end. ``events.value`` must hold no NULL:
+    one raises ``ValueError`` (SQL's sum would skip it)."""
     from commons_codec_ray.stages.watermark import running_sum
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "ts", "value"])
 
     def prep(t: pa.Table) -> pa.Table:
+        _no_null_value(t, "q_running_total")
         cents = duck_rint(
             t["value"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
@@ -12527,12 +12536,14 @@ def q_mad_outliers(sf_dir: str):
     ``2·|2x − med2| > 3·mad4`` is the scale-free robust alternative to
     q_outliers' 2-sigma lane (MAD is immune to the outliers inflating
     the sigma they're tested against). One hash-bucket exchange, one
-    vectorized two-indexing pass per bucket."""
+    vectorized two-indexing pass per bucket. ``events.value`` must hold
+    no NULL: one raises ``ValueError`` (SQL's median would skip it)."""
     from commons_codec_ray.stages.grouptop import mad_per_key
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "value"])
 
     def cents(t: pa.Table) -> pa.Table:
+        _no_null_value(t, "q_mad_outliers")
         x = duck_rint(t["value"].to_numpy(zero_copy_only=False) * 100.0)
         return pa.table(
             {"user_id": t["user_id"], "x": pa.array(x.astype(np.int64), pa.int64())}

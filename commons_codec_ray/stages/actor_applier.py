@@ -1,4 +1,4 @@
-"""Stateful applier actor pool — the streaming hot path.
+"""Stateful applier pool — the streaming hot path.
 
 The Dataset path (``groupby("partition_id").map_groups``) re-reads every
 partition's base state from Parquet each epoch and pays a sort-based
@@ -6,10 +6,16 @@ shuffle. For a long-running ingest job that applies many epochs, the
 right shape (SURVEY.md §2.4/§3.4; the north star's "stateful actor-pool
 appliers … in-actor Arrow-backed state table") is:
 
-- ``A`` **applier actors**, each owning the fixed partition set
+- ``A`` **appliers**, each owning the fixed partition set
   ``{pid : pid % A == actor_id}``; partition state (transcript rows +
-  ``_lsn``) lives in actor memory across epochs, loaded from the last
-  checkpoint once at start;
+  ``_lsn``) lives in applier memory across epochs, loaded from the last
+  checkpoint once at start. Placement follows size: a replay whose
+  envelope range plus committed lake holds fewer rows than
+  :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS` gets ONE applier, a
+  plain :class:`Applier` in the driver process, because a fresh worker
+  process costs more than such a replay's whole merge and write work.
+  Larger replays, or an explicit ``num_actors`` ≥ 2, spawn ``A``
+  :class:`PartitionApplier` actors;
 - ``K`` **decode tasks** per epoch (raw ``@ray.remote``), each reading a
   row-group slice of the envelope log, decoding, LWW-combining within
   the slice, and hash-splitting its output into ``A`` sub-tables
@@ -18,10 +24,10 @@ appliers … in-actor Arrow-backed state table") is:
 - the decode tasks' trailing objects carry the slice's schema-change
   and dead-letter rows, so the log is read once per epoch: the driver
   applies the epoch's control events to the registry in lsn order and
-  hands the evolved columns to the actors before they flush. If the
+  hands the evolved columns to the appliers before they flush. If the
   controls change the OBJECT/MAP column set the decode itself depends
-  on, the actors drop the epoch's pending ops and it is decoded again;
-- each actor merges its ``K`` sub-tables into its state, writes its
+  on, the appliers drop the epoch's pending ops and it is decoded again;
+- each applier merges its ``K`` sub-tables into its state, writes its
   partition files for the epoch (tmp + atomic rename), and returns
   lineage rows; the driver commits the manifest + checkpoint exactly as
   in the Dataset path.
@@ -33,7 +39,7 @@ because applier state must persist across epochs.
 
 Failure semantics: tasks/actors are deterministic given (checkpoint,
 epoch op set); any failure aborts the epoch, and a rerun resumes from
-the last committed checkpoint (fresh actors reload base state). The
+the last committed checkpoint (fresh appliers reload base state). The
 commit protocol in :mod:`commons_codec_ray.sink.manifest` is unchanged.
 """
 
@@ -52,10 +58,12 @@ import pyarrow.parquet as pq
 
 import ray
 
+from commons_codec_ray import util
 from commons_codec_ray.config import PipelineConfig
 from commons_codec_ray.schemas import OP_DEAD, OP_SCHEMA_CHANGE, empty_ops_table
 from commons_codec_ray.stages.applier import apply_ops_to_base
 from commons_codec_ray.stages.decode_stage import DecodeEnvelopes, object_columns
+from commons_codec_ray.util import InDriver, sized_pool
 
 
 @ray.remote
@@ -99,9 +107,11 @@ def decode_split_task(
     return tuple(out)
 
 
-@ray.remote
-class PartitionApplier:
-    """Owns ``{pid : pid % A == actor_id}``; state lives across epochs."""
+class Applier:
+    """Owns ``{pid : pid % A == actor_id}``; state lives across epochs.
+
+    A plain class: a pool of one runs it in the driver, larger pools
+    spawn it as the :data:`PartitionApplier` actor."""
 
     def __init__(
         self,
@@ -220,11 +230,13 @@ class PartitionApplier:
         ]
 
     def ingest(self, *op_tables: pa.Table) -> None:
-        """Accumulate a decode task's output for this actor.
+        """Accumulate a decode task's output for this applier.
 
-        Called once per decode task as its result becomes available —
-        Ray queues the calls per actor, so merging overlaps the rest of
-        the decode stage instead of waiting for a global barrier. A
+        Called once per decode task. On an actor, Ray queues the calls
+        and runs each as its task's result becomes available, so merging
+        overlaps the rest of the decode stage instead of waiting for a
+        global barrier. In the driver the calls run one at a time in
+        submission order, each blocking until its decode task is done. A
         rolling LWW pre-reduce bounds memory: pending ops never exceed
         ~2× the combine threshold regardless of epoch size.
         """
@@ -375,6 +387,9 @@ class PartitionApplier:
         return self.actor_id
 
 
+PartitionApplier = ray.remote(Applier)
+
+
 def _type_from_str(s: str) -> pa.DataType:
     from commons_codec_ray.config import resolve_logical_type
 
@@ -401,6 +416,18 @@ def _row_group_stats(path: str, meta_cache: dict | None) -> list[tuple[int | Non
     return out
 
 
+def _row_groups(
+    envelope_files: list[str], lo: int, hi: int, meta_cache: dict | None
+) -> list[tuple[str, int, int]]:
+    """(path, row_group, rows) of every row group overlapping [lo, hi)."""
+    return [
+        (p, rg, rows)
+        for p in envelope_files
+        for rg, (mn, mx, rows) in enumerate(_row_group_stats(p, meta_cache))
+        if mn is None or (mx >= lo and mn < hi)
+    ]
+
+
 def plan_file_slices(
     envelope_files: list[str], lo: int, hi: int, num_tasks: int,
     meta_cache: dict | None = None,
@@ -409,11 +436,7 @@ def plan_file_slices(
     using Parquet row-group statistics (no data read on the driver; with
     ``meta_cache`` the footer metadata is read once per file across the
     whole epoch/poll sequence instead of once per epoch)."""
-    units: list[tuple[str, int, int]] = []  # (path, row_group, rows)
-    for p in envelope_files:
-        for rg, (mn, mx, rows) in enumerate(_row_group_stats(p, meta_cache)):
-            if mn is None or (mx >= lo and mn < hi):
-                units.append((p, rg, rows))
+    units = _row_groups(envelope_files, lo, hi, meta_cache)
     if not units:
         return []
     num_tasks = min(num_tasks, len(units))
@@ -448,47 +471,84 @@ def _extra_columns_json(config: PipelineConfig) -> str:
     )
 
 
+def _committed_rows(lake_root: str, base_partitions: dict[str, Any], limit: int) -> int:
+    """Rows in the committed partition files, from their footers; stops
+    opening footers once the count reaches ``limit``."""
+    from commons_codec_ray.sink.manifest import entry_files
+
+    rows = 0
+    for entry in base_partitions.values():
+        base, deltas = entry_files(entry)
+        for rel in ([base] if base else []) + deltas:
+            if rows >= limit:
+                return rows
+            rows += pq.read_metadata(Path(lake_root) / rel).num_rows
+    return rows
+
+
 class ActorPoolApplyRunner:
-    """Drives decode tasks + the applier pool for a sequence of epochs."""
+    """Drives decode tasks + the applier pool for a sequence of epochs.
+
+    The pool is sized once, for the replay of ``[lo, hi)`` of
+    ``envelope_files``: its envelope rows (row-group statistics, the
+    footers ``plan_file_slices`` reads anyway) plus the committed lake's
+    rows decide between one applier in the driver and spawned actors
+    (:func:`~commons_codec_ray.util.sized_pool`)."""
 
     def __init__(
         self,
         lake_root: str,
         config: PipelineConfig,
         base_partitions: dict[str, Any],
+        envelope_files: list[str],
+        lo: int,
+        hi: int,
         num_actors: int | None = None,
         num_decode_tasks: int | None = None,
     ):
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        # one applier per ~3 cores (at least 2, at most P), one decode
-        # task per core (at least 4)
-        self.num_actors = num_actors or max(2, min(config.num_partitions, cpus // 3))
+        self._meta_cache: dict = {}  # parquet footer stats, per file
+        rows = 0  # only the comparison with DRIVER_POOL_ROWS matters
+        if not num_actors:
+            rows = sum(u[2] for u in _row_groups(envelope_files, lo, hi, self._meta_cache))
+            rows += _committed_rows(
+                lake_root, base_partitions, util.DRIVER_POOL_ROWS - rows
+            )
+        # spawned: one applier per ~3 cores (at least 2, at most P); one
+        # decode task per core (at least 4)
+        self.num_actors = sized_pool(
+            num_actors, rows, max(2, min(config.num_partitions, cpus // 3))
+        )
         self.num_decode_tasks = num_decode_tasks or max(4, cpus)
         self.config = config
         self.lake_root = lake_root
-        self._meta_cache: dict = {}  # parquet footer stats, per file
-        extra = _extra_columns_json(config)
+        args = (
+            self.num_actors,
+            lake_root,
+            base_partitions,
+            _extra_columns_json(config),
+            config.sink_mode,
+            config.compact_ratio,
+            config.compact_max_deltas,
+            config.applier_state_budget_bytes,
+            config.emit_changes,
+        )
+        self._ping_refs = None
+        if self.num_actors == 1:
+            self.appliers: str | int = "driver"
+            self.actors = [InDriver(Applier(0, *args))]
+            return
+        self.appliers = self.num_actors
         # no CPU reservation: appliers are burst-shaped (idle while decode
         # streams, busy on ingest/flush), and a reserved slot would sit
         # idle through the decode stage — at one logical CPU the decode
         # tasks would never schedule at all
         self.actors = [
-            PartitionApplier.options(num_cpus=0).remote(
-                a,
-                self.num_actors,
-                lake_root,
-                base_partitions,
-                extra,
-                config.sink_mode,
-                config.compact_ratio,
-                config.compact_max_deltas,
-                config.applier_state_budget_bytes,
-                config.emit_changes,
-            )
+            PartitionApplier.options(num_cpus=0).remote(a, *args)
             for a in range(self.num_actors)
         ]
-        # actor spawn is ~1 s of fresh-process imports — don't block here;
-        # the first run_epoch overlaps it with its decode tasks
+        # a spawn is ~0.5-1 s of fresh-process start and imports; don't
+        # block here, the first run_epoch overlaps it with its decode tasks
         self._ping_refs = [a.ping.remote() for a in self.actors]
 
     def wait_ready(self) -> None:
@@ -568,6 +628,7 @@ class ActorPoolApplyRunner:
         return lineage, dead, controls
 
     def shutdown(self) -> None:
-        for a in self.actors:
-            ray.kill(a)
+        if self.appliers != "driver":
+            for a in self.actors:
+                ray.kill(a)
         self.actors = []

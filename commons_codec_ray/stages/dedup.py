@@ -1684,7 +1684,9 @@ def near_dedup_incremental(
         .materialize()
     )
     A = num_shards or pool_size(8)
-    shard_cls = ray.remote(num_cpus=0.5)(_LSHIndexShard)
+    # no CPU reservation: the index shards idle while the routing tasks
+    # run, and half-CPU shards left a one-CPU cluster no slot for them
+    shard_cls = ray.remote(num_cpus=0)(_LSHIndexShard)
     shards = [
         shard_cls.options(scheduling_strategy="SPREAD").remote(
             threshold, hasher.num_perm, n_bands

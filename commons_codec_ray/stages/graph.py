@@ -32,13 +32,19 @@ score, no exchange); per-round state is one int64 per node.
 
 The same actor shape carries ``components_sharded``, ``kcore_sharded``
 and ``sssp`` (hence ``bfs_levels``): all four run on one scaffold,
-:func:`_shard_pool`, which spawns the shards with one set of options
-(no CPU reserved), routes the static rows to them once, and kills every
-shard on the way out, however the call ends.
+:func:`_shard_pool`, which sizes the pool, routes the static rows to
+the shards once, and kills every spawned shard on the way out, however
+the call ends. Placement follows size: below
+:data:`~commons_codec_ray.util.DRIVER_POOL_ROWS` setup rows the default
+pool is ONE shard, a plain instance of the same shard class in the
+driver, since a fresh shard process costs ~0.45 s against ~0.01 s of
+supersteps at that size. Larger inputs, or ``num_shards`` ≥ 2, spawn
+the shards as actors with one set of options (no CPU reserved).
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 
 import numpy as np
@@ -48,7 +54,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from commons_codec_ray.util import adaptive_buckets, hash_bucket, pool_size
+from commons_codec_ray.util import InDriver, adaptive_buckets, hash_bucket, pool_size, sized_pool
 
 SCALE = 1_000_000_000_000
 
@@ -349,39 +355,53 @@ def _inbox(outs: list, o: int) -> list:
     return [out[o] for out in outs]
 
 
-@contextmanager
-def _shard_pool(shard_cls, setup_refs, A: int, *init_args):
-    """Yield ``A`` actors ``shard_cls(A, *init_args)`` that hold the
-    setup blocks' rows, each row routed once to its owner.
+@functools.cache
+def _shard_actor(shard_cls):
+    """``shard_cls`` as an actor class with the options every shard gets:
+    SPREAD placement and no CPU reservation, so the tasks the driver
+    still needs (routing, ``from_arrow_refs``) find a slot even on a
+    one-CPU cluster."""
+    return ray.remote(shard_cls).options(num_cpus=0, scheduling_strategy="SPREAD")
 
-    Every shard gets the same options: SPREAD placement and no CPU
-    reservation, so the tasks the driver still needs (routing,
-    ``from_arrow_refs``) find a slot even on a one-CPU cluster. Every
-    shard spawned is killed on the way out, however the body leaves.
+
+@contextmanager
+def _shard_pool(shard_cls, setup, num_shards: int | None, *init_args):
+    """Yield ``A`` shards ``shard_cls(A, *init_args)`` that hold the rows
+    of the ``setup`` Dataset (with its ``_b`` owner bucket), each row
+    routed once to its owner.
+
+    ``A`` is ``num_shards``, or by :func:`~commons_codec_ray.util.sized_pool`
+    one below the driver crossover, else one per setup block up to the
+    :func:`pool_size` clamp. A pool of one is an :class:`InDriver` handle
+    on a plain ``shard_cls`` in the driver; larger pools are actors, and
+    every one spawned is killed on the way out, however the body leaves.
     """
-    shards = []
+    setup = setup.materialize()
+    setup_refs = setup.to_arrow_refs()
+    A = sized_pool(num_shards, setup.count(), pool_size(max(1, len(setup_refs))))
+    spawned = []
     try:
-        for _ in range(A):
-            shards.append(
-                shard_cls.options(num_cpus=0, scheduling_strategy="SPREAD").remote(
-                    A, *init_args
-                )
-            )
+        if A == 1:
+            shards = [InDriver(shard_cls(1, *init_args))]
+        else:
+            for _ in range(A):
+                spawned.append(_shard_actor(shard_cls).remote(A, *init_args))
+            shards = spawned
         acks = []
         for blk in setup_refs:
-            parts = _fan_out(_route_to_shards, A, blk, A)
+            parts = [blk] if A == 1 else _fan_out(_route_to_shards, A, blk, A)
             acks.extend(w.add_static.remote(p) for w, p in zip(shards, parts))
         ray.get(acks)
         yield shards
     finally:
-        for w in shards:
+        for w in spawned:
             ray.kill(w, no_restart=True)
 
 
 def _collect(refs: list):
     """The shards' result tables as a Dataset. Called inside the pool:
-    the results are computed before the shards die, and stay in the
-    object store after. All-empty results keep their schema."""
+    the results are computed before any spawned shard dies, and stay in
+    the object store after. All-empty results keep their schema."""
     ray.wait(refs, num_returns=len(refs), fetch_local=False)
     ds = rd.from_arrow_refs(refs)
     return ds if ds.count() else rd.from_arrow(ray.get(refs[0]))
@@ -412,8 +432,10 @@ def _firsts(*keys: np.ndarray) -> np.ndarray:
 
 
 class _Shard:
-    """What every shard actor shares: the static rows routed to it, and
-    the owner of a node (``hash_bucket(node) % A``, the routing rule)."""
+    """What every shard shares: the static rows routed to it, and the
+    owner of a node (``hash_bucket(node) % A``, the routing rule). The
+    shard classes are plain; :func:`_shard_pool` runs a pool of one in
+    the driver and spawns larger pools as actors."""
 
     def __init__(self, num_shards: int, nb: int):
         self.A = num_shards
@@ -467,7 +489,6 @@ class _Shard:
         return self._slices(bounds, **{c: v[order] for c, v in cols.items()})
 
 
-@ray.remote
 class _PagerankShard(_Shard):
     """One shard of the static PageRank state: the distinct out-edges of
     every node whose bucket this shard owns, plus the shard's node set.
@@ -579,13 +600,9 @@ def pagerank(
             ]
         )
 
-    setup_refs = (
-        edges_ds.map_batches(explode_setup, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    )
-    A = num_shards or pool_size(max(1, len(setup_refs)))
-    with _shard_pool(_PagerankShard, setup_refs, A, nb) as shards:
+    setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
+    with _shard_pool(_PagerankShard, setup, num_shards, nb) as shards:
+        A = len(shards)
         n_nodes = sum(ray.get([w.build.remote() for w in shards]))
         s0 = SCALE // n_nodes
         base = 15 * s0 // 100
@@ -891,7 +908,6 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
     )
 
 
-@ray.remote
 class _CCShard(_Shard):
     """One shard of static connected-components state: the symmetric
     adjacency (CSR) of every node whose hash bucket this shard owns,
@@ -1007,13 +1023,9 @@ def components_sharded(
             {"_b": hash_bucket(k, nb), "key": pa.array(k), "peer": pa.array(p)}
         )
 
-    setup_refs = (
-        pairs_ds.map_batches(explode_setup, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    )
-    A = num_shards or pool_size(max(1, len(setup_refs)))
-    with _shard_pool(_CCShard, setup_refs, A, nb) as shards:
+    setup = pairs_ds.map_batches(explode_setup, batch_format="pyarrow")
+    with _shard_pool(_CCShard, setup, num_shards, nb) as shards:
+        A = len(shards)
         ray.get([w.build.remote() for w in shards])
 
         def apply(outs) -> int:
@@ -1169,7 +1181,6 @@ def kcore(edges_ds, k: int = 3, max_rounds: int = 64, src: str = "src", dst: str
     return sym.groupby("u").map_groups(final_deg, batch_format="pyarrow")
 
 
-@ray.remote
 class _KCoreShard(_Shard):
     """One shard of static k-core state: the deduped symmetric
     adjacency (CSR) of every node whose hash bucket this shard owns,
@@ -1255,13 +1266,9 @@ def kcore_sharded(
             {"_b": hash_bucket(kk, nb), "key": pa.array(kk), "peer": pa.array(p)}
         )
 
-    setup_refs = (
-        edges_ds.map_batches(explode_setup, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    )
-    A = num_shards or pool_size(max(1, len(setup_refs)))
-    with _shard_pool(_KCoreShard, setup_refs, A, nb, k) as shards:
+    setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
+    with _shard_pool(_KCoreShard, setup, num_shards, nb, k) as shards:
+        A = len(shards)
         ray.get([w.build.remote() for w in shards])
         for _ in range(max_rounds):
             # peel returns A message tables + the local death count
@@ -1982,7 +1989,6 @@ def bfs_levels(edges_ds, source: int, max_levels: int = 6,
     )
 
 
-@ray.remote
 class _SSSPShard(_Shard):
     """One shard of single-source shortest-path state: the distinct
     out-edges (CSR by source; a multi-edge keeps its MIN weight, the
@@ -2087,15 +2093,11 @@ def sssp(edges_ds, source: int, rounds: int = 6,
             {"_b": hash_bucket(s, nb), "key": pa.array(s), "dst": pa.array(d), "w": pa.array(w)}
         )
 
-    setup_refs = (
-        edges_ds.map_batches(explode, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    )
-    A = num_shards or pool_size(max(1, len(setup_refs)))
     seed = pa.table({"key": pa.array([source], pa.int64()), "dist": pa.array([0], pa.int64())})
-    owner = hash_bucket(np.array([source], np.int64), nb)[0].as_py() % A
-    with _shard_pool(_SSSPShard, setup_refs, A, nb) as shards:
+    setup = edges_ds.map_batches(explode, batch_format="pyarrow")
+    with _shard_pool(_SSSPShard, setup, num_shards, nb) as shards:
+        A = len(shards)
+        owner = hash_bucket(np.array([source], np.int64), nb)[0].as_py() % A
         ray.get([w.build.remote() for w in shards])
         inboxes = [[seed] if o == owner else [] for o in range(A)]
         for _ in range(rounds):

@@ -138,7 +138,11 @@ def mad_per_key(
     ``q_outliers``). SQL replays it as ``2*median(x)`` /
     ``2*median(abs(2x − med2))`` — exact in a DOUBLE for |x| < 2^51.
 
-    ``column`` must be int64-coercible. One hash-bucket exchange, then
+    ``column`` must be int64-coercible, with |x| < 2^62 and each key's
+    spread ``max(x) − min(x)`` at most ``(2^63 − 1) // (4·max(|k_num|,
+    1))``: then ``2x``, ``med2``, ``mad4`` and both sides of the outlier
+    test fit int64. A bucket past either bound raises ``OverflowError``
+    instead of wrapping. One hash-bucket exchange, then
     a single vectorized pass per bucket (two sorted-run indexings, no
     per-key UDF calls); same one-key-fits-one-bucket contract as
     :func:`quantile_per_key`.
@@ -165,6 +169,14 @@ def mad_per_key(
         new_key[1:] = keys_np[1:] != keys_np[:-1]
         starts = np.flatnonzero(new_key)
         counts = np.diff(np.append(starts, m))
+        # x is sorted within each key: its first and last are min and max
+        if max(-int(x.min()), int(x.max())) >= 1 << 62:
+            raise OverflowError(f"mad_per_key: a {column} value outside ±2^62 wraps 2·x in int64")
+        spread = int((x[starts + counts - 1] - x[starts]).max())
+        if 4 * max(abs(k_num), 1) * spread >= 1 << 63:
+            raise OverflowError(
+                f"mad_per_key: a key's {column} spread {spread} overflows mad4 in int64"
+            )
         med2 = x[starts + (counts - 1) // 2] + x[starts + counts // 2]
         run = np.repeat(np.arange(len(starts)), counts)
         dev2 = np.abs(2 * x - med2[run])

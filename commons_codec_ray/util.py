@@ -7,10 +7,12 @@ import pyarrow as pa
 
 
 def pool_size(requested: int) -> int:
-    """Clamp an actor-pool size to the cluster: a pool that reserves
-    every CPU slot starves the upstream read/map tasks and the pipeline
-    DEADLOCKS (observed at num_cpus=4 with concurrency=4). Always leave
-    at least one slot free."""
+    """Clamp an actor-pool size to the cluster, leaving at least one
+    CPU slot free: a pool that reserves every slot starves the upstream
+    read/map tasks and the pipeline DEADLOCKS (observed at num_cpus=4
+    with concurrency=4). The graph shard pools reserve no CPU but keep
+    this clamp as their spawned size; below :data:`DRIVER_POOL_ROWS`
+    they default to one shard in the driver instead (:func:`sized_pool`)."""
     try:
         import ray
 
@@ -18,6 +20,69 @@ def pool_size(requested: int) -> int:
     except Exception:  # noqa: BLE001
         cpus = 8
     return max(1, min(requested, cpus - 1))
+
+
+# Rows below which a pool's default size is ONE, and a pool of one runs
+# in the driver (:class:`InDriver`) instead of in fresh worker processes.
+# Measured with tools/placement_crossover.py (PERF.md "Driver placement
+# crossover", median of 3, shared 4-vCPU VM): replaying 102k envelope
+# rows takes 0.35 s with the applier in the driver and 0.69 s with two
+# applier actors at 2 Ray CPUs;
+# the actors catch up at ~340k rows on 2 CPUs and ~2M rows on 4 (1.02M
+# rows: 2.87 vs 2.64 s at 2 CPUs, 1.72 vs 1.80 s at 4). pagerank on 800k
+# edges (~0.96M setup rows) takes 0.90 s in the driver and 0.95 s on two
+# shards, on 2M edges 2.65 vs 1.76 s; sssp stays faster in the driver
+# through 2M edges. At one million, neither side loses more than ~10 %
+# at any measured point.
+DRIVER_POOL_ROWS = 1_000_000
+
+
+def sized_pool(requested: int | None, rows: int, spawned: int) -> int:
+    """Size of an actor pool that will hold ``rows`` rows: ``requested``
+    when given, else 1 below :data:`DRIVER_POOL_ROWS`, else ``spawned``.
+    A pool of one is run in the driver process."""
+    if requested:
+        return requested
+    return 1 if rows < DRIVER_POOL_ROWS else spawned
+
+
+class InDriver:
+    """An actor-shaped handle on a plain object in the driver process.
+
+    ``h.method.remote(*args)`` and ``h.method.options(num_returns=n)
+    .remote(*args)`` resolve ``ObjectRef`` arguments as Ray does for an
+    actor, call the method at once and return ``ray.put`` refs of its
+    result(s), so code written against an actor pool runs unchanged on a
+    pool of one, with no process to spawn or kill. A failing call raises
+    from ``remote`` itself, not from a later ``ray.get``."""
+
+    def __init__(self, obj):
+        self._obj = obj
+
+    def __getattr__(self, name: str) -> "_InDriverMethod":
+        return _InDriverMethod(getattr(self._obj, name))
+
+
+class _InDriverMethod:
+    def __init__(self, fn, num_returns: int = 1):
+        self._fn = fn
+        self._num_returns = num_returns
+
+    def options(self, num_returns: int = 1) -> "_InDriverMethod":
+        return _InDriverMethod(self._fn, num_returns)
+
+    def remote(self, *args):
+        import ray
+
+        refs = [i for i, a in enumerate(args) if isinstance(a, ray.ObjectRef)]
+        if refs:
+            args = list(args)
+            for i, value in zip(refs, ray.get([args[i] for i in refs])):
+                args[i] = value
+        out = self._fn(*args)
+        if self._num_returns == 1:
+            return ray.put(out)
+        return [ray.put(o) for o in out]
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -33,6 +33,7 @@ _SCRIPT = textwrap.dedent(
 
     ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
     try:
+        from commons_codec_ray import util
         from commons_codec_ray.config import PipelineConfig
         from commons_codec_ray.envelopes import EventsToEnvelopes
         from commons_codec_ray.pipelines.cdc import CDCPipeline
@@ -43,11 +44,13 @@ _SCRIPT = textwrap.dedent(
         log = f"{work}/envelopes.parquet"
         pq.write_table(env.sort_by("lsn"), log, row_group_size=200)
         pipe = CDCPipeline(f"{work}/lake", PipelineConfig(num_partitions=16, epoch_size=300))
+        util.DRIVER_POOL_ROWS = 0  # spawn the appliers: this log is far below it
         results = pipe.replay(log, mode="actors", epoch_size=300)
         cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
         got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()).select(cols))
         want = sorted_canonical(replay_envelopes(pq.read_table(log)).select(cols))
         assert len(results) >= 3, results
+        assert {m["appliers"] for m in pipe.metrics()["epochs"]} == {2}
         assert got.num_rows == want.num_rows, (got.num_rows, want.num_rows)
         assert got.equals(want.cast(got.schema))
         print("LAKE-EQUAL", len(results))
@@ -98,7 +101,9 @@ def test_decode_split_matches_mask_reference(tmp_path, sf_dir):
 def test_actor_replay_on_one_logical_cpu(tmp_path, sf_dir):
     """Applier actors reserve no CPU, so decode tasks always find a slot.
     When the appliers held a fractional slot each, a one-CPU cluster never
-    scheduled a decode task and the replay hung. The session fixture pins
+    scheduled a decode task and the replay hung. ``DRIVER_POOL_ROWS = 0``
+    makes the replay spawn its two appliers (a log this small would
+    otherwise get one applier in the driver). The session fixture pins
     4 CPUs, so the replay runs in a subprocess with its own ``ray.init``."""
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT), env.get("PYTHONPATH")) if p)

@@ -405,3 +405,63 @@ class TestIncrementalNearDedup:
             ).to_pandas()["doc_id"]
         )
         assert got == want
+
+
+_ONE_CPU_SCRIPT = """
+import pyarrow as pa
+import ray
+import ray.data as rd
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+try:
+    from commons_codec_ray.stages.dedup import near_dedup_incremental
+
+    ids, texts = [], []
+    for i in range(60):
+        toks = [f"w{i}_{j}" for j in range(30)]
+        ids.append(i)
+        texts.append(" ".join(toks))
+        if i % 3 == 0:  # a copy that differs only in case
+            ids.append(10_000 + i)
+            texts.append(" ".join(t.upper() for t in toks))
+    ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts}))
+    kept = sorted(near_dedup_incremental(ds, threshold=0.7, epochs=2).to_pandas()["doc_id"])
+    assert kept == list(range(60)), kept
+    print("DEDUP-OK")
+finally:
+    ray.shutdown()
+"""
+
+
+def test_incremental_near_dedup_on_one_logical_cpu():
+    """The LSH index shards reserve no CPU, so the routing and pair
+    tasks find a slot on a one-CPU cluster. With half a CPU per shard
+    the call never finished. The session fixture pins 4 CPUs, so the
+    call runs in a subprocess with its own ``ray.init``, in its own
+    process group so a hung run's Ray processes die with it."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    timeout_s = 120
+    root = str(Path(__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_SCRIPT],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout_s)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise AssertionError(f"near_dedup_incremental at num_cpus=1 still running after {timeout_s} s")
+    assert proc.returncode == 0, err[-3000:]
+    assert "DEDUP-OK" in out

@@ -5,6 +5,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data as rd
 
 
@@ -158,6 +159,82 @@ def test_mad_per_key_constant_group_flags_nothing(ray_session):
     )
     got = mad_per_key(ds, key="k", column="x").to_pandas()
     assert got.iloc[0]["mad4"] == 0 and got.iloc[0]["n_outliers"] == 0
+
+
+def _mad_reference(xs, k_num=3):
+    """(n, med2, mad4, n_outliers) of one key in Python integers."""
+    xs = sorted(xs)
+    n = len(xs)
+    med2 = xs[(n - 1) // 2] + xs[n // 2]
+    dev2 = sorted(abs(2 * x - med2) for x in xs)
+    mad4 = dev2[(n - 1) // 2] + dev2[n // 2]
+    return n, med2, mad4, sum(2 * d > k_num * mad4 for d in dev2)
+
+
+def test_mad_per_key_exact_near_the_int64_bound(ray_session):
+    from commons_codec_ray.stages.grouptop import mad_per_key
+
+    top, bottom = (1 << 62) - 1, -(1 << 62) + 1
+    groups = {
+        0: [top, top - 1, top - 2, top - 40],
+        1: [bottom, bottom + 3, bottom + 1, bottom + 1000],
+    }
+    keys = [k for k, xs in groups.items() for _ in xs]
+    xs = [x for v in groups.values() for x in v]
+    ds = rd.from_arrow(pa.table({"k": pa.array(keys, pa.int64()), "x": pa.array(xs, pa.int64())}))
+    got = mad_per_key(ds, key="k", column="x").to_pandas().sort_values("k")
+    for row in got.itertuples():
+        want = _mad_reference(groups[row.k])
+        assert (int(row.n), int(row.med2), int(row.mad4), int(row.n_outliers)) == want
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [[1 << 62, 0], [-(1 << 62), 0], [1 << 61, -(1 << 61)]],
+    ids=["above-2^62", "below-minus-2^62", "spread-2^62"],
+)
+def test_mad_per_key_raises_instead_of_wrapping(ray_session, xs):
+    from commons_codec_ray.stages.grouptop import mad_per_key
+
+    ds = rd.from_arrow(pa.table({"k": pa.array([7] * len(xs), pa.int64()), "x": pa.array(xs, pa.int64())}))
+    with pytest.raises(Exception, match="OverflowError"):
+        mad_per_key(ds, key="k", column="x").to_pandas()
+
+
+@pytest.mark.parametrize("query", ["running_total", "mad_outliers"])
+def test_cents_queries_refuse_a_null_value(ray_session, tmp_path, sf_dir, query):
+    """On a table with one NULL value the oracle's sum/median skip it;
+    the query raises instead of turning it into INT64_MIN. Without the
+    NULL it matches the oracle exactly."""
+    import duckdb
+
+    from commons_codec_ray.pipelines.queries import ORACLE_SQL, QUERIES
+
+    def normalize(df):
+        return df[sorted(df.columns)].sort_values(sorted(df.columns)).reset_index(drop=True)
+
+    events = pq.read_table(f"{sf_dir}/events.parquet").slice(0, 60)
+    value = events["value"].to_pylist()
+    value[17] = None
+    (tmp_path / "null").mkdir()
+    (tmp_path / "clean").mkdir()
+    pq.write_table(events.set_column(4, "value", pa.array(value, pa.float64())),
+                   tmp_path / "null" / "events.parquet")
+    pq.write_table(events.filter(pa.array([i != 17 for i in range(60)])),
+                   tmp_path / "clean" / "events.parquet")
+    fn, sql = QUERIES[query], ORACLE_SQL[query]
+
+    def oracle(d):
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{d}/events.parquet')")
+        return normalize(con.execute(sql).df())
+
+    assert len(oracle(tmp_path / "null")) > 0  # the oracle skips the NULL
+    with pytest.raises(Exception, match="events.value holds NULL"):
+        fn(str(tmp_path / "null")).to_pandas()
+    got = normalize(fn(str(tmp_path / "clean")).to_pandas())
+    want = oracle(tmp_path / "clean")
+    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()), check_dtype=False, check_exact=True)
 
 
 def test_c4_line_rules_semantics():

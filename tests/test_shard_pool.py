@@ -48,12 +48,12 @@ _SCRIPT = textwrap.dedent(
             df = ds.to_pandas()
             return dict(zip(df["node"].tolist(), df[col].tolist()))
 
-        assert len(rows(pagerank(edges, iterations=3), "score")) == 8
-        assert rows(components_sharded(pairs), "cluster_id") == {
+        assert len(rows(pagerank(edges, iterations=3, num_shards=2), "score")) == 8
+        assert rows(components_sharded(pairs, num_shards=2), "cluster_id") == {
             0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 10: 10, 11: 10,
         }
-        assert rows(kcore_sharded(edges, k=3), "deg") == {0: 3, 1: 3, 2: 3, 3: 3}
-        assert rows(sssp(edges, source=0, rounds=3), "dist") == {
+        assert rows(kcore_sharded(edges, k=3, num_shards=2), "deg") == {0: 3, 1: 3, 2: 3, 3: 3}
+        assert rows(sssp(edges, source=0, rounds=3, num_shards=2), "dist") == {
             0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3,
         }
         print("SHARDED-OK")
@@ -67,8 +67,10 @@ def test_sharded_operators_on_one_logical_cpu():
     """Shards reserve no CPU, so the driver's own tasks (routing,
     ``from_arrow_refs``) always find a slot. When the k-core shards held
     half a CPU each, a one-CPU cluster never scheduled the result's
-    metadata task and k-core hung. The session fixture pins 4 CPUs, so
-    the operators run in a subprocess with its own ``ray.init``."""
+    metadata task and k-core hung. ``num_shards=2`` spawns shard actors
+    (an input this small would otherwise run on one shard in the driver).
+    The session fixture pins 4 CPUs, so the operators run in a subprocess
+    with its own ``ray.init``."""
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT), env.get("PYTHONPATH")) if p)
     # own process group: a hung run's Ray processes are killed with it

@@ -1,0 +1,160 @@
+#!/usr/bin/env python
+"""Measure where spawned pools start to beat a pool of one in the driver
+(``commons_codec_ray.util.DRIVER_POOL_ROWS``).
+
+For each input size it times full calls with both placements, the runs
+interleaved, and prints one JSON line per size with the median wall
+times:
+
+- ``cdc``: ``replay(mode="actors")`` of an update log shaped like the
+  ``replay_update`` benchmark workload (4 rounds over one key set, 85 %
+  of a round's events kept, 64 partitions, two epochs), with
+  ``--cdc-events`` events offered per round. Driver placement against
+  the default spawned pool.
+- ``pagerank`` / ``sssp``: a random graph with ``--graph-edges`` edges
+  over E/5 nodes, ``pagerank(iterations=5)`` and ``sssp(rounds=6)``.
+  Driver placement against ``num_shards=2``.
+
+The script owns its Ray session; run it once per CPU count:
+
+    python tools/placement_crossover.py --cpus 2 --cdc-events 15000 30000 150000
+    python tools/placement_crossover.py --cpus 4 --graph-edges 200000 800000 --repeats 3
+
+Inputs are built under a temporary directory and removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+NUM_PARTITIONS = 64
+ROUNDS = 4
+KEEP = 0.85
+USERS_PER_ROUND_EVENT = 450 / 30_000  # the benchmark's users per offered event
+
+
+def _build_log(d: Path, round_events: int, seed: int) -> int:
+    """An update log in ``d``, built as the ``replay_update`` inputs are;
+    returns its envelope rows."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from perfbench.inputs import ROW_GROUP, encode, events_table
+
+    rng = np.random.default_rng([seed, 1])
+    users = rng.integers(0, max(1, round(round_events * USERS_PER_ROUND_EVENT)), round_events)
+    d.mkdir(parents=True)
+    rows = 0
+    for r in range(ROUNDS):
+        ids = np.flatnonzero(rng.random(round_events) < KEEP)
+        offset = r * round_events
+        env = encode(events_table(rng, ids, users[ids], offset), offset)
+        pq.write_table(env, d / f"round-{r:03d}.parquet", row_group_size=ROW_GROUP)
+        rows += env.num_rows
+    return rows
+
+
+def _time_replay(log: Path, lake: Path, rows: int) -> float:
+    import math
+
+    from commons_codec_ray.config import PipelineConfig
+    from commons_codec_ray.pipelines.cdc import CDCPipeline
+
+    cfg = PipelineConfig(num_partitions=NUM_PARTITIONS, epoch_size=math.ceil(rows / 2))
+    t0 = time.perf_counter()
+    CDCPipeline(lake, cfg).replay(str(log), mode="actors")
+    return time.perf_counter() - t0
+
+
+def _edges(num_edges: int, seed: int):
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    rng = np.random.default_rng([seed, 2])
+    nodes = max(2, num_edges // 5)
+    tbl = pa.table({
+        "src": pa.array(rng.integers(0, nodes, num_edges), pa.int64()),
+        "dst": pa.array(rng.integers(0, nodes, num_edges), pa.int64()),
+        "w": pa.array(rng.integers(1, 10, num_edges), pa.int64()),
+    })
+    return rd.from_arrow(tbl).materialize()
+
+
+def _time_graph(op: str, edges, num_shards: int | None) -> float:
+    from commons_codec_ray.stages.graph import pagerank, sssp
+
+    t0 = time.perf_counter()
+    if op == "pagerank":
+        pagerank(edges, iterations=5, num_shards=num_shards).materialize()
+    else:
+        sssp(edges, source=0, rounds=6, num_shards=num_shards).materialize()
+    return time.perf_counter() - t0
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--cpus", type=int, default=2, help="logical CPUs of the Ray session")
+    ap.add_argument("--cdc-events", type=int, nargs="*", default=[15_000, 30_000],
+                    help="events offered per update round (~3.4 envelope rows each)")
+    ap.add_argument("--graph-edges", type=int, nargs="*", default=[10_000, 50_000])
+    ap.add_argument("--repeats", type=int, default=3, help="timed calls per placement")
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    import ray
+
+    from commons_codec_ray import util
+
+    ray.init(address="local", num_cpus=args.cpus, include_dashboard=False, logging_level="ERROR")
+    saved = util.DRIVER_POOL_ROWS
+    try:
+        with tempfile.TemporaryDirectory(prefix="placement-crossover-") as tmp:
+            tmp = Path(tmp)
+            for n, round_events in enumerate(args.cdc_events):
+                log = tmp / f"log-{n}"
+                rows = _build_log(log, round_events, args.seed)
+                times = {"driver": [], "actors": []}
+                for i in range(args.repeats):
+                    for placement, crossover in (("driver", float("inf")), ("actors", 0)):
+                        util.DRIVER_POOL_ROWS = crossover
+                        lake = tmp / f"lake-{n}-{placement}-{i}"
+                        times[placement].append(_time_replay(log, lake, rows))
+                _report(args.cpus, "cdc", rows, times)
+            util.DRIVER_POOL_ROWS = float("inf")
+            for num_edges in args.graph_edges:
+                edges = _edges(num_edges, args.seed)
+                for op in ("pagerank", "sssp"):
+                    times = {"driver": [], "actors": []}
+                    for _ in range(args.repeats):
+                        times["driver"].append(_time_graph(op, edges, None))
+                        times["actors"].append(_time_graph(op, edges, 2))
+                    _report(args.cpus, op, num_edges, times)
+    finally:
+        util.DRIVER_POOL_ROWS = saved
+        ray.shutdown()
+    return 0
+
+
+def _report(cpus: int, kind: str, size: int, times: dict[str, list[float]]) -> None:
+    """``size`` is envelope rows for ``cdc`` and edges for the graph ops."""
+    print(json.dumps({
+        "cpus": cpus,
+        "kind": kind,
+        "size": size,
+        "driver_s": round(statistics.median(times["driver"]), 3),
+        "actors_s": round(statistics.median(times["actors"]), 3),
+    }), flush=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
