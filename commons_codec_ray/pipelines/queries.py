@@ -9654,8 +9654,8 @@ def q_ppr(sf_dir: str):
     restricted to a 13-node seed set (node ids ≡ 0 mod 97 — the oracle
     derives the same live-seed set from its node CTE, so seeds absent
     at small sf drop out identically on both sides). Same exact
-    fixed-point int64 arithmetic and fused union-exchange shape as
-    q_pagerank, so 3 unrolled CTE rounds replay every score
+    fixed-point int64 arithmetic and pagerank shards as q_pagerank,
+    so 3 unrolled CTE rounds replay every score
     bit-for-bit; zero contributions are pruned in flight (personalized
     mass stays sparse early — the volume win over uniform PageRank)."""
     from commons_codec_ray.stages.graph import personalized_pagerank
@@ -11299,9 +11299,10 @@ def q_link_prediction(sf_dir: str):
     Jaccard (stages/graph.py:link_prediction — the neighborhood-overlap
     predictors of Liben-Nowell & Kleinberg 2003) over the shared
     deterministic bipartite graph (``_bipartite_edges``).
-    Symmetric-adjacency wedges (center-bucketed, one exchange) meet the
-    edge set in PAIR-keyed buckets; pairs that are already edges are
-    dropped (we predict ABSENT links); per-bucket top-k then one
+    Symmetric-adjacency wedges are generated on the shard that owns
+    their center, pre-reduced per pair and sent once to the owner of
+    the pair's smaller end, which drops the pairs that are already
+    edges (we predict ABSENT links) and keeps its top-k; then one
     kilobyte driver merge. All-integer scores under a total order ⇒
     the SQL self-join oracle replays the ranking bit-for-bit."""
     from commons_codec_ray.stages.graph import link_prediction
@@ -11336,7 +11337,7 @@ def q_link_prediction_ra(sf_dir: str):
     predictor — attached to the wedge at generation time and summed
     per candidate pair (int64-exact, order-independent, so the SQL
     sum-aggregate oracle replays the ranking bit-for-bit). Same
-    bipartite graph (``_bipartite_edges``) and bucketed machinery as
+    bipartite graph (``_bipartite_edges``) and shards as
     q_link_prediction."""
     from commons_codec_ray.stages.graph import link_prediction
 

@@ -23,18 +23,16 @@ source for the scatter join, contributions → destination for the
 gather sum) fuse into one.  Per iteration only the (node, contribution)
 stream crosses shards, as direct plasma objects between actors; the
 driver forwards A² object refs per round and never touches data.  The
-static edge table never moves after setup — the fix for the
-per-iteration edge re-sort in :func:`pagerank_unioned`, the retained
-pure-Dataset variant whose single ``union + groupby`` exchange per
-round documents the same fused shape without actors.  Round-0
-contributions come straight off the shard-local edges (uniform init
-score, no exchange); per-round state is one int64 per node.
+static edge table never moves after setup.  Round-0 contributions come
+straight off the shard-local edges (no exchange); per-round state is
+one int64 per node.  ``personalized_pagerank`` is the same shards with
+the teleport restricted to a seed set.
 
-The same actor shape carries ``components_sharded``, ``kcore_sharded``
-and ``sssp`` (hence ``bfs_levels``): all four run on one scaffold,
-:func:`_shard_pool`, which sizes the pool, routes the static rows to
-the shards once, and kills every spawned shard on the way out, however
-the call ends. Placement follows size: below
+The same actor shape carries ``components_sharded``, ``kcore_sharded``,
+``sssp`` (hence ``bfs_levels``) and ``link_prediction``: all five run
+on one scaffold, :func:`_shard_pool`, which sizes the pool, routes the
+static rows to the shards once, and kills every spawned shard on the
+way out, however the call ends. Placement follows size: below
 :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS` setup rows the default
 pool is ONE shard, a plain instance of the same shard class in the
 driver, since a fresh shard process costs ~0.45 s against ~0.01 s of
@@ -57,257 +55,6 @@ import ray.data as rd
 from commons_codec_ray.util import InDriver, adaptive_buckets, hash_bucket, pool_size, sized_pool
 
 SCALE = 1_000_000_000_000
-
-
-def pagerank_unioned(
-    edges_ds,
-    iterations: int = 5,
-    src: str = "src",
-    dst: str = "dst",
-    num_buckets: int | None = None,
-    seeds: "np.ndarray | None" = None,
-):
-    """(node:int64, score:int64) after ``iterations`` rounds — the
-    pure-Dataset variant.
-
-    ``edges_ds`` holds integer ``src``/``dst`` columns; duplicates are
-    collapsed inside the source bucket before the degree count.
-
-    ``seeds`` switches to PERSONALIZED PageRank (Page et al. 1999 §6;
-    the graph-retrieval/recommendation primitive): the teleport vector
-    concentrates on the seed set instead of being uniform —
-
-        s0      = SCALE // |S ∩ V|   (uniform over the LIVE seeds)
-        p0(v)   = s0 if v ∈ S else 0
-        base(v) = 15·s0//100 if v ∈ S else 0
-        p'(v)   = base(v) + 85·(Σ_{u→v} p(u) // outdeg(u)) // 100
-
-    Seeds absent from the graph are ignored (the oracle mirrors this by
-    deriving its seed CTE from the node set). The seed array is a
-    QUERY-sized driver object captured by closure — personalization
-    sets are user/topic-sized, not corpus-sized; a corpus-scale seed
-    side would switch to a hash-bucket membership join instead.
-
-    SCALE NOTE: each iteration re-unions the STATIC edge table into the
-    ``groupby("_b")`` exchange, so the (dominant) edge table goes
-    through Ray's sort-based shuffle once per iteration even though its
-    bucket assignment never changes. :func:`pagerank` (the default)
-    pins the static state in shard actors and moves only the
-    contribution stream per round; this variant is kept as the
-    zero-actor fallback, as documentation of the fused scatter+gather
-    exchange shape — and as the personalized entry point (the sharded
-    variant would carry seeds the same way via its routed setup blocks).
-    """
-    nb = num_buckets or adaptive_buckets()
-    if seeds is not None:
-        seeds = np.unique(np.asarray(seeds, np.int64))
-
-    # --- setup: ONE exchange builds the whole static per-run state -------
-    # tagged-union schema throughout: kind 0 = edge rows (key=src, dst,
-    # deg), kind 1 = contribution/sentinel rows (key=node, c=incoming
-    # contribution; sentinels carry c=0 so every node — including
-    # dangling and source-only nodes — computes a score and emits its
-    # out-contributions).  Raw edges route to hash(src), node candidates
-    # (src ∪ dst) to hash(v); the per-bucket merge dedupes multi-edges,
-    # counts outdegrees AND dedupes the node set in the same pass — the
-    # former separate edge-dedupe and node-distinct exchanges collapse
-    # into this one sort.
-    def explode_setup(t: pa.Table) -> pa.Table:
-        s = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = np.unique(np.concatenate([s, d]))  # batch-local candidates
-        ne, nv = len(s), len(v)
-        z = np.zeros(nv, np.int64)
-        edges_part = pa.table(
-            {
-                "_b": hash_bucket(s, nb),
-                "key": pa.array(s),
-                "dst": pa.array(d),
-                "deg": pa.array(np.zeros(ne, np.int64)),
-                "c": pa.array(np.zeros(ne, np.int64)),
-                "kind": pa.array(np.zeros(ne, np.int8)),
-            }
-        )
-        nodes_part = pa.table(
-            {
-                "_b": hash_bucket(v, nb),
-                "key": pa.array(v),
-                "dst": pa.array(z),
-                "deg": pa.array(np.ones(nv, np.int64)),
-                "c": pa.array(z),
-                "kind": pa.array(np.ones(nv, np.int8)),
-            }
-        )
-        return pa.concat_tables([edges_part, nodes_part])
-
-    def setup_group(g: pd.DataFrame) -> pa.Table:
-        e = g[g["kind"] == 0].drop_duplicates(["key", "dst"])
-        deg = e.groupby("key")["dst"].transform("size").to_numpy(np.int64)
-        v = np.unique(g.loc[g["kind"] == 1, "key"].to_numpy(np.int64))
-        ne, nv = len(e), len(v)
-        zv = np.zeros(nv, np.int64)
-        bucket = np.int64(g["_b"].iloc[0])
-        return pa.concat_tables(
-            [
-                pa.table(
-                    {
-                        "_b": pa.array(np.full(ne, bucket)),
-                        "key": pa.array(e["key"].to_numpy(np.int64)),
-                        "dst": pa.array(e["dst"].to_numpy(np.int64)),
-                        "deg": pa.array(deg),
-                        "c": pa.array(np.zeros(ne, np.int64)),
-                        "kind": pa.array(np.zeros(ne, np.int8)),
-                    }
-                ),
-                pa.table(
-                    {
-                        "_b": pa.array(np.full(nv, bucket)),
-                        "key": pa.array(v),
-                        "dst": pa.array(zv),
-                        "deg": pa.array(np.ones(nv, np.int64)),
-                        "c": pa.array(zv),
-                        "kind": pa.array(np.ones(nv, np.int8)),
-                    }
-                ),
-            ]
-        )
-
-    # static state: distinct edges (with outdegree) at hash(src) + one
-    # sentinel per node at hash(v) — materialized once, unioned into
-    # every iteration verbatim
-    static = (
-        edges_ds.map_batches(explode_setup, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(setup_group, batch_format="pandas")
-        .materialize()
-    )
-
-    # exact node (or live-seed) count off the materialized blocks
-    # (kilobyte partials) — the s0 denominator
-    def _count_init(t: pa.Table) -> pa.Table:
-        sel = t["kind"].to_numpy(zero_copy_only=False) == 1
-        if seeds is not None:
-            sel &= np.isin(t["key"].to_numpy(zero_copy_only=False), seeds)
-        return pa.table({"n": pa.array([int(sel.sum())])})
-
-    n_init = int(
-        sum(
-            r["n"]
-            for r in static.map_batches(
-                _count_init, batch_format="pyarrow"
-            ).take_all()
-        )
-    )
-    if n_init == 0:
-        raise ValueError("personalized pagerank: no seed is present in the graph")
-    s0 = SCALE // n_init
-    base = 15 * s0 // 100
-
-    # round-0 contributions come straight off the static edge rows
-    # (init score s0 — uniform, or seeds-only when personalized) —
-    # map-only, no exchange
-    def contrib0(t: pa.Table) -> pa.Table:
-        kind = t["kind"].to_numpy(zero_copy_only=False)
-        sel = kind == 0
-        if seeds is not None:
-            sel &= np.isin(t["key"].to_numpy(zero_copy_only=False), seeds)
-        d = t["dst"].to_numpy(zero_copy_only=False)[sel]
-        deg = t["deg"].to_numpy(zero_copy_only=False)[sel].astype(np.int64)
-        n = len(d)
-        return pa.table(
-            {
-                "_b": hash_bucket(d, nb),
-                "key": pa.array(d, pa.int64()),
-                "dst": pa.array(np.zeros(n, np.int64)),
-                "deg": pa.array(np.ones(n, np.int64)),
-                "c": pa.array(s0 // deg),
-                "kind": pa.array(np.ones(n, np.int8)),
-            }
-        )
-
-    def _contrib_table(d: np.ndarray, c: np.ndarray) -> pa.Table:
-        n = len(d)
-        return pa.table(
-            {
-                "_b": hash_bucket(d, nb),
-                "key": pa.array(d, pa.int64()),
-                "dst": pa.array(np.zeros(n, np.int64)),
-                "deg": pa.array(np.ones(n, np.int64)),
-                "c": pa.array(c, pa.int64()),
-                "kind": pa.array(np.full(n, 1, np.int8)),
-            }
-        )
-
-    def fused_step(last: bool):
-        # returns ARROW tables: the output unions with arrow-backed edge
-        # /sentinel blocks and Ray's sort sampler requires one block type
-        def step(g: pd.DataFrame) -> pa.Table:
-            cont = g[g["kind"] == 1]
-            tot = cont.groupby("key")["c"].sum()  # sentinels keep every node
-            v = tot.index.to_numpy(np.int64)
-            b_v = base if seeds is None else np.where(np.isin(v, seeds), base, 0)
-            s = b_v + 85 * tot.to_numpy(np.int64) // 100
-            if last:
-                return pa.table(
-                    {"v": pa.array(v, pa.int64()), "s": pa.array(s, pa.int64())}
-                )
-            e = g[g["kind"] == 0]
-            if not len(e):
-                return _contrib_table(
-                    np.empty(0, np.int64), np.empty(0, np.int64)
-                )
-            # emit next round's contributions: the new score of each
-            # edge's source lives in THIS bucket by construction
-            s_of = pd.Series(s, index=v)
-            src = e["key"].to_numpy(np.int64)
-            out_c = s_of.loc[src].to_numpy(np.int64) // e["deg"].to_numpy(np.int64)
-            d_out = e["dst"].to_numpy(np.int64)
-            if seeds is not None:
-                # personalized mass stays sparse for the first rounds:
-                # dropping exact-zero contributions changes no sum
-                nz = out_c > 0
-                out_c, d_out = out_c[nz], d_out[nz]
-            return _contrib_table(d_out, out_c)
-
-        return step
-
-    # iterations chain LAZILY — each round's contributions are consumed
-    # exactly once by the next round, so one streaming execution runs
-    # all ``iterations`` exchanges back to back
-    stream = static.map_batches(contrib0, batch_format="pyarrow")
-    for k in range(iterations):
-        inp = static.union(stream)
-        stream = inp.groupby("_b").map_groups(
-            fused_step(last=(k == iterations - 1)), batch_format="pandas"
-        )
-
-    return stream.map_batches(
-        lambda t: pa.table({"node": t["v"], "score": t["s"]}), batch_format="pyarrow"
-    )
-
-
-def personalized_pagerank(
-    edges_ds,
-    seeds,
-    iterations: int = 4,
-    src: str = "src",
-    dst: str = "dst",
-    num_buckets: int | None = None,
-):
-    """Personalized PageRank from a seed set — teleport mass restricted
-    to ``seeds`` (see :func:`pagerank_unioned` for the exact integer
-    update). The graph-retrieval primitive: scores measure proximity to
-    the seed set, e.g. seed = a user's clicked docs, result = expansion
-    candidates. Thin named entry point over
-    ``pagerank_unioned(seeds=...)``."""
-    return pagerank_unioned(
-        edges_ds,
-        iterations=iterations,
-        src=src,
-        dst=dst,
-        num_buckets=num_buckets,
-        seeds=seeds,
-    )
 
 
 # --- shard scaffold: the actor-sharded operators' one driver shape ----------
@@ -495,15 +242,20 @@ class _PagerankShard(_Shard):
 
     The static edge table is routed here ONCE; after :meth:`build` it
     never moves again. Per iteration only the (node, contribution)
-    stream crosses shards — the fix for the unioned variant's
-    per-iteration re-sort of the edge table. All arithmetic is the same
-    exact fixed-point int64 rule, so results are bit-identical to
-    :func:`pagerank_unioned` and to the unrolled-CTE SQL oracle.
+    stream crosses shards. ``seeds`` (sorted ids, or ``None`` for the
+    uniform teleport) picks the nodes that start with mass and receive
+    the teleport term. All arithmetic is the exact fixed-point int64
+    rule the unrolled-CTE SQL oracles replay.
     """
+
+    def __init__(self, num_shards: int, nb: int, seeds: np.ndarray | None):
+        super().__init__(num_shards, nb)
+        self.seeds = seeds
 
     def build(self) -> int:
         """Dedupe edges, count outdegrees, freeze per-owner edge layout.
-        Returns the shard-local node count (summed on the driver for N).
+        Returns the shard-local count of teleport nodes (summed on the
+        driver for the s0 denominator): its nodes, or its live seeds.
         """
         key, d, kind = self._static("key", "dst", "kind")
         e_sel = kind == 0
@@ -519,6 +271,7 @@ class _PagerankShard(_Shard):
         counts = np.diff(np.r_[np.flatnonzero(_firsts(s)), len(s)])
         deg = np.repeat(counts, counts)
         self.v = v
+        self.teleport = np.ones(len(v), bool) if self.seeds is None else np.isin(v, self.seeds)
         # freeze the per-owner layout: reorder edges by the owner of
         # their destination so each iteration's outbox is a pure slice
         owner = self._owner(d)
@@ -527,13 +280,19 @@ class _PagerankShard(_Shard):
         self.deg = deg[order].astype(np.int64)
         self.src_pos = np.searchsorted(v, s[order])
         self.bounds = np.searchsorted(owner[order], np.arange(self.A + 1))
-        return int(len(v))
+        return int(self.teleport.sum())
 
     def _outbox(self, c_edge: np.ndarray):
-        return _returns(self._slices(self.bounds, key=self.dst, c=c_edge))
+        dst, bounds = self.dst, self.bounds
+        if self.seeds is not None:
+            # personalized mass stays sparse for the first rounds:
+            # dropping exact-zero contributions changes no sum
+            nz = c_edge > 0
+            dst, c_edge, bounds = dst[nz], c_edge[nz], np.r_[0, np.cumsum(nz)][bounds]
+        return _returns(self._slices(bounds, key=dst, c=c_edge))
 
     def contrib0(self, s0: int):
-        return self._outbox(s0 // self.deg)
+        return self._outbox(np.where(self.teleport, s0, 0)[self.src_pos] // self.deg)
 
     def step(self, last: bool, base: int, *inboxes: pa.Table):
         tot = np.zeros(len(self.v), np.int64)
@@ -545,7 +304,7 @@ class _PagerankShard(_Shard):
             starts = np.flatnonzero(_firsts(ps))
             # int64 reduceat is exact — summation order can't drift
             tot[ps[starts]] = np.add.reduceat(csv, starts)
-        score = base + 85 * tot // 100
+        score = np.where(self.teleport, base, 0) + 85 * tot // 100
         if last:
             return pa.table({"node": pa.array(self.v), "score": pa.array(score)})
         return self._outbox(score[self.src_pos] // self.deg)
@@ -558,6 +317,7 @@ def pagerank(
     dst: str = "dst",
     num_buckets: int | None = None,
     num_shards: int | None = None,
+    seeds: "np.ndarray | None" = None,
 ):
     """(node:int64, score:int64) after ``iterations`` rounds — the
     actor-sharded default.
@@ -566,13 +326,26 @@ def pagerank(
     sentinels at hash(v)) is built and routed to shard actors ONCE;
     each iteration moves only the (node, contribution) stream between
     shards as direct plasma objects (the driver forwards ``A²`` object
-    REFS per round, never data). Identical fixed-point arithmetic to
-    :func:`pagerank_unioned`, hence bit-identical results at any shard
-    or bucket count.
+    REFS per round, never data). Exact fixed-point arithmetic, hence
+    bit-identical results at any shard or bucket count.
+
+    ``seeds`` switches to PERSONALIZED PageRank (see
+    :func:`personalized_pagerank`): with S the seeds present in the
+    graph,
+
+        s0      = SCALE // |S ∩ V|
+        p0(v)   = s0 if v ∈ S else 0
+        base(v) = 15·s0//100 if v ∈ S else 0
+        p'(v)   = base(v) + 85·(Σ_{u→v} p(u) // outdeg(u)) // 100
+
+    The seed array is query-sized (user/topic sets, not corpus-sized)
+    and rides to every shard as an init argument.
     """
     if iterations < 1:
         raise ValueError(f"pagerank needs iterations >= 1, got {iterations}")
     nb = num_buckets or adaptive_buckets()
+    if seeds is not None:
+        seeds = np.unique(np.asarray(seeds, np.int64))
 
     def explode_setup(t: pa.Table) -> pa.Table:
         s = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -601,10 +374,12 @@ def pagerank(
         )
 
     setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
-    with _shard_pool(_PagerankShard, setup, num_shards, nb) as shards:
+    with _shard_pool(_PagerankShard, setup, num_shards, nb, seeds) as shards:
         A = len(shards)
-        n_nodes = sum(ray.get([w.build.remote() for w in shards]))
-        s0 = SCALE // n_nodes
+        n_init = sum(ray.get([w.build.remote() for w in shards]))
+        if seeds is not None and n_init == 0:
+            raise ValueError("personalized pagerank: no seed is present in the graph")
+        s0 = SCALE // n_init
         base = 15 * s0 // 100
         outs = [_fan_out(w.contrib0, A, s0) for w in shards]
         for _ in range(iterations - 1):
@@ -615,6 +390,35 @@ def pagerank(
         return _collect(
             [w.step.remote(True, base, *_inbox(outs, o)) for o, w in enumerate(shards)]
         )
+
+
+def personalized_pagerank(
+    edges_ds,
+    seeds,
+    iterations: int = 4,
+    src: str = "src",
+    dst: str = "dst",
+    num_buckets: int | None = None,
+    num_shards: int | None = None,
+):
+    """Personalized PageRank from a seed set — teleport mass restricted
+    to ``seeds`` (Page et al. 1999 §6; see :func:`pagerank` for the
+    exact integer update). The graph-retrieval primitive: scores
+    measure proximity to the seed set, e.g. seed = a user's clicked
+    docs, result = expansion candidates. Seeds absent from the graph
+    are ignored (the oracle derives its seed CTE from the node set);
+    ``ValueError`` when none is present. Runs on the same shards as
+    :func:`pagerank`: only seeds contribute in round 0, and exact-zero
+    contributions are dropped in flight."""
+    return pagerank(
+        edges_ds,
+        iterations=iterations,
+        src=src,
+        dst=dst,
+        num_buckets=num_buckets,
+        num_shards=num_shards,
+        seeds=seeds,
+    )
 
 
 def _orient_by_exchange(edges, deg_partial, pack_sb, nb):
@@ -707,10 +511,23 @@ def _orient_by_exchange(edges, deg_partial, pack_sb, nb):
     )
 
 
+def _check_pair_ids(ids: np.ndarray, op_name: str) -> None:
+    """Raise ``ValueError`` unless every id is in [0, 2^31): a pair then
+    packs as ``(u << 32) | v`` into one non-negative int64 key, and
+    ``p >> 32`` / ``p & 0x7FFFFFFF`` unpack it. An explicit raise, not an
+    ``assert``, so ``python -O`` cannot turn it into a silent wrap."""
+    if len(ids) and (int(ids.min()) < 0 or int(ids.max()) >= 1 << 31):
+        raise ValueError(
+            f"{op_name} packs (u, v) into one int64: node ids must fit "
+            "31 bits, in [0, 2**31)"
+        )
+
+
 def _canon_pair_edges(edges_ds, src: str, dst: str, nb: int, op_name: str):
     """Canonical distinct (u < v) edge table via PAIR-keyed bucket
     dedupe — shared by triangle_count and clustering_coeff. Node ids
-    must fit 31 bits so a pair packs into one int64 key."""
+    must fit 31 bits so a pair packs into one int64 key
+    (:func:`_check_pair_ids`)."""
 
     def canon(t: pa.Table) -> pa.Table:
         a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -719,9 +536,8 @@ def _canon_pair_edges(edges_ds, src: str, dst: str, nb: int, op_name: str):
         a, b = a[keep], b[keep]
         u = np.minimum(a, b)
         v = np.maximum(a, b)
-        assert len(u) == 0 or (u.min() >= 0 and v.max() < (1 << 31)), (
-            f"{op_name}: node ids must fit 31 bits for pair packing"
-        )
+        _check_pair_ids(u, op_name)
+        _check_pair_ids(v, op_name)
         pack = (u << 32) | v
         return pa.table(
             {
@@ -756,24 +572,25 @@ def _pair_deg_partial(t: pa.Table) -> pa.Table:
     )
 
 
-def _wedge_index_pairs(x_sorted: np.ndarray):
-    """Fully vectorized wedge generation over a source-sorted oriented
-    edge array: returns (lefts, rights) POSITION pairs within each
-    equal-x run (position p pairs as LEFT with every later position in
-    its run) — the O(sum out_deg²) core shared by triangle_count and
-    clustering_coeff."""
-    m = len(x_sorted)
-    new = np.empty(m, dtype=bool)
-    new[0] = True
-    new[1:] = x_sorted[1:] != x_sorted[:-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, m))
-    run_end = np.repeat(starts + counts, counts)
-    reps = run_end - np.arange(m) - 1
+def _run_reps(x_sorted: np.ndarray) -> np.ndarray:
+    """For each position of a sorted array, how many later positions
+    its equal-x run holds: the wedges it opens as LEFT end."""
+    starts = np.flatnonzero(_firsts(x_sorted))
+    counts = np.diff(np.r_[starts, len(x_sorted)])
+    return np.repeat(starts + counts, counts) - np.arange(len(x_sorted)) - 1
+
+
+def _wedge_index_pairs(reps: np.ndarray, lo: int = 0):
+    """Fully vectorized wedge generation: position ``lo + i`` pairs as
+    LEFT with the ``reps[i]`` positions after it (``reps`` a slice of
+    :func:`_run_reps`), returned as (lefts, rights) POSITION arrays —
+    the O(Σ deg²) core shared by triangle_count, clustering_coeff and
+    the link-prediction shards, which pass one chunk of positions at a
+    time."""
     total = int(reps.sum())
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
-    lefts = np.repeat(np.arange(m), reps)
+    lefts = np.repeat(np.arange(lo, lo + len(reps)), reps)
     block_base = np.repeat(np.cumsum(reps) - reps, reps)
     rights = lefts + 1 + (np.arange(total) - block_base)
     return lefts, rights
@@ -803,8 +620,8 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
     merged per bucket) — the billion-node path where even the node set
     exceeds driver memory.  Both modes produce identical counts (the
     orientation order is a pure function of (deg, id)).  Node ids must
-    fit 31 bits so a (u, v) pair packs into one int64 bucket key —
-    loudly asserted, not wrapped.
+    fit 31 bits so a (u, v) pair packs into one int64 bucket key — a
+    ``ValueError``, never a silent wrap.
 
     Returns a one-row table ``(n_edges, n_triangles)``.
     """
@@ -854,7 +671,7 @@ def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
         g = df.sort_values(["x", "y"], kind="mergesort")
         x = g["x"].to_numpy()
         y = g["y"].to_numpy()
-        lefts, rights = _wedge_index_pairs(x)
+        lefts, rights = _wedge_index_pairs(_run_reps(x))
         if not len(lefts):
             return pd.DataFrame({"a": [], "b": []}).astype("int64")
         ya, yb = y[lefts], y[rights]
@@ -1459,7 +1276,7 @@ def clustering_coeff(edges_ds, src: str = "src", dst: str = "dst",
         g = df.sort_values(["x", "y"], kind="mergesort")
         x = g["x"].to_numpy()
         y = g["y"].to_numpy()
-        lefts, rights = _wedge_index_pairs(x)
+        lefts, rights = _wedge_index_pairs(_run_reps(x))
         if not len(lefts):
             return pd.DataFrame(
                 {"a": [], "b": [], "center": []}
@@ -1542,173 +1359,198 @@ def clustering_coeff(edges_ds, src: str = "src", dst: str = "dst",
 
 RA_SCALE = 1_000_000_000  # fixed-point scale for resource-allocation scores
 
+# Wedges one _LinkShard.wedges chunk generates and pre-reduces at a time.
+# A chunk's transient arrays take ~85-100 B a wedge; unchunked they take
+# that for every wedge of the shard, Σ deg² (the sf0.1 bipartite graph
+# saturates at ~20M wedges). The pre-reduced pairs stay: one row per
+# distinct candidate pair (184k at sf0.1, but close to the wedge count
+# where few pairs share two neighbours), plus up to a fold's worth
+# waiting. Driver VmHWM growth / wall time of one sf0.1
+# q_link_prediction call (jaccard; ra) in a fresh process, 2 Ray CPUs,
+# shared 4-vCPU VM, medians of 3 (PERF.md "link_prediction on the shard
+# scaffold"):
+#   unchunked  784 MB / 1.21 s;  941 MB / 1.12 s
+#   256Ki       54 MB / 1.02 s;   67 MB / 1.14 s
+#   1Mi        120 MB / 0.81 s;  162 MB / 0.75 s
+#   4Mi        217 MB / 0.94 s;  255 MB / 0.94 s
+WEDGE_CHUNK = 1 << 20
+
+_LINK_ORDER = [("cn", "descending"), ("a", "ascending"), ("b", "ascending")]
+
+
+class _LinkShard(_Shard):
+    """One shard of link prediction: the deduped symmetric adjacency
+    (CSR) of every node whose hash bucket this shard owns.
+
+    :meth:`wedges` turns each pair of neighbors (a < b) of an owned
+    center c into one wedge, weighted ``RA_SCALE // deg(c)`` for the
+    resource-allocation score, pre-reduces them to (pair, cn, w) and
+    sends each pair to owner(a). :meth:`score` sums its inboxes, drops
+    the pairs that are edges, scores the rest and keeps its top-k. A
+    node's degree is local where it is owned; the Jaccard score's
+    deg(b) comes from the driver's broadcast of every shard's degrees.
+    """
+
+    def __init__(self, num_shards: int, nb: int, ra: bool):
+        super().__init__(num_shards, nb)
+        self.ra = ra
+
+    def build(self) -> pa.Table:
+        """Freeze the CSR; returns the owned (node, deg) rows."""
+        self._adjacency()
+        return pa.table({"node": pa.array(self.v), "deg": pa.array(self.counts)})
+
+    def wedges(self):
+        """All wedges of the owned centers, generated and pre-reduced
+        :data:`WEDGE_CHUNK` at a time (chunks of left endpoints, so
+        even one hub's wedges are split), as A outboxes of
+        (p = a << 32 | b, cn[, w]) by owner of a."""
+        reps = _run_reps(np.repeat(np.arange(len(self.v)), self.counts))
+        w_pos = np.repeat(RA_SCALE // self.counts, self.counts) if self.ra else None
+        before = np.r_[0, np.cumsum(reps)]  # wedges opened before each position
+        acc, pending = [np.empty(0, np.int64)] * (3 if self.ra else 2), []
+        lo = 0
+        while lo < len(reps):
+            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + WEDGE_CHUNK, "right")) - 1)
+            lefts, rights = _wedge_index_pairs(reps[lo:hi], lo)
+            lo = hi
+            if not len(lefts):
+                continue
+            # peers are sorted within a center, so peer[left] < peer[right]
+            p = (self.peer[lefts] << 32) | self.peer[rights]
+            vals = [np.ones(len(p), np.int64)] + ([w_pos[lefts]] if self.ra else [])
+            del lefts, rights
+            pending.append(_sum_by(p, *vals))
+            # fold once the pending pairs outnumber the folded ones: each
+            # pair is re-merged O(log) times, not once per chunk
+            if sum(len(c[0]) for c in pending) >= max(len(acc[0]), WEDGE_CHUNK):
+                acc, pending = _fold(acc, *pending), []
+        cols = dict(zip(("p", "cn", "w"), _fold(acc, *pending)))
+        return _returns(self._split(self._owner(cols["p"] >> 32), **cols))
+
+    def score(self, top_k: int, deg, *inboxes: pa.Table) -> pa.Table:
+        """Sum the inbox pairs (a is owned here), drop the pairs that are
+        edges, score the rest; the local top-k. ``deg`` is the driver's
+        sorted (node, deg) broadcast, or ``None`` in a pool of one."""
+        cols = ("p", "cn", "w") if self.ra else ("p", "cn")
+        p, cn, *w = _sum_by(*(_cat(inboxes, c) for c in cols))
+        # the owned adjacency packed the same way is sorted: one lookup
+        _, is_edge = _find((np.repeat(self.v, self.counts) << 32) | self.peer, p)
+        p, cn = p[~is_edge], cn[~is_edge]
+        a, b = p >> 32, p & 0x7FFFFFFF
+        if self.ra:
+            name, sc = "ra", w[0][~is_edge]
+        else:
+            nodes, degs = (self.v, self.counts) if deg is None else deg
+            da = self.counts[np.searchsorted(self.v, a)]
+            db = degs[np.searchsorted(nodes, b)]
+            name, sc = "jaccard_ppm", (1_000_000 * cn) // (da + db - cn)
+        return _top_k({"a": a, "b": b, "cn": cn, name: sc}, top_k)
+
+
+def _top_k(cols: dict[str, np.ndarray], top_k: int) -> pa.Table:
+    """The first ``top_k`` rows of ``cols`` by (score DESC, cn DESC, a,
+    b), the score being the last column. Only the rows scoring at least
+    the k-th largest score are sorted; the partition that finds it is
+    linear, where sorting all of a random graph's millions of candidate
+    pairs by four keys took most of the call."""
+    name = list(cols)[-1]
+    sc = cols[name]
+    if len(sc) > top_k > 0:
+        keep = sc >= np.partition(sc, len(sc) - top_k)[len(sc) - top_k]
+        cols = {c: v[keep] for c, v in cols.items()}
+    return pa.table(cols).sort_by([(name, "descending"), *_LINK_ORDER]).slice(0, top_k)
+
+
+def _fold(*parts: list[np.ndarray]) -> list[np.ndarray]:
+    """:func:`_sum_by` over several (keys, sums...) results at once."""
+    return _sum_by(*(np.concatenate(c) for c in zip(*parts)))
+
+
+def _sum_by(keys: np.ndarray, *vals: np.ndarray) -> list[np.ndarray]:
+    """The distinct ``keys``, sorted, and the int64 sum of each of
+    ``vals`` over every key (exact in any order). A center's wedges
+    come out sorted by pair, so wedge keys arrive as a few presorted
+    runs, which a stable sort (timsort) merges: the sf0.1 wedge sorts
+    take 0.05 s instead of quicksort's 0.33 s."""
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    starts = np.flatnonzero(_firsts(k))
+    return [k[starts], *(np.add.reduceat(v[order], starts) for v in vals)]
+
 
 def link_prediction(edges_ds, src: str = "src", dst: str = "dst",
                     top_k: int = 50, num_buckets: int | None = None,
-                    score: str = "jaccard"):
+                    score: str = "jaccard", num_shards: int | None = None):
     """Top-k link prediction by common-neighbor count + an exact
     integer overlap score (engine-added; the classic
     neighborhood-overlap predictors of Liben-Nowell & Kleinberg 2003)
     — all-integer, so bit-identical at any cluster size and
-    SQL-replayable:
+    SQL-replayable. Runs on :func:`_shard_pool` (:class:`_LinkShard`):
 
-    1. canonicalize + dedupe edges in PAIR-keyed buckets (one exchange,
-       shared ``_canon_pair_edges``);
-    2. degrees via per-batch partials, broadcast once with ``ray.put``
-       (nodes ≪ edges — same regime note as ``triangle_count``);
-    3. wedge generation over the SYMMETRIC adjacency (center = every
-       node, pairs of its neighbors): each common neighbor c of (a, b)
-       contributes exactly one wedge centered at c, so the per-pair
-       wedge count IS CN(a, b).  Unlike triangle counting, orientation
-       must NOT be applied here — an oriented wedge set would undercount
-       CN.  Cost is O(Σ deg²) wedges, inherent to exact all-pairs CN;
-       at hub-heavy scale callers cap candidate degree upstream.
-    4. wedges meet the edge set in PAIR-keyed buckets; pairs that ARE
-       edges are dropped (we predict absent links), survivors get
-       ``cn`` and the requested score;
-    5. per-bucket top-k, then one driver-side merge of ``buckets × k``
-       kilobyte partials — exact, since every global winner is in its
-       bucket's top-k.
+    1. setup: each edge in both directions, self-loops dropped, routed
+       once to the owner of hash(x); each shard dedupes its symmetric
+       CSR and reports its (node, deg) rows, which the driver
+       broadcasts once with ``ray.put`` (nodes ≪ edges; a pool of one
+       needs no broadcast);
+    2. wedges over the SYMMETRIC adjacency (center = every node, pairs
+       of its neighbors): each common neighbor c of (a, b) contributes
+       exactly one wedge centered at c, so the per-pair wedge count IS
+       CN(a, b). Unlike triangle counting, no orientation — an oriented
+       wedge set would undercount CN. Cost is O(Σ deg²) wedges,
+       inherent to exact all-pairs CN; they are generated and
+       pre-reduced :data:`WEDGE_CHUNK` at a time, which bounds the
+       transient memory (the pre-reduced pairs remain, one row per
+       distinct candidate pair);
+    3. ONE exchange: the pre-reduced (pair, cn, w) rows go to owner(a);
+    4. the owner sums them, drops the pairs that ARE edges (we predict
+       absent links; a is owned, so one lookup in its own adjacency),
+       scores the rest and keeps its top-k;
+    5. one driver-side merge of ``shards × k`` kilobyte rows — exact,
+       since every global winner is in its shard's top-k.
 
     ``score="jaccard"`` (default) ranks by
     ``jaccard_ppm = (10^6·cn) // (deg(a)+deg(b)-cn)``.
     ``score="resource_allocation"`` ranks by the RA index of Zhou, Lü
     & Zhang 2009 — each common neighbor c contributes ``1/deg(c)``,
     here the exact integer ``RA_SCALE // deg(c)`` attached to the
-    wedge AT GENERATION (the center is gone after packing), summed
-    per pair — the hub-discounting predictor that beats plain CN on
-    skewed graphs.
+    wedge at generation (c is owned there), summed per pair — the
+    hub-discounting predictor that beats plain CN on skewed graphs.
+    Node ids must fit 31 bits (one int64 per pair); others raise
+    ``ValueError``.
 
-    Returns ``(a, b, cn, <score_col>)`` where ``<score_col>`` is
-    ``jaccard_ppm`` or ``ra``, ordered by (score DESC, cn DESC, a, b),
-    at most ``top_k`` rows.
+    Returns a ``pa.Table`` ``(a, b, cn, <score_col>)`` where
+    ``<score_col>`` is ``jaccard_ppm`` or ``ra``, all int64, ordered by
+    (score DESC, cn DESC, a, b), at most ``top_k`` rows.
     """
-    from commons_codec_ray.util import adaptive_buckets, hash_bucket
-
     if score not in ("jaccard", "resource_allocation"):
         raise ValueError(f"unknown link-prediction score: {score!r}")
-    scol = "jaccard_ppm" if score == "jaccard" else "ra"
-    order = [scol, "cn", "a", "b"]
-    asc = [False, False, True, True]
     nb = num_buckets or adaptive_buckets()
 
-    edges = _canon_pair_edges(edges_ds, src, dst, nb, "link_prediction")
+    def explode_setup(t: pa.Table) -> pa.Table:
+        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = a != b
+        k = np.concatenate([a[keep], b[keep]])
+        _check_pair_ids(k, "link_prediction")
+        p = np.concatenate([b[keep], a[keep]])
+        return pa.table({"_b": hash_bucket(k, nb), "key": pa.array(k), "peer": pa.array(p)})
 
-    degp = edges.map_batches(_pair_deg_partial, batch_format="pyarrow").to_pandas()
-    deg = degp.groupby("n")["c"].sum()
-    dref = ray.put((deg.index.to_numpy(np.int64), deg.to_numpy(np.int64)))
-
-    def sym_rows(t: pa.Table) -> pa.Table:
-        u = t["u"].to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy(zero_copy_only=False)
-        x = np.concatenate([u, v])  # center
-        y = np.concatenate([v, u])  # neighbor
-        return pa.table(
-            {
-                "_sb": hash_bucket(x, nb),
-                "x": pa.array(x, pa.int64()),
-                "y": pa.array(y, pa.int64()),
-            }
+    setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
+    ra = score == "resource_allocation"
+    scol = "ra" if ra else "jaccard_ppm"
+    with _shard_pool(_LinkShard, setup, num_shards, nb, ra) as shards:
+        A = len(shards)
+        degs = ray.get([w.build.remote() for w in shards])
+        deg = None
+        if A > 1:
+            t = pa.concat_tables(degs).sort_by("node")
+            deg = ray.put((t["node"].to_numpy(), t["deg"].to_numpy()))
+        outs = [_fan_out(w.wedges, A) for w in shards]
+        tops = ray.get(
+            [w.score.remote(top_k, deg, *_inbox(outs, o)) for o, w in enumerate(shards)]
         )
-
-    ra_mode = score == "resource_allocation"
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.sort_values(["x", "y"], kind="mergesort")
-        x = g["x"].to_numpy()
-        y = g["y"].to_numpy()
-        lefts, rights = _wedge_index_pairs(x)
-        if not len(lefts):
-            cols = {"a": [], "b": []} | ({"w": []} if ra_mode else {})
-            return pd.DataFrame(cols).astype("int64")
-        # y is sorted within each x-run, so y[lefts] < y[rights] always
-        out = pd.DataFrame({"a": y[lefts], "b": y[rights]})
-        if ra_mode:
-            # RA weight rides the wedge: the center is gone after packing
-            nodes_s, degs = ray.get(dref)
-            cw = RA_SCALE // degs[np.searchsorted(nodes_s, x)]
-            out["w"] = cw[lefts]
-        return out
-
-    def wedge_rows(df: pd.DataFrame) -> pa.Table:
-        pack = (df["a"].to_numpy(np.int64) << 32) | df["b"].to_numpy(np.int64)
-        cols = {
-            "_pb": hash_bucket(pack, nb),
-            "p": pa.array(pack, pa.int64()),
-            "is_edge": pa.array(np.zeros(len(df), dtype=bool)),
-        }
-        if ra_mode:
-            cols["w"] = pa.array(df["w"].to_numpy(np.int64), pa.int64())
-        return pa.table(cols)
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        pack = (
-            t["u"].to_numpy(zero_copy_only=False) << 32
-        ) | t["v"].to_numpy(zero_copy_only=False)
-        cols = {
-            "_pb": hash_bucket(pack, nb),
-            "p": pa.array(pack, pa.int64()),
-            "is_edge": pa.array(np.ones(len(pack), dtype=bool)),
-        }
-        if ra_mode:
-            cols["w"] = pa.array(np.zeros(len(pack), np.int64), pa.int64())
-        return pa.table(cols)
-
-    def score_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"a": [], "b": [], "cn": [], scol: []}
-        ).astype("int64")
-        closed = df.loc[df["is_edge"], "p"]
-        open_w = df.loc[~df["is_edge"]]
-        open_w = open_w[~open_w["p"].isin(closed)]  # ABSENT links only
-        if not len(open_w):
-            return empty
-        if ra_mode:
-            g = open_w.groupby("p", as_index=False).agg(
-                cn=("w", "size"), ra=("w", "sum")  # int64-exact sums
-            )
-            packs = g["p"].to_numpy(np.int64)
-            cn = g["cn"].to_numpy(np.int64)
-            sc = g["ra"].to_numpy(np.int64)
-            a = packs >> 32
-            b = packs & 0x7FFFFFFF
-        else:
-            packs, cn = np.unique(open_w["p"].to_numpy(np.int64),
-                                  return_counts=True)
-            a = packs >> 32
-            b = packs & 0x7FFFFFFF
-            nodes_s, degs = ray.get(dref)
-            da = degs[np.searchsorted(nodes_s, a)]
-            db = degs[np.searchsorted(nodes_s, b)]
-            cn = cn.astype(np.int64)
-            sc = (1_000_000 * cn) // (da + db - cn)
-        out = pd.DataFrame({"a": a, "b": b, "cn": cn, scol: sc})
-        return out.sort_values(order, ascending=asc, kind="mergesort").head(
-            top_k
-        )
-
-    tops = (
-        edges.map_batches(sym_rows, batch_format="pyarrow")
-        .groupby("_sb")
-        .map_groups(wedges, batch_format="pandas")
-        .map_batches(wedge_rows, batch_format="pandas")
-        .union(edges.map_batches(edge_rows, batch_format="pyarrow"))
-        .groupby("_pb")
-        .map_groups(score_bucket, batch_format="pandas")
-        .to_pandas()  # buckets × top_k rows — kilobytes
-    )
-    if not len(tops):  # zero-row to_pandas drops columns — guard the sort
-        empty = pa.array([], pa.int64())
-        return pa.table({"a": empty, "b": empty, "cn": empty, scol: empty})
-    best = tops.sort_values(order, ascending=asc, kind="mergesort").head(top_k)
-    return pa.table(
-        {
-            "a": pa.array(best["a"].to_numpy(np.int64), pa.int64()),
-            "b": pa.array(best["b"].to_numpy(np.int64), pa.int64()),
-            "cn": pa.array(best["cn"].to_numpy(np.int64), pa.int64()),
-            scol: pa.array(best[scol].to_numpy(np.int64), pa.int64()),
-        }
-    )
+    return pa.concat_tables(tops).sort_by([(scol, "descending"), *_LINK_ORDER]).slice(0, top_k)
 
 
 def hits(edges_ds, iterations: int = 2, src: str = "src", dst: str = "dst",
@@ -1732,8 +1574,8 @@ def hits(edges_ds, iterations: int = 2, src: str = "src", dst: str = "dst",
     most the max degree, so int64 cannot wrap silently); callers with
     hotter graphs lower ``iterations`` or rescale inputs.
 
-    Scale shape: the unioned-exchange Pregel variant
-    (:func:`pagerank_unioned`'s shape, alternating key sides). Setup is
+    Scale shape: the unioned-exchange Pregel shape (the static edges
+    unioned into every round's exchange, alternating key sides). Setup is
     ONE exchange that dedupes edges and node sentinels into TWO keyed
     copies — hash(src) buckets ``[0, nb)`` for the hub phase, hash(dst)
     buckets ``[nb, 2nb)`` for the authority phase (disjoint bucket-id

@@ -19,21 +19,23 @@ def _edges(pairs):
     )
 
 
-def _reference(pairs, iterations):
-    """Single-process replay of the exact integer update rule."""
+def _reference(pairs, iterations, seeds=None):
+    """Single-process replay of the exact integer update rule; with
+    ``seeds``, the personalized rule (teleport only to the live seeds)."""
     edges = sorted(set(pairs))
     nodes = sorted({v for e in edges for v in e})
+    live = set(nodes) if seeds is None else set(seeds) & set(nodes)
     deg = {}
     for s, _ in edges:
         deg[s] = deg.get(s, 0) + 1
-    s0 = SCALE // len(nodes)
+    s0 = SCALE // len(live)
     base = 15 * s0 // 100
-    score = {v: s0 for v in nodes}
+    score = {v: s0 if v in live else 0 for v in nodes}
     for _ in range(iterations):
         inc = {v: 0 for v in nodes}
         for s, d in edges:
             inc[d] += score[s] // deg[s]
-        score = {v: base + 85 * inc[v] // 100 for v in nodes}
+        score = {v: (base if v in live else 0) + 85 * inc[v] // 100 for v in nodes}
     return score
 
 
@@ -65,14 +67,20 @@ class TestPagerank:
         assert out["score"].sum() <= SCALE
         assert (out["score"] > 0).all()
 
-    def test_sharded_matches_unioned_variant(self, ray_session):
-        # the actor-sharded default and the pure-Dataset unioned variant
-        # run the same fixed-point rule — results must be bit-identical
-        from commons_codec_ray.stages.graph import pagerank_unioned
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_sharded_matches_reference_uniform_and_seeded(self, ray_session, num_shards):
+        # uniform and personalized runs on one shard (in the driver) and
+        # on three spawned shards replay the same fixed-point rule
+        from commons_codec_ray.stages.graph import personalized_pagerank
 
-        a = pagerank(_edges(self.PAIRS), iterations=3, num_shards=3).to_pandas()
-        b = pagerank_unioned(_edges(self.PAIRS), iterations=3).to_pandas()
-        assert dict(zip(a["node"], a["score"])) == dict(zip(b["node"], b["score"]))
+        rng = np.random.RandomState(5)
+        pairs = self.PAIRS + list(zip(rng.randint(0, 30, 120).tolist(), rng.randint(0, 30, 120).tolist()))
+        a = pagerank(_edges(pairs), iterations=3, num_shards=num_shards).to_pandas()
+        assert dict(zip(a["node"], a["score"])) == _reference(pairs, 3)
+        seeds = [1, 4, 17, 999]  # 999 is not in the graph: ignored
+        b = personalized_pagerank(_edges(pairs), seeds=seeds, iterations=3, num_shards=num_shards)
+        b = b.to_pandas()
+        assert dict(zip(b["node"], b["score"])) == _reference(pairs, 3, seeds)
 
     def test_shard_count_invariance(self, ray_session):
         a = pagerank(_edges(self.PAIRS), iterations=2, num_shards=1).to_pandas()
@@ -509,16 +517,10 @@ FROM sym s JOIN deg du ON du.n = s.u JOIN deg dv ON dv.n = s.v
     assert abs(r - (-1.0)) < 1e-9
 
 
-def test_link_prediction_vs_bruteforce(ray_session):
-    from commons_codec_ray.stages.graph import link_prediction
-
-    rng = np.random.RandomState(29)
-    a = rng.randint(0, 30, 400).astype("int64")
-    b = rng.randint(0, 30, 400).astype("int64")
-    ds = rd.from_arrow(
-        pa.table({"src": pa.array(a), "dst": pa.array(b)})
-    ).repartition(5)
-    got = link_prediction(ds, top_k=25).to_pandas()
+def _lp_reference(a, b, top_k, score="jaccard"):
+    """Brute-force top-k link prediction: every non-adjacent pair with a
+    common neighbor, scored and ordered as ``link_prediction`` does."""
+    from commons_codec_ray.stages.graph import RA_SCALE
 
     eset = {(min(x, y), max(x, y)) for x, y in zip(a, b) if x != y}
     adj: dict = {}
@@ -531,17 +533,37 @@ def test_link_prediction_vs_bruteforce(ray_session):
         for y in nodes[i + 1:]:
             if (x, y) in eset:
                 continue
-            cn = len(adj[x] & adj[y])
-            if cn == 0:
+            common = adj[x] & adj[y]
+            if not common:
                 continue
-            jac = (1_000_000 * cn) // (len(adj[x]) + len(adj[y]) - cn)
-            want.append((jac, cn, x, y))
-    want.sort(key=lambda r: (-r[0], -r[1], r[2], r[3]))
-    want = want[:25]
-    assert len(got) == len(want)
-    for (jac, cn, x, y), (_, r) in zip(want, got.iterrows()):
-        assert (int(r["a"]), int(r["b"]), int(r["cn"]),
-                int(r["jaccard_ppm"])) == (x, y, cn, jac)
+            cn = len(common)
+            if score == "jaccard":
+                sc = (1_000_000 * cn) // (len(adj[x]) + len(adj[y]) - cn)
+            else:
+                sc = sum(RA_SCALE // len(adj[c]) for c in common)
+            want.append((x, y, cn, sc))
+    want.sort(key=lambda r: (-r[3], -r[2], r[0], r[1]))
+    return want[:top_k]
+
+
+def _lp_rows(table):
+    return [tuple(int(v) for v in r.values()) for r in table.to_pylist()]
+
+
+def _edge_blocks(a, b, blocks=5):
+    t = pa.table({"src": pa.array(np.asarray(a, np.int64)), "dst": pa.array(np.asarray(b, np.int64))})
+    return rd.from_arrow(t).repartition(blocks)
+
+
+def test_link_prediction_vs_bruteforce(ray_session):
+    from commons_codec_ray.stages.graph import link_prediction
+
+    rng = np.random.RandomState(29)
+    a = rng.randint(0, 30, 400).astype("int64")
+    b = rng.randint(0, 30, 400).astype("int64")
+    got = link_prediction(_edge_blocks(a, b), top_k=25)
+    assert got.column_names == ["a", "b", "cn", "jaccard_ppm"]
+    assert _lp_rows(got) == _lp_reference(a, b, 25)
 
 
 def test_link_prediction_bucket_invariance_and_edges(ray_session):
@@ -565,39 +587,91 @@ def test_link_prediction_bucket_invariance_and_edges(ray_session):
 
 
 def test_link_prediction_resource_allocation_vs_bruteforce(ray_session):
-    from commons_codec_ray.stages.graph import RA_SCALE, link_prediction
+    from commons_codec_ray.stages.graph import link_prediction
 
     rng = np.random.RandomState(31)
     a = rng.randint(0, 30, 400).astype("int64")
     b = rng.randint(0, 30, 400).astype("int64")
-    ds = rd.from_arrow(
-        pa.table({"src": pa.array(a), "dst": pa.array(b)})
-    ).repartition(5)
-    got = link_prediction(ds, top_k=25, score="resource_allocation").to_pandas()
-    assert got.columns.tolist() == ["a", "b", "cn", "ra"]
-
-    eset = {(min(x, y), max(x, y)) for x, y in zip(a, b) if x != y}
-    adj: dict = {}
-    for u, v in eset:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    want = []
-    nodes = sorted(adj)
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            if (x, y) in eset:
-                continue
-            common = adj[x] & adj[y]
-            if not common:
-                continue
-            ra = sum(RA_SCALE // len(adj[c]) for c in common)
-            want.append((ra, len(common), x, y))
-    want.sort(key=lambda r: (-r[0], -r[1], r[2], r[3]))
-    want = want[:25]
-    assert len(got) == len(want)
-    for (ra, cn, x, y), (_, r) in zip(want, got.iterrows()):
-        assert (int(r["a"]), int(r["b"]), int(r["cn"]), int(r["ra"])) == (
-            x, y, cn, ra,
-        )
+    ds = _edge_blocks(a, b)
+    got = link_prediction(ds, top_k=25, score="resource_allocation")
+    assert got.column_names == ["a", "b", "cn", "ra"]
+    assert _lp_rows(got) == _lp_reference(a, b, 25, "resource_allocation")
     with pytest.raises(ValueError, match="unknown link-prediction score"):
         link_prediction(ds, score="adamic_adar")
+
+
+SCORES = ["jaccard", "resource_allocation"]
+
+
+@pytest.mark.parametrize("score", SCORES)
+@pytest.mark.parametrize("num_shards", [1, 2, 3, 5])
+def test_link_prediction_shard_counts(ray_session, num_shards, score):
+    from commons_codec_ray.stages.graph import link_prediction
+
+    rng = np.random.RandomState(41)
+    a = rng.randint(0, 40, 300)
+    b = rng.randint(0, 40, 300)
+    got = link_prediction(_edge_blocks(a, b, blocks=7), top_k=30, score=score, num_shards=num_shards)
+    assert got.schema.types == [pa.int64()] * 4
+    assert _lp_rows(got) == _lp_reference(a, b, 30, score)
+    # a star 0 - {1..6} plus the edge 1-2: fifteen leaf pairs, and the
+    # top-k cut falls inside a run of equal (score, cn), so (a, b) decides
+    a = [0] * 6 + [1]
+    b = list(range(1, 7)) + [2]
+    got = link_prediction(_edge_blocks(a, b, blocks=3), top_k=6, score=score, num_shards=num_shards)
+    want = _lp_reference(a, b, 6, score)
+    assert _lp_rows(got) == want and want[4][2:] == want[5][2:]
+
+
+@pytest.mark.parametrize("score", SCORES)
+@pytest.mark.parametrize("pairs", [[], [(3, 3), (7, 7), (3, 3)]], ids=["no-edges", "self-loops"])
+def test_link_prediction_empty_results_keep_schema(ray_session, pairs, score):
+    from commons_codec_ray.stages.graph import link_prediction
+
+    for num_shards in (None, 2):
+        got = link_prediction(_edges(pairs), score=score, num_shards=num_shards)
+        assert got.num_rows == 0
+        assert got.column_names == ["a", "b", "cn", "jaccard_ppm" if score == "jaccard" else "ra"]
+        assert got.schema.types == [pa.int64()] * 4
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_link_prediction_hub_above_the_wedge_chunk(ray_session, num_shards):
+    # one hub's wedges alone exceed WEDGE_CHUNK, so they are generated and
+    # pre-reduced in more than one chunk
+    from commons_codec_ray.stages.graph import WEDGE_CHUNK, link_prediction
+
+    leaves = 1500
+    assert leaves * (leaves - 1) // 2 > WEDGE_CHUNK
+    a = [0] * leaves + [1, 2, 5, 9, 9]
+    b = list(range(1, leaves + 1)) + [2, 3, 9, 700, 1400]
+    for score in SCORES:
+        got = link_prediction(_edge_blocks(a, b, blocks=4), top_k=40, score=score, num_shards=num_shards)
+        assert _lp_rows(got) == _lp_reference(a, b, 40, score)
+
+
+def test_link_prediction_small_chunks_match(ray_session, monkeypatch):
+    # chunks of a few wedges split every center's run; a pool of one runs
+    # in this process, so the patched constant applies
+    from commons_codec_ray.stages import graph
+
+    monkeypatch.setattr(graph, "WEDGE_CHUNK", 7)
+    rng = np.random.RandomState(43)
+    a = rng.randint(0, 25, 200)
+    b = rng.randint(0, 25, 200)
+    for score in SCORES:
+        got = graph.link_prediction(_edge_blocks(a, b), top_k=20, score=score)
+        assert _lp_rows(got) == _lp_reference(a, b, 20, score)
+
+
+@pytest.mark.parametrize("bad", [1 << 31, -1], ids=["2^31", "-1"])
+@pytest.mark.parametrize("op", ["triangle_count", "clustering_coeff", "link_prediction"])
+def test_pair_packing_rejects_ids_beyond_31_bits(ray_session, op, bad):
+    # the guard is a ValueError (an assert vanishes under python -O and
+    # (u << 32) | v then wraps); inside a Ray Data task it surfaces
+    # wrapped, with the original exception in the message
+    from commons_codec_ray.stages import graph
+
+    ds = _edges([(bad, 5), (5, 6), (6, bad)])
+    with pytest.raises(Exception, match=r"ValueError: .*31 bits"):
+        getattr(graph, op)(ds)

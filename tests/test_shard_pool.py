@@ -19,7 +19,7 @@ from ray._private import state
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
-SHARD_CLASSES = {"_PagerankShard", "_CCShard", "_KCoreShard", "_SSSPShard"}
+SHARD_CLASSES = {"_PagerankShard", "_CCShard", "_KCoreShard", "_SSSPShard", "_LinkShard"}
 
 # a 4-clique 0..3, a tail 3 -> 4 -> 5, and a separate edge 10 - 11
 SRC = [0, 0, 0, 1, 1, 2, 3, 4, 10]
@@ -37,7 +37,7 @@ _SCRIPT = textwrap.dedent(
     ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
     try:
         from commons_codec_ray.stages.graph import (
-            components_sharded, kcore_sharded, pagerank, sssp,
+            components_sharded, kcore_sharded, link_prediction, pagerank, sssp,
         )
 
         src, dst = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -56,6 +56,9 @@ _SCRIPT = textwrap.dedent(
         assert rows(sssp(edges, source=0, rounds=3, num_shards=2), "dist") == {
             0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3,
         }
+        # (0, 4), (1, 4), (2, 4) and (3, 5) tie at one common neighbor
+        top = link_prediction(edges, top_k=2, num_shards=2).to_pylist()
+        assert [(r["a"], r["b"], r["jaccard_ppm"]) for r in top] == [(0, 4, 250_000), (1, 4, 250_000)]
         print("SHARDED-OK")
     finally:
         ray.shutdown()
@@ -118,6 +121,7 @@ def test_no_shard_outlives_a_call(ray_session):
     from commons_codec_ray.stages.graph import (
         components_sharded,
         kcore_sharded,
+        link_prediction,
         pagerank,
         sssp,
     )
@@ -129,11 +133,13 @@ def test_no_shard_outlives_a_call(ray_session):
         lambda: components_sharded(pairs, num_shards=2),
         lambda: kcore_sharded(edges, k=3, num_shards=2),
         lambda: sssp(edges, source=0, rounds=3, num_shards=2),
+        lambda: link_prediction(edges, num_shards=2),
     ]
     for call in calls:
         ds = call()
         assert _alive_shards() == []
-        assert ds.count() > 0  # the results outlive their shards
+        # the results outlive their shards
+        assert (ds.num_rows if isinstance(ds, pa.Table) else ds.count()) > 0
 
 
 def test_no_shard_outlives_a_failed_call(ray_session):

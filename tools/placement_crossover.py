@@ -11,14 +11,20 @@ times:
   of a round's events kept, 64 partitions, two epochs), with
   ``--cdc-events`` events offered per round. Driver placement against
   the default spawned pool.
-- ``pagerank`` / ``sssp``: a random graph with ``--graph-edges`` edges
-  over E/5 nodes, ``pagerank(iterations=5)`` and ``sssp(rounds=6)``.
-  Driver placement against ``num_shards=2``.
+- ``pagerank`` / ``sssp`` / ``link_prediction``: a random graph with
+  ``--graph-edges`` edges over E/5 nodes, ``pagerank(iterations=5)``,
+  ``sssp(rounds=6)`` and ``link_prediction(top_k=50)``. Driver
+  placement against ``num_shards=2``. With ``--hubs H`` every edge
+  instead joins a random node to one of H hubs (the bipartite shape of
+  the link-prediction catalog queries), so the wedges that
+  link_prediction's cost follows outgrow its setup rows; its lines
+  report the wedge count too.
 
 The script owns its Ray session; run it once per CPU count:
 
     python tools/placement_crossover.py --cpus 2 --cdc-events 15000 30000 150000
     python tools/placement_crossover.py --cpus 4 --graph-edges 200000 800000 --repeats 3
+    python tools/placement_crossover.py --cpus 2 --cdc-events --graph-edges 100000 --hubs 97
 
 Inputs are built under a temporary directory and removed afterwards.
 """
@@ -75,29 +81,38 @@ def _time_replay(log: Path, lake: Path, rows: int) -> float:
     return time.perf_counter() - t0
 
 
-def _edges(num_edges: int, seed: int):
+def _edges(num_edges: int, seed: int, hubs: int):
+    """The edge Dataset and its wedge count (pairs of distinct
+    neighbors of one node, over the distinct undirected edges)."""
     import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
     rng = np.random.default_rng([seed, 2])
     nodes = max(2, num_edges // 5)
+    src = rng.integers(0, nodes, num_edges)
+    dst = nodes + rng.integers(0, hubs, num_edges) if hubs else rng.integers(0, nodes, num_edges)
     tbl = pa.table({
-        "src": pa.array(rng.integers(0, nodes, num_edges), pa.int64()),
-        "dst": pa.array(rng.integers(0, nodes, num_edges), pa.int64()),
+        "src": pa.array(src, pa.int64()),
+        "dst": pa.array(dst, pa.int64()),
         "w": pa.array(rng.integers(1, 10, num_edges), pa.int64()),
     })
-    return rd.from_arrow(tbl).materialize()
+    keep = src != dst
+    pairs = np.unique(np.minimum(src, dst)[keep] << 32 | np.maximum(src, dst)[keep])
+    deg = np.unique(np.r_[pairs >> 32, pairs & 0xFFFFFFFF], return_counts=True)[1]
+    return rd.from_arrow(tbl).materialize(), int((deg * (deg - 1) // 2).sum())
 
 
 def _time_graph(op: str, edges, num_shards: int | None) -> float:
-    from commons_codec_ray.stages.graph import pagerank, sssp
+    from commons_codec_ray.stages.graph import link_prediction, pagerank, sssp
 
     t0 = time.perf_counter()
     if op == "pagerank":
         pagerank(edges, iterations=5, num_shards=num_shards).materialize()
-    else:
+    elif op == "sssp":
         sssp(edges, source=0, rounds=6, num_shards=num_shards).materialize()
+    else:
+        link_prediction(edges, top_k=50, num_shards=num_shards)
     return time.perf_counter() - t0
 
 
@@ -107,6 +122,8 @@ def main() -> int:
     ap.add_argument("--cdc-events", type=int, nargs="*", default=[15_000, 30_000],
                     help="events offered per update round (~3.4 envelope rows each)")
     ap.add_argument("--graph-edges", type=int, nargs="*", default=[10_000, 50_000])
+    ap.add_argument("--hubs", type=int, default=0,
+                    help="join every edge to one of this many hubs (0: random graph)")
     ap.add_argument("--repeats", type=int, default=3, help="timed calls per placement")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -132,25 +149,27 @@ def main() -> int:
                 _report(args.cpus, "cdc", rows, times)
             util.DRIVER_POOL_ROWS = float("inf")
             for num_edges in args.graph_edges:
-                edges = _edges(num_edges, args.seed)
-                for op in ("pagerank", "sssp"):
+                edges, wedges = _edges(num_edges, args.seed, args.hubs)
+                for op in ("pagerank", "sssp", "link_prediction"):
                     times = {"driver": [], "actors": []}
                     for _ in range(args.repeats):
                         times["driver"].append(_time_graph(op, edges, None))
                         times["actors"].append(_time_graph(op, edges, 2))
-                    _report(args.cpus, op, num_edges, times)
+                    extra = {"wedges": wedges} if op == "link_prediction" else {}
+                    _report(args.cpus, op, num_edges, times, **extra)
     finally:
         util.DRIVER_POOL_ROWS = saved
         ray.shutdown()
     return 0
 
 
-def _report(cpus: int, kind: str, size: int, times: dict[str, list[float]]) -> None:
+def _report(cpus: int, kind: str, size: int, times: dict[str, list[float]], **extra) -> None:
     """``size`` is envelope rows for ``cdc`` and edges for the graph ops."""
     print(json.dumps({
         "cpus": cpus,
         "kind": kind,
         "size": size,
+        **extra,
         "driver_s": round(statistics.median(times["driver"]), 3),
         "actors_s": round(statistics.median(times["actors"]), 3),
     }), flush=True)
