@@ -21,6 +21,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data as rd
 from ray.data.aggregate import Max, Sum
@@ -7483,6 +7484,34 @@ GROUP BY 1
 """
 
 
+# The most shard setup rows any shard-pool graph query builds per event:
+# kcore_sharded's two edge families, each routed in both directions.
+_GRAPH_SETUP_PER_EVENT = 4
+
+
+def _graph_events(sf_dir: str):
+    """``event_id`` of ``events.parquet`` for the graph queries that run
+    on stages/graph.py's shard pools, read in as many blocks as their
+    pool can use. The count comes from the Parquet footer: when
+    ``_GRAPH_SETUP_PER_EVENT × rows`` stays below
+    :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS`, the pool is one
+    shard in the driver whatever the block count, so ONE block is read
+    (extra blocks only add read tasks and ``add_static`` calls; measured
+    in PERF.md "Graph reads follow pool placement"). Larger files keep
+    ~CPUs/2 blocks (floor 8): a spawned pool takes its shard count from
+    the setup block count, and a 200-block default read of a small file
+    would spawn 200 routing tasks for kilobytes of edges."""
+    from commons_codec_ray import util
+
+    path = f"{sf_dir}/events.parquet"
+    rows = pq.read_metadata(path).num_rows
+    if _GRAPH_SETUP_PER_EVENT * rows < util.DRIVER_POOL_ROWS:
+        blocks = 1
+    else:
+        blocks = max(8, pool_size(1 << 30) // 2)
+    return rd.read_parquet(path, columns=["event_id"], override_num_blocks=blocks)
+
+
 def q_components(sf_dir: str):
     """Connected components as a first-class operator
     (stages/dedup.py dedup_clusters_distributed: bucketed min-label
@@ -7491,14 +7520,14 @@ def q_components(sf_dir: str):
     blocks, so the recursive-CTE oracle's transitive closure stays
     bounded at every sf) → per-node min-reachable-id cluster labels.
 
-    Read blocks are capped at ~CPUs/2 (floor 8), same reasoning as
-    q_pagerank: every round re-unions the symmetric edge table into a
-    sort whose cost scales with block count — a 200-block default read
-    of a small file multiplies per-round sort overhead (measured at
-    sf0.1/32 cpus: 52 s default → see PERF.md after the cap). At real
-    scale callers size read blocks to data (~128 MB) as usual."""
-    from commons_codec_ray.util import pool_size
-
+    Read blocks are capped at ~CPUs/2 (floor 8): every round re-unions
+    the symmetric edge table into a sort whose cost scales with block
+    count — a 200-block default read of a small file multiplies
+    per-round sort overhead (measured at sf0.1/32 cpus: 52 s default →
+    see PERF.md after the cap). At real scale callers size read blocks
+    to data (~128 MB) as usual."""
+    # shuffle parallelism follows block count: keep the cap whatever the
+    # size (PERF.md "Round-5: components read-block cap")
     events = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id"],
@@ -7530,15 +7559,11 @@ def q_components_sharded(sf_dir: str):
     deterministic event-derived graph and recursive-CTE oracle as
     q_components — the pure-Dataset variant that re-unions the edge
     table into a sort every round; this is the shape that survives a
-    100 TB edge list (static data shuffled exactly once)."""
+    100 TB edge list (static data shuffled exactly once). Read blocks
+    follow pool placement (``_graph_events``)."""
     from commons_codec_ray.stages.graph import components_sharded
-    from commons_codec_ray.util import pool_size
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9434,20 +9459,14 @@ def q_pagerank(sf_dir: str):
     the contribution stream shard→shard as plasma objects. Same
     deterministic event-derived graph as q_components, directed.
 
-    Read blocks are capped at ~CPUs/2 (floor 8): shard count follows
-    the setup block count (pool_size-clamped), and a 200-block default
-    read of a small file would spawn 200 routing tasks for kilobytes
-    of edges. Measured at sf0.1/32 cpus: 3.46 s (r4 unioned variant,
-    5 sorts) → 1.74 s sharded. At real scale callers size read blocks
-    to data (~128 MB each) as usual."""
+    Read blocks follow pool placement (``_graph_events``): one block
+    while the pool is one driver shard, else ~CPUs/2 (floor 8), since a
+    spawned pool's shard count follows the setup block count. Measured
+    at sf0.1/32 cpus: 3.46 s (r4 unioned variant, 5 sorts) → 1.74 s
+    sharded."""
     from commons_codec_ray.stages.graph import pagerank
-    from commons_codec_ray.util import pool_size
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9611,6 +9630,8 @@ def q_hits(sf_dir: str):
     bit-for-bit. Long output: (node, kind 'auth'|'hub', score)."""
     from commons_codec_ray.stages.graph import hits
 
+    # shuffle parallelism follows block count: keep the cap whatever the
+    # size (PERF.md "Round-5: components read-block cap")
     events = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id"],
@@ -9657,14 +9678,11 @@ def q_ppr(sf_dir: str):
     fixed-point int64 arithmetic and pagerank shards as q_pagerank,
     so 3 unrolled CTE rounds replay every score
     bit-for-bit; zero contributions are pruned in flight (personalized
-    mass stays sparse early — the volume win over uniform PageRank)."""
+    mass stays sparse early — the volume win over uniform PageRank).
+    Read blocks follow pool placement (``_graph_events``)."""
     from commons_codec_ray.stages.graph import personalized_pagerank
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9728,14 +9746,11 @@ def q_bfs_levels(sf_dir: str):
     6 levels; the adjacency and the visited set stay on shard actors
     and each level is one superstep that expands only the new
     frontier; the oracle unrolls the same duplicate-free frontiers as
-    difference CTEs (AS MATERIALIZED — each is referenced twice)."""
+    difference CTEs (AS MATERIALIZED — each is referenced twice). Read
+    blocks follow pool placement (``_graph_events``)."""
     from commons_codec_ray.stages.graph import bfs_levels
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9757,14 +9772,11 @@ def q_sssp(sf_dir: str):
     each one superstep on the shard actors that hold the adjacency and
     the distances. Delta-relaxation (only improved nodes re-relax) is
     bit-identical to the textbook recurrence, which the oracle unrolls
-    as min-CTEs."""
+    as min-CTEs. Read blocks follow pool placement
+    (``_graph_events``)."""
     from commons_codec_ray.stages.graph import sssp
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9931,8 +9943,8 @@ def q_kcore(sf_dir: str):
     identical rounds (≥ the actual peel depth at every sf; post-
     fixpoint rounds are no-ops on both sides)."""
     from commons_codec_ray.stages.graph import kcore
-    from commons_codec_ray.util import pool_size
-
+    # shuffle parallelism follows block count: keep the cap whatever the
+    # size (PERF.md "Round-5: components read-block cap")
     events = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id"],
@@ -9964,15 +9976,12 @@ def q_kcore_sharded(sf_dir: str):
     ONCE and each peel round moves only death notices (one message per
     edge incident to a just-peeled node — ≤ 2|E| bytes over the whole
     run vs the Dataset variant's two full-edge exchanges per round).
-    The shape that survives a 100 TB edge list."""
+    The shape that survives a 100 TB edge list. Its two edge families,
+    each routed both ways, make the 4 setup rows per event that
+    ``_graph_events`` sizes its read by."""
     from commons_codec_ray.stages.graph import kcore_sharded
-    from commons_codec_ray.util import pool_size
 
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9999,8 +10008,8 @@ def q_densest_subgraph(sf_dir: str):
     must isolate); the oracle unrolls 8 identical rounds and picks the
     winner with a cross-product NOT-EXISTS argmax."""
     from commons_codec_ray.stages.graph import densest_subgraph
-    from commons_codec_ray.util import pool_size
-
+    # shuffle parallelism follows block count: keep the cap whatever the
+    # size (PERF.md "Round-5: components read-block cap")
     events = rd.read_parquet(
         f"{sf_dir}/events.parquet",
         columns=["event_id"],
@@ -11282,8 +11291,9 @@ def _bipartite_edges(sf_dir: str):
     link-prediction queries and encoded identically in both SQL
     oracles (users 0..599 ↔ hubs 600..696; the q_triangles permutation
     graph has no wedges at all, so a co-engagement shape is used):
-    ``src = eid % 600``, ``dst = 600 + eid % 97``."""
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id"])
+    ``src = eid % 600``, ``dst = 600 + eid % 97``. Read blocks follow
+    pool placement (``_graph_events``), not Ray Data's default."""
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -11691,8 +11701,6 @@ def _late_envelopes(sf_dir: str, *, emit: str):
     """Shared straggler stream for the bounded-lateness queries: the
     duplicate-delivery envelope stream with deterministic arrival
     delays, split by the watermark rule (see q_cdc_late_data)."""
-    import pyarrow.parquet as pq
-
     from commons_codec_ray.stages.watermark import bounded_lateness_filter
 
     n_events = pq.read_metadata(f"{sf_dir}/events.parquet").num_rows

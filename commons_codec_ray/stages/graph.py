@@ -339,7 +339,9 @@ def pagerank(
         p'(v)   = base(v) + 85·(Σ_{u→v} p(u) // outdeg(u)) // 100
 
     The seed array is query-sized (user/topic sets, not corpus-sized)
-    and rides to every shard as an init argument.
+    and rides to every shard as an init argument. An empty edge set
+    gives an empty result, as the SQL oracle does; seeded, it raises
+    like any graph without a live seed.
     """
     if iterations < 1:
         raise ValueError(f"pagerank needs iterations >= 1, got {iterations}")
@@ -379,6 +381,10 @@ def pagerank(
         n_init = sum(ray.get([w.build.remote() for w in shards]))
         if seeds is not None and n_init == 0:
             raise ValueError("personalized pagerank: no seed is present in the graph")
+        if n_init == 0:  # no edges, no nodes: the oracle's empty result
+            return rd.from_arrow(
+                pa.table({"node": pa.array([], pa.int64()), "score": pa.array([], pa.int64())})
+            )
         s0 = SCALE // n_init
         base = 15 * s0 // 100
         outs = [_fan_out(w.contrib0, A, s0) for w in shards]

@@ -234,24 +234,33 @@ def mmr_select(
     corpora contain exact duplicate vectors whose objective values tie
     at math level and order by accumulated-ulp noise (observed: numpy
     vs DuckDB swapped ranks 2/3 on a duplicated corpus). Integer
-    scores tie-break by id ascending. The partial top-k scan keeps a
-    16-candidate slack so a ppm-tied candidate cut by the raw-score
-    batch boundary cannot change pool membership."""
+    scores tie-break by id ascending. The pool is pulled by raw score,
+    so candidates it leaves out score at most its lowest ``rp``; while
+    the last kept ``rp`` equals that lowest one (a ppm tie cut at the
+    boundary, where a left-out candidate with a smaller id belongs in
+    the pool) and the corpus has more rows, it is re-pulled with twice
+    the ``k``."""
     import pandas as pd
 
     from commons_codec_ray.util import duck_rint
 
-    partials = (
-        ann_topk(ds, [query_id], k=pool_k + 16, id_column=id_column, round_to=None)
-        .to_pandas()
-    )
-    partials = partials[partials[id_column] != query_id].copy()
-    partials["rp"] = duck_rint(partials["score"].to_numpy(np.float64) * 1e6).astype(
-        np.int64
-    )
-    pool = partials.sort_values(
-        ["rp", id_column], ascending=[False, True], kind="mergesort"
-    ).head(pool_k)
+    fetch = pool_k + 16  # slack that makes a re-pull rare
+    while True:
+        partials = (
+            ann_topk(ds, [query_id], k=fetch, id_column=id_column, round_to=None)
+            .to_pandas()
+        )
+        more = len(partials) == fetch
+        partials = partials[partials[id_column] != query_id].copy()
+        partials["rp"] = duck_rint(
+            partials["score"].to_numpy(np.float64) * 1e6
+        ).astype(np.int64)
+        pool = partials.sort_values(
+            ["rp", id_column], ascending=[False, True], kind="mergesort"
+        ).head(pool_k)
+        if not (more and len(pool) and pool["rp"].iloc[-1] == partials["rp"].min()):
+            break
+        fetch *= 2
     ids = pool[id_column].to_numpy()
     rel_ppm = pool["rp"].to_numpy(np.int64)
 

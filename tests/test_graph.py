@@ -87,6 +87,19 @@ class TestPagerank:
         b = pagerank(_edges(self.PAIRS), iterations=2, num_shards=5).to_pandas()
         assert dict(zip(a["node"], a["score"])) == dict(zip(b["node"], b["score"]))
 
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    def test_empty_edge_set_gives_empty_result(self, ray_session, num_shards):
+        # the oracle's node CTE is empty, so it returns no rows; a seeded
+        # run keeps its no-live-seed error
+        from commons_codec_ray.stages.graph import personalized_pagerank
+
+        out = pagerank(_edges([]), iterations=3, num_shards=num_shards)
+        assert out.count() == 0
+        assert out.schema().names == ["node", "score"]
+        assert out.schema().types == [pa.int64(), pa.int64()]
+        with pytest.raises(ValueError, match="no seed"):
+            personalized_pagerank(_edges([]), seeds=[1], num_shards=num_shards)
+
 
 def test_triangle_count_vs_bruteforce(ray_session):
     import itertools

@@ -2,6 +2,7 @@
 queries); LSH and IVF are approximate scale paths — assert recall here."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import ray.data as rd
 
@@ -197,26 +198,22 @@ def test_hard_negatives_are_hardest_cross_label(ray_session):
         assert have == want
 
 
-def test_mmr_select_matches_naive_reference(ray_session):
-    from commons_codec_ray.stages.similarity import mmr_select
+def _mmr_reference(df, query_id, pool_k, k):
+    """Independent MMR reference: the full corpus in memory, the same
+    ppm objective, the pool as the oracle's ORDER BY rp DESC, vec_id."""
     from commons_codec_ray.util import duck_rint
 
-    ds = rd.read_parquet(f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"])
-    got = mmr_select(ds, query_id=0, pool_k=20, k=5)
-
-    # independent reference: full corpus in memory, same ppm objective
-    df = ds.to_pandas()
     m = np.stack(df["embedding"].to_numpy()).astype(np.float64)
     m /= np.linalg.norm(m, axis=1, keepdims=True)
-    qi = int(df.index[df["vec_id"] == 0][0])
+    ids = df["vec_id"].to_numpy()
+    qi = int(np.flatnonzero(ids == query_id)[0])
     rel = duck_rint((m @ m[qi]) * 1e6).astype(np.int64)
     sims = duck_rint((m @ m.T) * 1e6).astype(np.int64)
-    ids = df["vec_id"].to_numpy()
-    cand = [i for i in range(len(df)) if ids[i] != 0]
+    cand = [i for i in range(len(df)) if ids[i] != query_id]
     cand.sort(key=lambda i: (-rel[i], ids[i]))
-    pool = cand[:20]
+    pool = cand[:pool_k]
     sel, want = [], []
-    for _ in range(5):
+    for _ in range(min(k, len(pool))):
         best = min(
             (i for i in pool if i not in sel),
             key=lambda i: (
@@ -226,9 +223,46 @@ def test_mmr_select_matches_naive_reference(ray_session):
         )
         sel.append(best)
         want.append(int(ids[best]))
+    return want
+
+
+def test_mmr_select_matches_naive_reference(ray_session):
+    from commons_codec_ray.stages.similarity import mmr_select
+
+    ds = rd.read_parquet(f"{SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"])
+    got = mmr_select(ds, query_id=0, pool_k=20, k=5)
+    want = _mmr_reference(ds.to_pandas(), 0, 20, 5)
     assert list(got["vec_id"]) == want
     assert list(got["rank"]) == [1, 2, 3, 4, 5]
     assert len(set(got["vec_id"])) == 5
+
+
+def test_mmr_select_pool_boundary_tie_beyond_the_first_pull(ray_session):
+    # 40 candidates tie at one ppm relevance right at the pool boundary,
+    # their raw scores rising with the id: the first pull by raw score
+    # holds only the highest ids, but the pool wants the lowest
+    from commons_codec_ray.stages.similarity import mmr_select
+
+    leaders = [(0.9, 0.0), (0.8, 0.3), (0.7, 0.6)]  # (cos to q, spread)
+    tied = [(0.5 + i * 1e-10, 1.0) for i in range(40)]
+    vecs = [[1.0, 0.0, 0.0]]
+    for c, t in leaders + tied:
+        r = np.sqrt(1.0 - c * c)
+        vecs.append([c, r * np.cos(t), r * np.sin(t)])
+    df = pd.DataFrame({"vec_id": np.arange(len(vecs), dtype=np.int64), "embedding": vecs})
+    ds = rd.from_arrow(
+        pa.table(
+            {
+                "vec_id": pa.array(df["vec_id"]),
+                "embedding": pa.array([list(map(float, v)) for v in vecs]),
+            }
+        )
+    )
+    pool_k = 5
+    got = list(mmr_select(ds, query_id=0, pool_k=pool_k, k=pool_k)["vec_id"])
+    want = _mmr_reference(df, 0, pool_k, pool_k)
+    assert sorted(want) == [1, 2, 3, 4, 5]  # the two lowest tied ids
+    assert got == want
 
 
 def test_mmr_select_diversifies_duplicate_leaders(ray_session):

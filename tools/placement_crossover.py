@@ -19,12 +19,19 @@ times:
   the link-prediction catalog queries), so the wedges that
   link_prediction's cost follows outgrow its setup rows; its lines
   report the wedge count too.
+- ``graph_read``: ``q_pagerank`` and ``q_kcore_sharded`` from
+  ``queries()`` on an ``events.parquet`` of ``--graph-read-events``
+  seeded event ids, with the pool placed as usual (in the driver below
+  ``DRIVER_POOL_ROWS`` setup rows) and the events read in one block
+  against the ~CPUs/2 floor (``pipelines/queries.py::_graph_events``).
+  This measures where the one-block read stops paying.
 
 The script owns its Ray session; run it once per CPU count:
 
     python tools/placement_crossover.py --cpus 2 --cdc-events 15000 30000 150000
     python tools/placement_crossover.py --cpus 4 --graph-edges 200000 800000 --repeats 3
     python tools/placement_crossover.py --cpus 2 --cdc-events --graph-edges 100000 --hubs 97
+    python tools/placement_crossover.py --cpus 2 --cdc-events --graph-edges --graph-read-events 10000 250000
 
 Inputs are built under a temporary directory and removed afterwards.
 """
@@ -116,6 +123,34 @@ def _time_graph(op: str, edges, num_shards: int | None) -> float:
     return time.perf_counter() - t0
 
 
+def _build_events(d: Path, num_events: int, seed: int) -> None:
+    """``d/events.parquet`` with ``num_events`` distinct event ids drawn
+    from ``[0, 2 * num_events)``, as the ``graph_iterative`` input is."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng([seed, 3])
+    ids = np.sort(rng.choice(2 * num_events, num_events, replace=False))
+    d.mkdir(parents=True)
+    pq.write_table(pa.table({"event_id": pa.array(ids, pa.int64())}), d / "events.parquet")
+
+
+def _time_graph_read(op: str, sf_dir: Path, one_block: bool) -> float:
+    """One ``queries()`` call with the events read in one block, or in
+    the floor's block count, whatever the pool placement."""
+    from commons_codec_ray.pipelines import queries
+
+    saved = queries._GRAPH_SETUP_PER_EVENT
+    queries._GRAPH_SETUP_PER_EVENT = 0 if one_block else float("inf")
+    try:
+        t0 = time.perf_counter()
+        queries.QUERIES[op](str(sf_dir)).materialize()
+        return time.perf_counter() - t0
+    finally:
+        queries._GRAPH_SETUP_PER_EVENT = saved
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--cpus", type=int, default=2, help="logical CPUs of the Ray session")
@@ -124,6 +159,8 @@ def main() -> int:
     ap.add_argument("--graph-edges", type=int, nargs="*", default=[10_000, 50_000])
     ap.add_argument("--hubs", type=int, default=0,
                     help="join every edge to one of this many hubs (0: random graph)")
+    ap.add_argument("--graph-read-events", type=int, nargs="*", default=[10_000, 100_000, 250_000],
+                    help="events of the graph_read leg's input")
     ap.add_argument("--repeats", type=int, default=3, help="timed calls per placement")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -157,6 +194,16 @@ def main() -> int:
                         times["actors"].append(_time_graph(op, edges, 2))
                     extra = {"wedges": wedges} if op == "link_prediction" else {}
                     _report(args.cpus, op, num_edges, times, **extra)
+            util.DRIVER_POOL_ROWS = saved
+            for num_events in args.graph_read_events:
+                sf_dir = tmp / f"events-{num_events}"
+                _build_events(sf_dir, num_events, args.seed)
+                for op in ("pagerank", "kcore_sharded"):
+                    times = {"one_block": [], "floor": []}
+                    for _ in range(args.repeats):
+                        times["one_block"].append(_time_graph_read(op, sf_dir, True))
+                        times["floor"].append(_time_graph_read(op, sf_dir, False))
+                    _report(args.cpus, f"graph_read:{op}", num_events, times)
     finally:
         util.DRIVER_POOL_ROWS = saved
         ray.shutdown()
@@ -164,14 +211,15 @@ def main() -> int:
 
 
 def _report(cpus: int, kind: str, size: int, times: dict[str, list[float]], **extra) -> None:
-    """``size`` is envelope rows for ``cdc`` and edges for the graph ops."""
+    """``size`` is envelope rows for ``cdc``, edges for the graph ops and
+    events for ``graph_read``; one ``<placement>_s`` median per key of
+    ``times``."""
     print(json.dumps({
         "cpus": cpus,
         "kind": kind,
         "size": size,
         **extra,
-        "driver_s": round(statistics.median(times["driver"]), 3),
-        "actors_s": round(statistics.median(times["actors"]), 3),
+        **{f"{k}_s": round(statistics.median(v), 3) for k, v in times.items()},
     }), flush=True)
 
 
