@@ -116,7 +116,7 @@ def bench_once(num_cpus: int, headline_only: bool = False) -> dict:
         batch_size=warm_cfg.decode_batch_size,
     ).count()
 
-    def run_replay(mode: str, tag: str) -> float:
+    def run_replay(tag: str) -> float:
         lake = WORK_ROOT / f"lake-{tag}-cpus{num_cpus}"
         shutil.rmtree(lake, ignore_errors=True)
         cfg = PipelineConfig(
@@ -124,13 +124,13 @@ def bench_once(num_cpus: int, headline_only: bool = False) -> dict:
         )
         pipe = CDCPipeline(lake, cfg)
         t0 = time.time()
-        pipe.replay(env_dir, mode=mode)
+        pipe.replay(env_dir)
         return time.time() - t0
 
     if headline_only:
         # one replay per invocation — the scaling harness interleaves
         # multiple invocations itself and takes per-leg minima
-        headline = run_replay("actors", "a1")
+        headline = run_replay("a1")
         import ray
 
         ray.shutdown()
@@ -207,9 +207,8 @@ def bench_once(num_cpus: int, headline_only: bool = False) -> dict:
     headline_runs: list[float] = []
     for rep in range(REPEATS):
         one: dict[str, float] = {}
-        one["cdc_replay_lake"] = run_replay("actors", f"a{rep}")
+        one["cdc_replay_lake"] = run_replay(f"a{rep}")
         headline_runs.append(round(one["cdc_replay_lake"], 3))
-        one["cdc_replay_groupby"] = run_replay("groupby", f"g{rep}")
         one["decode_only"] = measure_decode()
         for name in SECONDARY:
             t0 = time.time()
@@ -240,7 +239,7 @@ def bench_once(num_cpus: int, headline_only: bool = False) -> dict:
             and (total_events / min(headline_runs)) / anchor_eps
             < float(os.environ.get("GRAFT_BENCH_MIN_SPEEDUP", "8"))
         ):
-            headline_runs.append(round(run_replay("actors", f"x{extras}"), 3))
+            headline_runs.append(round(run_replay(f"x{extras}"), 3))
             extras += 1
         results["cdc_replay_lake"] = min(headline_runs)
     headline = results["cdc_replay_lake"]

@@ -132,20 +132,22 @@ class PipelineConfig:
     # delta-file count exceeds max_deltas
     compact_ratio: float = 0.5
     compact_max_deltas: int = 8
-    # actor-mode applier state cap (bytes of in-memory Arrow partition
-    # state per actor). None = unlimited (everything stays resident, the
-    # fastest mode when the lake fits cluster RAM). With a budget set,
-    # partitions load LAZILY on first touch and cold partitions EVICT
-    # back to their committed files (LRU) — required when lake ≫ RAM.
+    # applier state cap (bytes of in-memory Arrow partition state per
+    # applier). None = unlimited (everything stays resident, the fastest
+    # mode when the lake fits cluster RAM). With a budget set, partitions
+    # load LAZILY on first touch and cold partitions EVICT back to their
+    # committed files (LRU) — the lake ≫ RAM mode. Its cost is small:
+    # replaying sf0.1 (108k envelopes, 4 epochs) at 2 CPUs took 1.46 s
+    # unbudgeted and 1.70 s at 1 byte, where every partition is evicted
+    # and reloaded every epoch (median of 4 alternating reps; PERF.md
+    # "One CDC apply path").
     applier_state_budget_bytes: int | None = None
     # emit a row-level change feed (insert/update/delete with before
     # images for deletes) per epoch under lake/changes/ — the CDC OUTPUT
     # stream downstream consumers / incremental view maintenance read.
-    # With sink_mode='delta' the Dataset path must merge-on-read the
-    # committed base+deltas per partition to classify ops (the delta
-    # write path is otherwise read-free); the actor path holds state in
-    # memory, so its feed is free in both modes. Identical feed bytes
-    # across all four (mode × sink) combinations.
+    # The appliers hold the pre-epoch state in memory (or reload it
+    # under a budget), so the feed costs no extra read in either sink
+    # mode; both sinks emit identical feeds.
     emit_changes: bool = False
     registry: SchemaRegistry = field(default_factory=SchemaRegistry)
 

@@ -1,25 +1,29 @@
 """The CDC ingest pipeline: epoch loop over an envelope log → Parquet lake.
 
 Stage boundaries (SURVEY.md §3.4): driver (epoch plan, manifests) →
-stateless decode tasks (``map_batches`` over Arrow envelope batches) →
-ONE hash shuffle on ``partition_id`` → per-partition LWW apply (reads the
-partition's base state, merges, writes the new partition file) →
-two-phase commit (manifest + atomic checkpoint) → metrics/lineage.
+stateless decode tasks (one per row-group slice of the log, or per block
+of a Dataset) → ONE hash exchange on ``partition_id`` into the applier
+pool → per-partition LWW apply (partition state held across epochs,
+merged, the new partition file written) → two-phase commit (manifest +
+atomic checkpoint) → metrics/lineage. Every lake write — ``replay``,
+``poll``/``watch``, ``run_epoch``, ``replay_dead_letters`` and
+``bootstrap_full_load`` — goes through that one path
+(:mod:`commons_codec_ray.stages.actor_applier`).
 
 Scale notes:
-- an epoch is the checkpoint granularity; its op set is materialized in
-  the object store (bounded by ``epoch_size``), never the whole log;
+- an epoch is the checkpoint granularity; its op set is bounded by
+  ``epoch_size``, never the whole log;
 - partitions untouched by an epoch are carried forward without rewrite;
 - the partition count P is fixed and independent of cluster size, so N-
   and 4N-worker runs produce byte-identical lakes;
+- applier state that outgrows ``applier_state_budget_bytes`` is evicted
+  and reloaded from the committed files;
 - schema-evolution control events take effect at the epoch boundary they
   arrive in (full-row upserts + aux spill make this deterministic and
   safe for the whole epoch; the reference's order-sensitive registry,
   transform/aws_dms.py:140-144, is preserved at epoch granularity). The
-  Dataset path finds them with one marker scan of the log before its
-  first epoch; the actor path reads the log once, and its decode tasks
-  hand each epoch's control events back to the driver before the
-  appliers flush (see :mod:`commons_codec_ray.stages.actor_applier`).
+  log is read once: the decode tasks hand each epoch's control events
+  back to the driver before the appliers flush.
 """
 
 from __future__ import annotations
@@ -37,15 +41,16 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from commons_codec_ray.config import PipelineConfig, SchemaRegistry, resolve_logical_type
-from commons_codec_ray.schemas import OP_DEAD, OP_SCHEMA_CHANGE, OP_UPSERT
+from commons_codec_ray.schemas import OP_SCHEMA_CHANGE, OP_UPSERT
 from commons_codec_ray.sink.manifest import Checkpoint, LakeManifestStore
-from commons_codec_ray.stages.applier import apply_ops_to_base, final_state
-from commons_codec_ray.stages.decode_stage import DecodeEnvelopes
+from commons_codec_ray.stages.actor_applier import ActorPoolApplyRunner, log_rows
+from commons_codec_ray.stages.applier import final_state
 
 _STATIC_COLUMNS = {"conv_id", "turn_idx", "role", "text", "tool", "ts"}
 
 # in-band DDL markers across dialects: Debezium/DMS control records,
-# Maxwell table-alter/table-create, Canal isDdl
+# Maxwell table-alter/table-create, Canal isDdl (read only by
+# CDCPipeline._scan_control_events)
 _CONTROL_MARKER_RE = (
     r'"record-type":\s*"control"'
     r'|"type":\s*"table-(alter|create|drop)"'
@@ -160,11 +165,6 @@ def _extra_columns(registry: SchemaRegistry, table: str) -> list[tuple[str, pa.D
     return [(n, resolve_logical_type(t)) for n, t in cols.items() if n not in _STATIC_COLUMNS]
 
 
-def partition_key(table: str, pid: int) -> str:
-    """Checkpoint/manifest key for a (table, partition) pair."""
-    return f"{table}#{pid}"
-
-
 def safe_table_dir(table: str) -> str:
     return table.replace("/", "_").replace("..", "_")
 
@@ -174,13 +174,12 @@ def _watermark_stats(group: pa.Table, watermark_us: int | None) -> tuple[int, in
     watermark). Late arrivals are safe under LWW — this only makes them
     OBSERVABLE (north star: per-partition lineage + metrics).
 
-    Semantics note: both apply paths count over the ops as they reach the
-    applier, i.e. AFTER the engine's partial LWW reduces (within-batch
-    combine in the Dataset path, rolling pre-reduce in the actor path) —
-    superseded duplicate deliveries don't count as late, and the reported
-    max can sit slightly below the raw stream's max when a superseded op
-    carried the newest event-time. Fine for an observability counter;
-    the reduce points differ per mode, so exact counts may too."""
+    Semantics note: this counts over the ops as they reach the applier,
+    i.e. AFTER the engine's partial LWW reduces (the decode tasks'
+    within-slice combine, the applier's rolling pre-reduce) — superseded
+    duplicate deliveries don't count as late, and the reported max can
+    sit slightly below the raw stream's max when a superseded op carried
+    the newest event-time. Fine for an observability counter."""
     if group.num_rows == 0 or "ts" not in group.column_names:
         return -1, 0
     ts = group["ts"].cast(pa.int64())
@@ -189,153 +188,6 @@ def _watermark_stats(group: pa.Table, watermark_us: int | None) -> tuple[int, in
     if watermark_us is not None:
         late = pc.sum(pc.cast(pc.less(ts, watermark_us), pa.int64())).as_py() or 0
     return (mx if mx is not None else -1), int(late)
-
-
-def _make_apply_fn(
-    lake_root: str,
-    epoch: int,
-    base_partitions: dict[str, Any],
-    extra_columns: list[tuple[str, pa.DataType]],
-    sink_mode: str = "rewrite",
-    compact_ratio: float = 0.5,
-    compact_max_deltas: int = 8,
-    watermark_us: int | None = None,
-    emit_changes: bool = False,
-):
-    """Per-(table, partition) applier run inside map_groups tasks.
-
-    Writes the new partition file via tmp + atomic rename (safe under
-    Ray task retries — a retried task rewrites identical bytes), writes
-    the partition's dead letters (if any) into the epoch's dead-letter
-    dir, and returns one lineage row per partition.
-    """
-
-    def _apply(group: pa.Table) -> pa.Table:
-        # one group per shuffle_key; a crc collision between table names
-        # can put two tables in one group — split by actual name
-        if "table_name" in group.column_names:
-            tables = sorted(set(group["table_name"].to_pylist()))
-        else:
-            tables = [None]
-        if len(tables) == 1:
-            return _apply_one(group, tables[0] or "transcripts")
-        tn = group["table_name"].cast(pa.string())
-        return pa.concat_tables(
-            [
-                _apply_one(group.filter(pc.equal(tn, t)), t or "transcripts")
-                for t in tables
-            ]
-        )
-
-    def _apply_one(group: pa.Table, table: str) -> pa.Table:
-        import os
-
-        pid = group["partition_id"][0].as_py()
-        # split off dead letters / control rows riding the same shuffle
-        special_mask = pc.greater_equal(group["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
-        n_dead = 0
-        if pc.any(special_mask).as_py():
-            special = group.filter(special_mask)
-            dead = special.filter(pc.equal(special["op"], pa.scalar(OP_DEAD, pa.int8())))
-            n_dead = dead.num_rows
-            if n_dead:
-                dl_dir = Path(lake_root) / "dead_letters" / f"epoch-{epoch:08d}"
-                dl_dir.mkdir(parents=True, exist_ok=True)
-                dpath = dl_dir / f"dead-{safe_table_dir(table)}-{pid:04d}.parquet"
-                dtmp = dpath.with_suffix(f".tmp-{os.getpid()}")
-                pq.write_table(dead.select(["lsn", "source_offset", "aux", "error"]), dtmp)
-                os.replace(dtmp, dpath)
-            group = group.filter(pc.invert(special_mask))
-
-        from commons_codec_ray.sink.manifest import entry_files
-        from commons_codec_ray.stages.applier import epoch_delta, merge_base_with_deltas
-
-        n_changes = 0
-        entry = base_partitions.get(partition_key(table, pid))
-        base_rel, delta_rels = entry_files(entry)
-        epoch_dir = Path(lake_root) / "epochs" / f"epoch-{epoch:08d}" / safe_table_dir(table)
-        epoch_dir.mkdir(parents=True, exist_ok=True)
-
-        kind = "full"
-        pre_state = None  # partition state BEFORE this epoch (feed baseline)
-        if sink_mode == "delta" and (base_rel or delta_rels):
-            new_delta = epoch_delta(group, extra_columns)
-            base_rows = (
-                pq.read_metadata(Path(lake_root) / base_rel).num_rows if base_rel else 0
-            )
-            delta_rows = sum(
-                pq.read_metadata(Path(lake_root) / d).num_rows for d in delta_rels
-            )
-            compact = (
-                len(delta_rels) + 1 > compact_max_deltas
-                or (delta_rows + new_delta.num_rows) > compact_ratio * max(base_rows, 1)
-            )
-            if compact:
-                base = pq.read_table(Path(lake_root) / base_rel) if base_rel else None
-                deltas = [pq.read_table(Path(lake_root) / d) for d in delta_rels]
-                if emit_changes:
-                    pre_state = merge_base_with_deltas(base, deltas, extra_columns)
-                out = merge_base_with_deltas(base, deltas + [new_delta], extra_columns)
-            else:
-                kind = "delta"
-                out = new_delta
-                if emit_changes:
-                    # merge-on-read purely for the feed: the delta WRITE
-                    # path stays read-free; asking for a change feed on a
-                    # delta sink pays one base+deltas read per partition
-                    # (manifest-committed files only, so a retried task
-                    # reconstructs the identical pre-state)
-                    base = pq.read_table(Path(lake_root) / base_rel) if base_rel else None
-                    deltas = [pq.read_table(Path(lake_root) / d) for d in delta_rels]
-                    pre_state = merge_base_with_deltas(base, deltas, extra_columns)
-        else:
-            base = pq.read_table(Path(lake_root) / base_rel) if base_rel else None
-            if delta_rels:  # entering rewrite mode over a delta lake
-                deltas = [pq.read_table(Path(lake_root) / d) for d in delta_rels]
-                base = merge_base_with_deltas(base, deltas, extra_columns)
-            out = apply_ops_to_base(base, group, extra_columns)
-            pre_state = base
-
-        if emit_changes:
-            from commons_codec_ray.stages.applier import change_feed
-
-            cf = change_feed(pre_state, group, extra_columns)
-            n_changes = cf.num_rows
-            if n_changes:
-                ch_dir = (
-                    Path(lake_root) / "changes" / f"epoch-{epoch:08d}" / safe_table_dir(table)
-                )
-                ch_dir.mkdir(parents=True, exist_ok=True)
-                cpath = ch_dir / f"changes-{pid:04d}.parquet"
-                ctmp = cpath.with_suffix(f".tmp-{os.getpid()}")
-                pq.write_table(cf, ctmp)
-                os.replace(ctmp, cpath)
-
-        suffix = "delta" if kind == "delta" else "parquet"
-        path = epoch_dir / f"part-{pid:04d}.{suffix}.parquet" if kind == "delta" else epoch_dir / f"part-{pid:04d}.parquet"
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        pq.write_table(out, tmp)
-        os.replace(tmp, path)
-        max_lsn = pc.max(group["lsn"]).as_py() if group.num_rows else -1
-        max_ev, late = _watermark_stats(group, watermark_us)
-        rel_path = str(path.relative_to(lake_root))
-        return pa.table(
-            {
-                "table": pa.array([table], pa.string()),
-                "partition_id": pa.array([pid], pa.int32()),
-                "path": pa.array([rel_path], pa.string()),
-                "rows": pa.array([out.num_rows], pa.int64()),
-                "max_lsn": pa.array([max_lsn if max_lsn is not None else -1], pa.int64()),
-                "ops_applied": pa.array([group.num_rows], pa.int64()),
-                "n_dead": pa.array([n_dead], pa.int64()),
-                "kind": pa.array([kind], pa.string()),
-                "max_event_ts_us": pa.array([max_ev], pa.int64()),
-                "late_events": pa.array([late], pa.int64()),
-                "n_changes": pa.array([n_changes], pa.int64()),
-            }
-        )
-
-    return _apply
 
 
 def _watermark_metrics(lineage: list[dict[str, Any]]) -> dict[str, Any]:
@@ -357,8 +209,9 @@ class CDCPipeline:
         ckpt = self.store.read_checkpoint()
         if ckpt.registry_json and ckpt.registry_json != "{}":
             self.config.registry = SchemaRegistry.from_json(ckpt.registry_json)
-        # cached tail-mode applier pool (see _get_runner); released by
-        # close(), on epoch failure, or with the pipeline object
+        # cached tail-mode applier pool (see _release_runner); released
+        # by close(), on epoch failure, by every commit that bypasses it,
+        # or with the pipeline object
         self._runner = None
 
     # ------------------------------------------------------------------ bootstrap
@@ -371,29 +224,24 @@ class CDCPipeline:
 
         ``snapshot_ds``: Dataset with the transcript columns. Rows get
         ``_lsn = lsn`` (default −1 → any CDC op wins over snapshot rows).
+        Its blocks become upserts that skip decode and go straight to
+        the appliers.
         """
         from commons_codec_ray.hashing import partition_ids_for
-        from commons_codec_ray.schemas import OP_UPSERT
 
-        ckpt = self.store.read_checkpoint()
-        if ckpt.last_epoch >= 0:
+        if self.store.read_checkpoint().last_epoch >= 0:
             return {"epoch": 0, "skipped": True}
         cfg = self.config
-        t0 = time.time()
 
         def to_ops(t: pa.Table) -> pa.Table:
             import numpy as np
 
-            from commons_codec_ray.hashing import shuffle_keys_for
-
             n = t.num_rows
             conv = t["conv_id"].cast(pa.string())
-            table_arr = pa.array([cfg.table] * n, pa.string())
-            pid_arr = partition_ids_for(conv.combine_chunks(), cfg.num_partitions)
             return pa.table(
                 {
                     "op": pa.array(np.full(n, OP_UPSERT, dtype=np.int8)),
-                    "table_name": table_arr,
+                    "table_name": pa.array([cfg.table] * n, pa.string()),
                     "conv_id": conv,
                     "turn_idx": t["turn_idx"].cast(pa.int32()),
                     "role": t["role"].cast(pa.string()),
@@ -401,103 +249,82 @@ class CDCPipeline:
                     "tool": t["tool"].cast(pa.string()),
                     "ts": t["ts"].cast(pa.timestamp("us")),
                     "lsn": pa.array(np.full(n, lsn, dtype=np.int64)),
-                    "partition_id": pid_arr,
-                    "shuffle_key": shuffle_keys_for(table_arr, pid_arr),
+                    "partition_id": partition_ids_for(conv.combine_chunks(), cfg.num_partitions),
                 }
             )
 
         ops = snapshot_ds.map_batches(to_ops, batch_format="pyarrow")
-        apply_fn = _make_apply_fn(
-            str(self.store.root), 0, {}, _extra_columns(cfg.registry, cfg.table)
-        )
-        self.store.ensure_dirs(0)
-        lineage = (
-            ops.groupby("shuffle_key")
-            .map_groups(apply_fn, batch_format="pyarrow")
-            .take_all()
-        )
-        metrics = {
-            "events": sum(r["ops_applied"] for r in lineage),
-            "rows_out": sum(r["rows"] for r in lineage),
-            "partitions_touched": len(lineage),
-            "dead_letters": 0,
-            "schema_events": 0,
-            "duration_s": round(time.time() - t0, 3),
-            "full_load": True,
-        }
-        self.store.commit_epoch(0, lineage, (0, 0), cfg.registry.to_json(), metrics)
-        return {"epoch": 0, "skipped": False, **metrics}
+        return self._apply_dataset(ops, 0, (0, 0), decode=False, full_load=True)
 
     # ------------------------------------------------------------------ epoch
-    def run_epoch(
+    def run_epoch(self, envelopes, epoch: int, offset_range: tuple[int, int]) -> dict[str, Any]:
+        """Decode + apply + commit one epoch. ``envelopes`` is a Dataset of
+        (lsn, source_offset, dialect, payload[, conv_id]) rows, applied
+        whole: ``offset_range`` is what the epoch commits as consumed
+        (dead-letter replay commits a zero-width one)."""
+        if epoch <= self.store.read_checkpoint().last_epoch:
+            return {"epoch": epoch, "skipped": True}  # already committed (resume)
+        return self._apply_dataset(envelopes, epoch, offset_range)
+
+    def _apply_dataset(
+        self, ds, epoch: int, offset_range: tuple[int, int], decode: bool = True, **extra
+    ) -> dict[str, Any]:
+        """Apply and commit a Dataset's blocks as one epoch, on a pool
+        sized for their rows plus the committed lake."""
+        t0 = time.time()
+        self._release_runner()  # its state goes stale with this commit
+        ds = ds.materialize()
+        runner = self._new_runner(ds.count())
+        try:
+            return self._apply_epoch(
+                runner, ds.to_arrow_refs(), epoch, offset_range, t0, decode, **extra
+            )
+        finally:
+            runner.shutdown()
+
+    def _apply_epoch(
         self,
-        envelopes,
+        runner,
+        source: list,
         epoch: int,
         offset_range: tuple[int, int],
-        schema_rows: list[dict[str, Any]] | None = None,
+        t0: float,
+        decode: bool = True,
+        **extra,
     ) -> dict[str, Any]:
-        """Decode + apply + commit one epoch. ``envelopes`` is a Dataset of
-        (lsn, source_offset, dialect, payload[, conv_id]) rows.
-        ``schema_rows``: this epoch's control events if the caller already
-        pre-scanned the log (``replay`` scans once for all epochs); None →
-        scan ``envelopes`` here."""
-        cfg = self.config
-        t0 = time.time()
-        ckpt = self.store.read_checkpoint()
-        if epoch <= ckpt.last_epoch:
-            return {"epoch": epoch, "skipped": True}  # already committed (resume)
-
-        # --- control events (registry must update BEFORE apply) --------------
-        if schema_rows is None:
-            schema_rows = self._scan_control_events(envelopes)
-        for row in schema_rows:
-            self._apply_schema_event(row)
-
-        # --- decode → hash shuffle → apply ----------------------------------
-        # decode output is materialized once: Ray's sort-based groupby
-        # samples its input for range boundaries, and without the barrier
-        # that sampling would re-run the decode stage; dead letters ride
-        # the same exchange (partition 0) and are written by the appliers.
-        ops = envelopes.map_batches(
-            DecodeEnvelopes(cfg, combine=True),
-            batch_format="pyarrow",
-            batch_size=cfg.decode_batch_size,
-        ).materialize()
-        prev_wm = self._last_watermark(ckpt)
-        apply_fn = _make_apply_fn(
-            str(self.store.root),
-            epoch,
-            dict(ckpt.partitions),
-            _extra_columns(cfg.registry, cfg.table),
-            sink_mode=cfg.sink_mode,
-            compact_ratio=cfg.compact_ratio,
-            compact_max_deltas=cfg.compact_max_deltas,
-            watermark_us=prev_wm,
-            emit_changes=cfg.emit_changes,
-        )
+        """Run one epoch on ``runner`` (see ``ActorPoolApplyRunner.run_epoch``
+        for ``source``), write its dead letters, and commit it with its
+        metrics; ``extra`` joins the metrics."""
         self.store.ensure_dirs(epoch)
-        lineage = (
-            ops.groupby("shuffle_key")
-            .map_groups(apply_fn, batch_format="pyarrow")
-            .take_all()
+        prev_wm = self._last_watermark(self.store.read_checkpoint())
+        lineage, dead, controls = runner.run_epoch(
+            source, epoch, *offset_range, self._apply_schema_event,
+            watermark_us=prev_wm, decode=decode,
         )
-
-        n_dead = sum(r["n_dead"] for r in lineage)
+        n_dead = 0
+        if dead is not None:
+            n_dead = dead.num_rows
+            dl_dir = self.store.dead_letter_dir(epoch)
+            dl_dir.mkdir(parents=True, exist_ok=True)
+            pq.write_table(dead, dl_dir / "dead-0000.parquet")
         metrics = {
             "changes": sum(int(r.get("n_changes", 0) or 0) for r in lineage),
             "events": sum(r["ops_applied"] for r in lineage),
             "rows_out": sum(r["rows"] for r in lineage),
             "partitions_touched": len(lineage),
             "dead_letters": n_dead,
-            "schema_events": len(schema_rows),
+            "schema_events": len(controls),
             "duration_s": round(time.time() - t0, 3),
+            "appliers": runner.appliers,
             **_watermark_metrics(lineage),
+            **extra,
         }
         self.store.commit_epoch(
-            epoch, lineage, offset_range, cfg.registry.to_json(), metrics
+            epoch, lineage, offset_range, self.config.registry.to_json(), metrics
         )
         return {"epoch": epoch, "skipped": False, **metrics}
 
+    # unused by the engine; perfbench/run.py wraps it by name (cdc.prescan_s)
     def _scan_control_events(self, envelopes) -> list[dict[str, Any]]:
         """Cheap scan for in-band DDL: vectorized substring-regex over raw
         payloads (no per-row JSON parse), then decode only the matches.
@@ -533,8 +360,7 @@ class CDCPipeline:
 
     def _apply_schema_event(self, row: dict[str, Any]) -> None:
         """Interpret one control record against the registry. Three
-        control grammars reach here (everything the marker prescan
-        matches, and every schema-change row the actor path's decode
+        control grammars reach here (every schema-change row the decode
         tasks return): the Debezium/DMS control shape (``create-table`` /
         ``drop-table`` with a ``table-def``), Maxwell ``output_ddl``
         payloads (``table-create``/``table-alter`` carrying the full new
@@ -591,112 +417,26 @@ class CDCPipeline:
         envelopes_path: str,
         epoch_size: int | None = None,
         max_offset: int | None = None,
-        mode: str = "groupby",
+        mode: str = "actors",
         keep_actors: bool = False,
     ) -> list[dict[str, Any]]:
         """Replay an envelope log from the last checkpoint to its end.
 
         Epochs slice the log by ``source_offset`` ranges using Parquet
-        row-group predicate pushdown — resume never rescans committed
-        offsets.
+        row-group statistics — resume never rescans committed offsets.
+        Partition state is held by the applier pool across epochs; its
+        decode tasks exchange ops by hash and return each epoch's control
+        events (see :mod:`commons_codec_ray.stages.actor_applier`). A
+        small replay runs its one applier in the driver, a large one
+        spawns applier actors; the epoch manifests record which
+        (``metrics.appliers``). ``keep_actors`` keeps the pool for the
+        next call (tail mode).
 
-        ``mode``:
-          - ``"groupby"`` (default): Dataset path — decode via
-            ``map_batches``, one ``groupby(partition_id)`` exchange,
-            appliers re-read base state from Parquet per epoch. Memory-
-            safe for lakes far bigger than cluster RAM.
-          - ``"actors"``: stateful applier pool — partition state held
-            in applier memory across epochs, explicit hash exchange via
-            multi-return decode tasks, which also return the epoch's
-            control events (see
-            :mod:`commons_codec_ray.stages.actor_applier`). A small
-            replay runs its one applier in the driver, a large one
-            spawns applier actors; the epoch manifests record which
-            (``metrics.appliers``). Fastest for many-epoch streaming
-            ingest whose working set fits the pool; both modes produce
-            byte-identical lakes.
+        ``mode`` takes only ``"actors"``, the one apply path.
         """
-        if mode == "actors":
-            return self._replay_actors(
-                envelopes_path, epoch_size, max_offset, keep_actors=keep_actors
-            )
+        if mode != "actors":
+            raise ValueError(f"unknown replay mode {mode!r}: the only apply path is 'actors'")
         epoch_size = epoch_size or self.config.epoch_size
-        if max_offset is None:
-            max_offset = _max_column_value(envelopes_path, "source_offset")
-        ckpt = self.store.read_checkpoint()
-        start = ckpt.next_offset
-        epoch = ckpt.last_epoch + 1
-        results = []
-        lo = start
-        num_blocks = _decode_parallelism()
-        # ONE control-event prescan over the remaining log (vectorized regex
-        # over raw payloads — no JSON parse), bucketed into epochs below.
-        all_controls = self._scan_control_events(
-            rd.read_parquet(
-                envelopes_path,
-                filter=pc.field("source_offset") >= lo,
-                columns=["lsn", "source_offset", "dialect", "payload"],
-                override_num_blocks=num_blocks,
-            )
-        )
-        while lo <= max_offset:
-            # clamp to the known head: committing past it would skip
-            # offsets that arrive later within the same range (tail mode)
-            hi = min(lo + epoch_size, max_offset + 1)
-            env = rd.read_parquet(
-                envelopes_path,
-                filter=(pc.field("source_offset") >= lo) & (pc.field("source_offset") < hi),
-                # an epoch's offset range often maps to few large files; force
-                # enough read splits that the decode stage can use every core
-                override_num_blocks=num_blocks,
-            )
-            epoch_controls = [r for r in all_controls if lo <= r["source_offset"] < hi]
-            results.append(self.run_epoch(env, epoch, (lo, hi), schema_rows=epoch_controls))
-            epoch += 1
-            lo = hi
-        return results
-
-    def _get_runner(self, keep: bool, files: list[str], lo: int, hi: int):
-        """Applier-pool runner for replaying ``[lo, hi)`` of ``files``;
-        the range and the committed lake size it (one applier in the
-        driver, or spawned actors). With ``keep`` (tail mode) the pool
-        persists across replay calls, sized by the first: a spawned pool
-        would pay ~0.5-1 s of fresh-worker start per POLL otherwise, and
-        an in-driver applier would reload its state from the lake. Safe
-        to reuse only while every epoch commits: on any epoch failure the
-        pool is dropped so the next call reloads from the checkpoint."""
-        from commons_codec_ray.stages.actor_applier import ActorPoolApplyRunner
-
-        if self._runner is not None:
-            if keep:
-                return self._runner
-            self._release_runner()
-        ckpt = self.store.read_checkpoint()
-        runner = ActorPoolApplyRunner(
-            str(self.store.root), self.config, dict(ckpt.partitions), files, lo, hi
-        )
-        if keep:
-            self._runner = runner
-        return runner
-
-    def _release_runner(self) -> None:
-        if self._runner is not None:
-            self._runner.shutdown()
-            self._runner = None
-
-    def close(self) -> None:
-        """Release the cached tail-mode applier pool (if any)."""
-        self._release_runner()
-
-    def _replay_actors(
-        self,
-        envelopes_path: str,
-        epoch_size: int | None = None,
-        max_offset: int | None = None,
-        keep_actors: bool = False,
-    ) -> list[dict[str, Any]]:
-        cfg = self.config
-        epoch_size = epoch_size or cfg.epoch_size
         if max_offset is None:
             max_offset = _max_column_value(envelopes_path, "source_offset")
         files = _parquet_files(envelopes_path)
@@ -704,43 +444,24 @@ class CDCPipeline:
         start, epoch = ckpt.next_offset, ckpt.last_epoch + 1
         if start > max_offset:
             return []
-        # a small replay applies in the driver; a spawned pool does not
-        # block here, its process start overlaps the first epoch's decode
-        # tasks. Control events come back from those tasks — the log is
-        # read once per epoch.
-        runner = self._get_runner(keep_actors, files, start, max_offset + 1)
+        # a spawned pool does not block here, its process start overlaps
+        # the first epoch's decode tasks
+        runner = self._runner if keep_actors else None
+        if runner is None:
+            self._release_runner()
+            footers: dict = {}
+            rows = log_rows(files, start, max_offset + 1, footers)
+            runner = self._new_runner(rows, footers)
+            if keep_actors:
+                self._runner = runner
         results = []
         try:
             lo = start
             while lo <= max_offset:
+                # clamp to the known head: committing past it would skip
+                # offsets that arrive later within the same range (tail mode)
                 hi = min(lo + epoch_size, max_offset + 1)
-                t0 = time.time()
-                self.store.ensure_dirs(epoch)
-                prev_wm = self._last_watermark(self.store.read_checkpoint())
-                lineage, dead, epoch_controls = runner.run_epoch(
-                    files, epoch, lo, hi, self._apply_schema_event, watermark_us=prev_wm
-                )
-                n_dead = 0
-                if dead is not None and dead.num_rows:
-                    n_dead = dead.num_rows
-                    dl_dir = self.store.dead_letter_dir(epoch)
-                    dl_dir.mkdir(parents=True, exist_ok=True)
-                    pq.write_table(dead, dl_dir / "dead-0000.parquet")
-                metrics = {
-                    "changes": sum(int(r.get("n_changes", 0) or 0) for r in lineage),
-                    "events": sum(r["ops_applied"] for r in lineage),
-                    "rows_out": sum(r["rows"] for r in lineage),
-                    "partitions_touched": len(lineage),
-                    "dead_letters": n_dead,
-                    "schema_events": len(epoch_controls),
-                    "duration_s": round(time.time() - t0, 3),
-                    "appliers": runner.appliers,
-                    **_watermark_metrics(lineage),
-                }
-                self.store.commit_epoch(
-                    epoch, lineage, (lo, hi), cfg.registry.to_json(), metrics
-                )
-                results.append({"epoch": epoch, "skipped": False, **metrics})
+                results.append(self._apply_epoch(runner, files, epoch, (lo, hi), time.time()))
                 epoch += 1
                 lo = hi
         except BaseException:
@@ -752,6 +473,30 @@ class CDCPipeline:
         if not keep_actors:
             runner.shutdown()
         return results
+
+    def _new_runner(self, rows: int, meta_cache: dict | None = None):
+        """Applier pool over the committed lake, sized for ``rows`` more
+        rows (one applier in the driver, or spawned actors)."""
+        ckpt = self.store.read_checkpoint()
+        return ActorPoolApplyRunner(
+            str(self.store.root), self.config, dict(ckpt.partitions), rows,
+            meta_cache=meta_cache,
+        )
+
+    def _release_runner(self) -> None:
+        """Drop the cached tail-mode pool. A tail-mode pool persists
+        across replay calls, sized by the first: a spawned pool would pay
+        ~0.5-1 s of fresh-worker start per POLL otherwise, and an
+        in-driver applier would reload its state from the lake. Its state
+        is valid only while every commit goes through it, so an epoch
+        failure and every other committing method release it."""
+        if self._runner is not None:
+            self._runner.shutdown()
+            self._runner = None
+
+    def close(self) -> None:
+        """Release the cached tail-mode applier pool (if any)."""
+        self._release_runner()
 
     def _last_watermark(self, ckpt) -> int | None:
         """Event-time watermark of the last committed epoch (µs), from its
@@ -766,7 +511,7 @@ class CDCPipeline:
         return int(wm) if wm is not None and wm >= 0 else None
 
     # ------------------------------------------------------------------ tail
-    def poll(self, envelopes_path: str, mode: str = "groupby") -> int:
+    def poll(self, envelopes_path: str) -> int:
         """One tail step: discover offsets beyond the checkpoint and
         ingest them; returns the number of NEW offsets committed.
 
@@ -781,7 +526,7 @@ class CDCPipeline:
         # tail mode keeps the applier pool warm across polls (a spawned
         # pool's ~0.5-1 s process start, an in-driver applier's state
         # reload: per-poll latency otherwise)
-        self.replay(envelopes_path, max_offset=head, mode=mode, keep_actors=True)
+        self.replay(envelopes_path, max_offset=head, keep_actors=True)
         return self.store.read_checkpoint().next_offset - ckpt.next_offset
 
     def watch(
@@ -789,7 +534,6 @@ class CDCPipeline:
         envelopes_path: str,
         poll_interval_s: float = 1.0,
         max_idle_polls: int | None = 3,
-        mode: str = "groupby",
     ) -> dict[str, Any]:
         """Continuous tail: poll the log until ``max_idle_polls``
         consecutive polls find nothing new (None → forever)."""
@@ -797,7 +541,7 @@ class CDCPipeline:
         polls = 0
         ingested = 0
         while max_idle_polls is None or idle < max_idle_polls:
-            got = self.poll(envelopes_path, mode=mode)
+            got = self.poll(envelopes_path)
             polls += 1
             if got > 0:
                 ingested += got
@@ -1011,6 +755,7 @@ class CDCPipeline:
                 "partitions_compacted": 0,
                 "skipped": True,
             }
+        self._release_runner()  # its state goes stale with this commit
         epoch = ckpt.last_epoch + 1
         self.store.ensure_dirs(epoch)
         root = str(self.store.root)
@@ -1268,17 +1013,6 @@ class CDCPipeline:
             "orphan_paths": removed,
             "duration_s": round(time.time() - t0, 3),
         }
-
-
-def _decode_parallelism() -> int:
-    """Read/decode split count: ~2 blocks per CPU in the current cluster."""
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:  # noqa: BLE001 — not initialised yet
-        cpus = 8
-    return max(16, 2 * cpus)
 
 
 def _parquet_files(path: str) -> list[str]:

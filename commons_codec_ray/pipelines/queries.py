@@ -9323,12 +9323,11 @@ def q_cdc_alerts(sf_dir: str):
         _shutil.rmtree(lake, ignore_errors=True)
 
 
-def _q_replay_via_pipeline(sf_dir: str, *, mode: str = "groupby",
-                           post_replay=None, epoch_floor: int = 4000,
+def _q_replay_via_pipeline(sf_dir: str, *, post_replay=None, epoch_floor: int = 4000,
                            **cfg_kwargs):
     """Shared harness: full multi-epoch replay into a temp lake through
     CDCPipeline with the given config, returning the final lake state —
-    the same _CDC_REPLAY_SQL oracle must hold for EVERY apply/sink mode.
+    the same _CDC_REPLAY_SQL oracle must hold for EVERY sink config.
     ``post_replay(pipe)`` runs between replay and readback (maintenance
     gates like q_cdc_compaction hook in here)."""
     import shutil as _shutil
@@ -9353,7 +9352,7 @@ def _q_replay_via_pipeline(sf_dir: str, *, mode: str = "groupby",
             f"{work}/lake",
             PipelineConfig(num_partitions=16, epoch_size=epoch, **cfg_kwargs),
         )
-        pipe.replay(log, epoch_size=epoch, mode=mode)
+        pipe.replay(log, epoch_size=epoch)
         if post_replay is not None:
             post_replay(pipe)
         out = pa.Table.from_pandas(
@@ -9365,12 +9364,11 @@ def _q_replay_via_pipeline(sf_dir: str, *, mode: str = "groupby",
 
 
 def q_cdc_replay_actors(sf_dir: str):
-    """The actor-pool applier path driver-gated end-to-end: stateful
+    """CDCPipeline's applier pool driver-gated end-to-end: stateful
     appliers hold partition state in memory across epochs (explicit
     hash exchange via multi-return decode tasks, LRU state spill,
-    incremental pre-reduce) and must produce a lake byte-equal to the
-    Dataset path's — same oracle as cdc_replay."""
-    return _q_replay_via_pipeline(sf_dir, mode="actors")
+    incremental pre-reduce) — same oracle as cdc_replay."""
+    return _q_replay_via_pipeline(sf_dir)
 
 
 def q_cdc_replay_delta(sf_dir: str):

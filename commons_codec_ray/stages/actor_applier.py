@@ -1,10 +1,10 @@
-"""Stateful applier pool — the streaming hot path.
+"""Stateful applier pool — the one code path that applies CDC ops to a lake.
 
-The Dataset path (``groupby("partition_id").map_groups``) re-reads every
-partition's base state from Parquet each epoch and pays a sort-based
-shuffle. For a long-running ingest job that applies many epochs, the
-right shape (SURVEY.md §2.4/§3.4; the north star's "stateful actor-pool
-appliers … in-actor Arrow-backed state table") is:
+``replay``/``poll``/``watch`` (epochs sliced from an envelope log),
+``run_epoch`` and dead-letter replay (a Dataset of envelopes) and the
+full load (a Dataset of ops) all run through it. Its shape (SURVEY.md
+§2.4/§3.4; the north star's "stateful actor-pool appliers … in-actor
+Arrow-backed state table"):
 
 - ``A`` **appliers**, each owning the fixed partition set
   ``{pid : pid % A == actor_id}``; partition state (transcript rows +
@@ -17,10 +17,11 @@ appliers … in-actor Arrow-backed state table") is:
   Larger replays, or an explicit ``num_actors`` ≥ 2, spawn ``A``
   :class:`PartitionApplier` actors;
 - ``K`` **decode tasks** per epoch (raw ``@ray.remote``), each reading a
-  row-group slice of the envelope log, decoding, LWW-combining within
-  the slice, and hash-splitting its output into ``A`` sub-tables
-  returned as separate objects (``num_returns=A + 1``) — an explicit
-  hash exchange through the object store, no sampling, no sort;
+  row-group slice of the envelope log (or taking one Dataset block),
+  decoding, LWW-combining within the slice, and hash-splitting its
+  output into ``A`` sub-tables returned as separate objects
+  (``num_returns=A + 1``) — an explicit hash exchange through the
+  object store, no sampling, no sort;
 - the decode tasks' trailing objects carry the slice's schema-change
   and dead-letter rows, so the log is read once per epoch: the driver
   applies the epoch's control events to the registry in lsn order and
@@ -29,8 +30,8 @@ appliers … in-actor Arrow-backed state table") is:
   on, the appliers drop the epoch's pending ops and it is decoded again;
 - each applier merges its ``K`` sub-tables into its state, writes its
   partition files for the epoch (tmp + atomic rename), and returns
-  lineage rows; the driver commits the manifest + checkpoint exactly as
-  in the Dataset path.
+  lineage rows; the driver writes the dead letters and commits the
+  manifest + checkpoint.
 
 This is one of the few places the engine drops below the Dataset API —
 justified because the exchange key space is small and static (``P``
@@ -66,45 +67,59 @@ from commons_codec_ray.stages.decode_stage import DecodeEnvelopes, object_column
 from commons_codec_ray.util import InDriver, sized_pool
 
 
-@ray.remote
-def decode_split_task(
-    file_slices: list[tuple[str, list[int]]],
-    lo: int,
-    hi: int,
-    config: PipelineConfig,
-    num_actors: int,
-) -> Any:
-    """Read assigned row groups, decode, split by ``pid % num_actors``.
+_SPECIAL_COLUMNS = ["op", "lsn", "source_offset", "aux", "error"]
 
-    Returns ``num_actors + 1`` objects: one ops sub-table per actor plus
-    a trailing table of the slice's schema-change and dead-letter rows
-    (``op``, ``lsn``, ``source_offset``, ``aux``, ``error``), kept
-    separate so appliers stay on the data-only fast path.
-    """
-    decode = DecodeEnvelopes(config, combine=True)
-    parts: list[pa.Table] = []
-    for path, row_groups in file_slices:
-        f = pq.ParquetFile(path)
-        tbl = f.read_row_groups(row_groups)
-        off = tbl["source_offset"]
-        mask = pc.and_(pc.greater_equal(off, pa.scalar(lo)), pc.less(off, pa.scalar(hi)))
-        tbl = tbl.filter(mask)
-        if tbl.num_rows:
-            parts.append(decode(tbl))
-    ops = pa.concat_tables(parts) if parts else empty_ops_table()
 
-    special_mask = pc.greater_equal(ops["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
-    special = ops.filter(special_mask).select(["op", "lsn", "source_offset", "aux", "error"])
-    data = ops.filter(pc.invert(special_mask))
+def split_by_owner(data: pa.Table, num_actors: int) -> list[pa.Table]:
+    """Split data ops into one sub-table per owning applier
+    (``partition_id % num_actors``), each in its input order."""
     # one stable sort by owning actor, then contiguous slices: O(N log N)
     # instead of one boolean-mask pass over the table per actor
     owner = data["partition_id"].to_numpy(zero_copy_only=False) % num_actors
     order = np.argsort(owner, kind="stable")
     data = data.take(pa.array(order))
     bounds = np.searchsorted(owner[order], np.arange(num_actors + 1))
-    out = [data.slice(bounds[a], bounds[a + 1] - bounds[a]) for a in range(num_actors)]
-    out.append(special)
-    return tuple(out)
+    return [data.slice(bounds[a], bounds[a + 1] - bounds[a]) for a in range(num_actors)]
+
+
+@ray.remote
+def decode_split_task(
+    source: list[tuple[str, list[int]]] | pa.Table,
+    lo: int,
+    hi: int,
+    decode: DecodeEnvelopes | None,
+    num_actors: int,
+) -> Any:
+    """Decode one slice of envelopes and split it by ``pid % num_actors``.
+
+    ``source`` is either row groups of the envelope log, of which only the
+    rows with offsets in ``[lo, hi)`` are read, or one Arrow block of a
+    Dataset, taken whole. ``decode`` is built once in the driver, so
+    dialects registered there reach every task; None means the block
+    already holds ops (a full load).
+
+    Returns ``num_actors + 1`` objects: one ops sub-table per actor plus
+    a trailing table of the slice's schema-change and dead-letter rows
+    (``op``, ``lsn``, ``source_offset``, ``aux``, ``error``), kept
+    separate so appliers stay on the data-only fast path.
+    """
+    if decode is None:
+        return (*split_by_owner(source, num_actors), empty_ops_table().select(_SPECIAL_COLUMNS))
+    if isinstance(source, pa.Table):
+        envelopes = [source]
+    else:
+        envelopes = []
+        for path, row_groups in source:
+            tbl = pq.ParquetFile(path).read_row_groups(row_groups)
+            off = tbl["source_offset"]
+            mask = pc.and_(pc.greater_equal(off, pa.scalar(lo)), pc.less(off, pa.scalar(hi)))
+            envelopes.append(tbl.filter(mask))
+    parts = [decode(t) for t in envelopes if t.num_rows]
+    ops = pa.concat_tables(parts) if parts else empty_ops_table()
+
+    special_mask = pc.greater_equal(ops["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
+    special = ops.filter(special_mask).select(_SPECIAL_COLUMNS)
+    return (*split_by_owner(ops.filter(pc.invert(special_mask)), num_actors), special)
 
 
 class Applier:
@@ -153,8 +168,9 @@ class Applier:
         self.state_files: dict[tuple[str, int], tuple[str | None, list[str]]] = {}
         self.delta_info: dict[tuple[str, int], list[int]] = {}  # [n_deltas, delta_rows]
         # base FILE row counts — the compaction trigger compares against
-        # these (NOT the merged in-memory state) so actor and Dataset
-        # modes make identical compact/delta decisions
+        # these (NOT the merged in-memory state), so it depends on the
+        # committed files alone: resident, evicted and reloaded
+        # partitions, and a resumed replay, decide alike
         self.base_rows: dict[tuple[str, int], int] = {}
         for key, entry in base_partitions.items():
             table, _, pid_s = key.partition("#")
@@ -296,10 +312,9 @@ class Applier:
             wm_max, wm_late = _watermark_stats(group, watermark_us)
             out = apply_ops_to_base(base, group, self.extra_columns)
 
-            # change feed: the actor already holds base state in memory,
+            # change feed: the applier already holds base state in memory,
             # so feed emission costs one vectorized merge — no file reads
-            # in EITHER sink mode (the Dataset delta path must merge-on-
-            # read the committed base+deltas for its feed; here it's free)
+            # in either sink mode
             n_changes = 0
             if self.emit_changes:
                 from commons_codec_ray.stages.applier import change_feed
@@ -323,9 +338,7 @@ class Applier:
                 n_deltas, drows = self.delta_info.get((table, pid), [0, 0])
                 delta_tbl = epoch_delta(group, self.extra_columns)
                 # compare against the base FILE's row count (tracked in
-                # self.base_rows) exactly like the Dataset path does —
-                # using the merged in-memory state's rows here would make
-                # the two modes take different compact/delta decisions
+                # self.base_rows), not the merged in-memory state's rows
                 base_file_rows = self.base_rows.get((table, pid), 0)
                 compact = (
                     n_deltas + 1 > self.compact_max_deltas
@@ -428,6 +441,11 @@ def _row_groups(
     ]
 
 
+def log_rows(envelope_files: list[str], lo: int, hi: int, meta_cache: dict | None = None) -> int:
+    """Rows of the row groups overlapping [lo, hi), from their statistics."""
+    return sum(u[2] for u in _row_groups(envelope_files, lo, hi, meta_cache))
+
+
 def plan_file_slices(
     envelope_files: list[str], lo: int, hi: int, num_tasks: int,
     meta_cache: dict | None = None,
@@ -489,31 +507,28 @@ def _committed_rows(lake_root: str, base_partitions: dict[str, Any], limit: int)
 class ActorPoolApplyRunner:
     """Drives decode tasks + the applier pool for a sequence of epochs.
 
-    The pool is sized once, for the replay of ``[lo, hi)`` of
-    ``envelope_files``: its envelope rows (row-group statistics, the
-    footers ``plan_file_slices`` reads anyway) plus the committed lake's
-    rows decide between one applier in the driver and spawned actors
-    (:func:`~commons_codec_ray.util.sized_pool`)."""
+    The pool is sized once, for ``rows`` rows to apply (envelope rows of a
+    replay's offset range, or of a Dataset's blocks) plus the committed
+    lake's rows, which decide between one applier in the driver and
+    spawned actors (:func:`~commons_codec_ray.util.sized_pool`).
+    ``meta_cache`` holds the envelope log's footer statistics (see
+    :func:`plan_file_slices`)."""
 
     def __init__(
         self,
         lake_root: str,
         config: PipelineConfig,
         base_partitions: dict[str, Any],
-        envelope_files: list[str],
-        lo: int,
-        hi: int,
+        rows: int,
         num_actors: int | None = None,
         num_decode_tasks: int | None = None,
+        meta_cache: dict | None = None,
     ):
         cpus = int(ray.cluster_resources().get("CPU", 8))
-        self._meta_cache: dict = {}  # parquet footer stats, per file
-        rows = 0  # only the comparison with DRIVER_POOL_ROWS matters
+        self._meta_cache = {} if meta_cache is None else meta_cache
         if not num_actors:
-            rows = sum(u[2] for u in _row_groups(envelope_files, lo, hi, self._meta_cache))
-            rows += _committed_rows(
-                lake_root, base_partitions, util.DRIVER_POOL_ROWS - rows
-            )
+            # only the comparison with DRIVER_POOL_ROWS matters
+            rows += _committed_rows(lake_root, base_partitions, util.DRIVER_POOL_ROWS - rows)
         # spawned: one applier per ~3 cores (at least 2, at most P); one
         # decode task per core (at least 4)
         self.num_actors = sized_pool(
@@ -556,17 +571,16 @@ class ActorPoolApplyRunner:
             ray.get(self._ping_refs)
             self._ping_refs = None
 
-    def _decode_and_ingest(
-        self, slices: list[list[tuple[str, list[int]]]], lo: int, hi: int
-    ) -> tuple[list, list]:
-        """Submit one decode task per slice and queue each task's
+    def _decode_and_ingest(self, units: list, lo: int, hi: int, decode: bool) -> tuple[list, list]:
+        """Submit one decode task per unit and queue each task's
         sub-tables on their actors; returns (ingest refs, refs of the
         tasks' trailing schema-change/dead-letter tables)."""
         A = self.num_actors
-        config_ref = ray.put(self.config)  # registry as of now, shipped once
+        # registry and dialects as of now, shipped once
+        decoder = ray.put(DecodeEnvelopes(self.config, combine=True)) if decode else None
         refs_matrix = [
-            decode_split_task.options(num_returns=A + 1).remote(sl, lo, hi, config_ref, A)
-            for sl in slices
+            decode_split_task.options(num_returns=A + 1).remote(u, lo, hi, decoder, A)
+            for u in units
         ]
         # incremental push: each actor ingests one decode task's slice as
         # soon as that task finishes (per-actor ordered queue) — the merge
@@ -578,26 +592,33 @@ class ActorPoolApplyRunner:
 
     def run_epoch(
         self,
-        envelope_files: list[str],
+        source: list,
         epoch: int,
         lo: int,
         hi: int,
         on_control: Callable[[dict[str, Any]], None],
         watermark_us: int | None = None,
+        decode: bool = True,
     ) -> tuple[list[dict[str, Any]], pa.Table | None, list[dict[str, Any]]]:
         """Decode, exchange and apply one epoch.
+
+        ``source`` is the envelope log's files, of which the offsets in
+        ``[lo, hi)`` make the epoch, or the Arrow block refs of a Dataset,
+        one decode task each and applied whole. With ``decode=False`` the
+        blocks already hold ops and are only split by owner.
 
         The epoch's schema-change rows come back from the decode tasks
         and are passed to ``on_control`` in lsn order before any actor
         flushes, so they take effect at this epoch's boundary. Returns
         (lineage rows, dead-letter table or None, schema-change rows)."""
-        slices = plan_file_slices(
-            envelope_files, lo, hi, self.num_decode_tasks, self._meta_cache
-        )
-        if not slices:
+        if source and isinstance(source[0], str):
+            units = plan_file_slices(source, lo, hi, self.num_decode_tasks, self._meta_cache)
+        else:
+            units = source
+        if not units:
             return [], None, []
         decoded_with = object_columns(self.config)
-        ingest_refs, special_refs = self._decode_and_ingest(slices, lo, hi)
+        ingest_refs, special_refs = self._decode_and_ingest(units, lo, hi, decode)
         self.wait_ready()
         special = pa.concat_tables(ray.get(special_refs))
         control_mask = pc.equal(special["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
@@ -613,7 +634,7 @@ class ActorPoolApplyRunner:
                 # the epoch was decoded against the old OBJECT/MAP set:
                 # drop what the actors hold and decode it again
                 calls += [a.discard_pending.remote() for a in self.actors]
-                ingest_refs, special_refs = self._decode_and_ingest(slices, lo, hi)
+                ingest_refs, special_refs = self._decode_and_ingest(units, lo, hi, decode)
                 calls += ingest_refs
                 special = pa.concat_tables(ray.get(special_refs))
             # Ray runs one caller's calls to an actor in order, so the

@@ -130,7 +130,8 @@ def ann_topk(ds, query_ids, k: int = 10, id_column: str = "vec_id", round_to: in
         fn_constructor_kwargs={"queries_ref": qref, "k": k, "id_column": id_column},
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=pool_size(4),
+        # autoscaling from one actor: a corpus of one block gets one
+        concurrency=(1, pool_size(4)),
     )
 
     def head_k(group: pd.DataFrame) -> pd.DataFrame:
@@ -192,7 +193,7 @@ def hard_negatives(
         },
         batch_format="pyarrow",
         batch_size=4096,
-        concurrency=pool_size(4),
+        concurrency=(1, pool_size(4)),
     )
 
     def head_k(group: pd.DataFrame) -> pd.DataFrame:

@@ -45,7 +45,7 @@ _SCRIPT = textwrap.dedent(
         pq.write_table(env.sort_by("lsn"), log, row_group_size=200)
         pipe = CDCPipeline(f"{work}/lake", PipelineConfig(num_partitions=16, epoch_size=300))
         util.DRIVER_POOL_ROWS = 0  # spawn the appliers: this log is far below it
-        results = pipe.replay(log, mode="actors", epoch_size=300)
+        results = pipe.replay(log, epoch_size=300)
         cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
         got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()).select(cols))
         want = sorted_canonical(replay_envelopes(pq.read_table(log)).select(cols))
@@ -85,9 +85,10 @@ def test_decode_split_matches_mask_reference(tmp_path, sf_dir):
     cfg = PipelineConfig(num_partitions=16)
     A, hi = 3, env.num_rows
     [sl] = plan_file_slices([log], 0, hi, 1)
-    *parts, special = ray.get(decode_split_task.options(num_returns=A + 1).remote(sl, 0, hi, cfg, A))
+    decode = DecodeEnvelopes(cfg, combine=True)
+    *parts, special = ray.get(decode_split_task.options(num_returns=A + 1).remote(sl, 0, hi, decode, A))
 
-    ops = DecodeEnvelopes(cfg, combine=True)(env)
+    ops = decode(env)
     is_special = pc.greater_equal(ops["op"], OP_SCHEMA_CHANGE)
     data = ops.filter(pc.invert(is_special))
     owner = data["partition_id"].to_numpy() % A

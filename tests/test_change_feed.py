@@ -11,6 +11,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray.data as rd
 
+from commons_codec_ray import util
 from commons_codec_ray.config import PipelineConfig
 from commons_codec_ray.envelopes import EventsToEnvelopes
 from commons_codec_ray.pipelines.cdc import CDCPipeline
@@ -59,38 +60,38 @@ def test_change_feed_idempotent_on_replay():
 
 
 def test_change_feed_identical_across_sink_modes_and_apply_modes(ray_session, tmp_path):
-    """The feed must be byte-identical across all four (apply mode ×
-    sink mode) combinations over a multi-epoch replay whose epoch size
-    is small enough to exercise BOTH delta writes and compaction — the
-    delta Dataset path merge-on-reads its pre-state, the actor paths
-    emit from in-memory state."""
+    """The feed must be identical across both sink modes, each with and
+    without a 1-byte state budget, over a multi-epoch replay whose epoch
+    size is small enough to exercise BOTH delta writes and compaction —
+    a spilled applier emits from state it reloaded from the files."""
     events = pq.read_table(f"{SF_DIR}/events.parquet")
     env = EventsToEnvelopes(duplicates=True)(events).sort_by("source_offset")
     log = tmp_path / "env.parquet"
     pq.write_table(env, log, row_group_size=100)
 
     feeds = {}
-    for mode in ("groupby", "actors"):
+    for budget in (None, 1):
         for sink in ("rewrite", "delta"):
             pipe = CDCPipeline(
-                tmp_path / f"lake_{mode}_{sink}",
+                tmp_path / f"lake_{budget}_{sink}",
                 PipelineConfig(
                     num_partitions=8, emit_changes=True, epoch_size=300,
                     sink_mode=sink, compact_max_deltas=3,
+                    applier_state_budget_bytes=budget,
                 ),
             )
-            pipe.replay(str(log), mode=mode, epoch_size=300)
+            pipe.replay(str(log), epoch_size=300)
             df = pipe.read_changes().to_pandas()
-            feeds[(mode, sink)] = df.sort_values(
+            feeds[(budget, sink)] = df.sort_values(
                 ["lsn", "conv_id", "turn_idx"]
             ).reset_index(drop=True)
-    ref = feeds[("groupby", "rewrite")]
+    ref = feeds[(None, "rewrite")]
     assert len(ref) > 0
     for key, df in feeds.items():
-        pd.testing.assert_frame_equal(df, ref), key
+        pd.testing.assert_frame_equal(df, ref, obj=str(key))
     # the delta legs genuinely exercised delta writes AND (via the small
     # compact_max_deltas) later-epoch full rewrites = compactions
-    delta_lake = tmp_path / "lake_groupby_delta"
+    delta_lake = tmp_path / "lake_None_delta"
     delta_files = list(delta_lake.rglob("part-*.delta.parquet"))
     later_fulls = [
         p
@@ -135,25 +136,32 @@ def test_incremental_view_maintenance_matches_recompute(ray_session, tmp_path):
     assert view == truth
 
 
-def test_change_feed_actor_mode_matches_groupby_mode(ray_session, tmp_path):
-    """The actor pool emits the feed from its in-memory state; must be
-    identical (modulo row order) to the Dataset path's feed across a
-    multi-epoch replay."""
+def test_change_feed_actor_mode_matches_groupby_mode(ray_session, tmp_path, monkeypatch):
+    """Spawned applier actors under a 1-byte state budget emit the same
+    feed (modulo row order) as one unbudgeted applier in the driver
+    across a multi-epoch replay."""
     events = pq.read_table(f"{SF_DIR}/events.parquet")
     env = EventsToEnvelopes(duplicates=True)(events).sort_by("source_offset")
     log = tmp_path / "env.parquet"
     pq.write_table(env, log, row_group_size=100)
 
     feeds = {}
-    for mode in ("groupby", "actors"):
-        pipe = CDCPipeline(
-            tmp_path / f"lake_{mode}",
-            PipelineConfig(num_partitions=8, emit_changes=True, epoch_size=400),
-        )
-        pipe.replay(str(log), mode=mode, epoch_size=400)
+    for name, budget, appliers in (("driver", None, "driver"), ("actors", 1, 2)):
+        with monkeypatch.context() as m:
+            if name == "actors":
+                m.setattr(util, "DRIVER_POOL_ROWS", 0)
+            pipe = CDCPipeline(
+                tmp_path / f"lake_{name}",
+                PipelineConfig(
+                    num_partitions=8, emit_changes=True, epoch_size=400,
+                    applier_state_budget_bytes=budget,
+                ),
+            )
+            pipe.replay(str(log), epoch_size=400)
+        assert {e["appliers"] for e in pipe.metrics()["epochs"]} == {appliers}
         df = pipe.read_changes().to_pandas()
-        feeds[mode] = df.sort_values(["lsn", "conv_id", "turn_idx"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(feeds["groupby"], feeds["actors"])
+        feeds[name] = df.sort_values(["lsn", "conv_id", "turn_idx"]).reset_index(drop=True)
+    pd.testing.assert_frame_equal(feeds["driver"], feeds["actors"])
     assert len(feeds["actors"]) > 0
 
 

@@ -206,3 +206,35 @@ def test_prescan_matches_all_three_ddl_grammars(ray_session, tmp_path):
     assert reg.primary_keys["mx"] == ["id"]
     assert reg.primary_keys["cn"] == ["k"]
     assert reg.column_types["cn"]["v"] == "STRING"
+
+
+def test_run_epoch_applies_maxwell_and_canal_ddl(ray_session, tmp_path):
+    """The decode tasks hand Maxwell and Canal DDL rows back to the
+    driver, which applies them before the epoch commits; the committed
+    registry holds the new tables."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from commons_codec_ray.config import SchemaRegistry
+
+    payloads = [
+        {"type": "table-create", "table": "mx",
+         "def": {"columns": [{"name": "id", "type": "bigint"}], "primary-key": ["id"]}},
+        {"isDdl": True, "table": "cn", "sql": "CREATE TABLE cn (k INT PRIMARY KEY, v TEXT)"},
+        {"type": "insert", "table": "mx", "data": {"conv_id": "a", "turn_idx": 0}},
+    ]
+    envelopes = pa.table(
+        {
+            "lsn": pa.array([1, 2, 3], pa.int64()),
+            "source_offset": pa.array([0, 1, 2], pa.int64()),
+            "dialect": pa.array(["maxwell", "canal", "maxwell"]),
+            "payload": pa.array([json.dumps(p) for p in payloads]),
+        }
+    )
+    pipe = _pipe(tmp_path)
+    res = pipe.run_epoch(rd.from_arrow(envelopes), epoch=0, offset_range=(0, 3))
+    assert res["schema_events"] == 2 and res["dead_letters"] == 0
+    reg = SchemaRegistry.from_json(pipe.checkpoint().registry_json)
+    assert reg.primary_keys["mx"] == ["id"]
+    assert reg.primary_keys["cn"] == ["k"]
+    assert reg.column_types["cn"]["v"] == "STRING"

@@ -75,3 +75,24 @@ def test_dead_letter_replay_noop_when_queue_empty(ray_session, tmp_path):
     pipe.replay(str(log))
     res = pipe.replay_dead_letters()
     assert res.get("skipped") and res["events"] == 0
+
+
+def test_dialect_registered_in_driver_reaches_decode_tasks(ray_session, tmp_path, monkeypatch):
+    """A decoder registered in the driver process decodes the replay's
+    envelopes, although the decode tasks run in worker processes."""
+    events = pq.read_table(f"{SF_DIR}/events.parquet")
+    env = EventsToEnvelopes(duplicates=False)(events)
+    renamed = pc.equal(env["dialect"], "debezium")
+    assert pc.any(renamed).as_py()
+    dialect = pc.if_else(renamed, pa.scalar("vendor-x"), env["dialect"])
+    env = env.set_column(env.schema.get_field_index("dialect"), "dialect", dialect)
+    log = tmp_path / "env.parquet"
+    pq.write_table(env.sort_by("source_offset"), log, row_group_size=200)
+
+    monkeypatch.setitem(DECODERS, "vendor-x", DECODERS["debezium"])
+    pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=8, epoch_size=400))
+    results = pipe.replay(str(log))
+    assert sum(r["dead_letters"] for r in results) == 0
+    want = _canonical(replay_envelopes(env).to_pandas())
+    got = _canonical(pipe.read_lake().to_pandas())
+    assert got.equals(want)

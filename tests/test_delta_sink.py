@@ -30,14 +30,13 @@ def _cfg(**kw):
     return PipelineConfig(**base)
 
 
-@pytest.mark.parametrize("mode", ["groupby", "actors"])
-def test_delta_matches_rewrite_and_oracle(tmp_path, env_log, mode):
+def test_delta_matches_rewrite_and_oracle(tmp_path, env_log, placement):
     log, env = env_log
-    pd_ = CDCPipeline(tmp_path / f"lake_d_{mode}", _cfg())
-    pd_.replay(log, mode=mode)
-    pr = CDCPipeline(tmp_path / f"lake_r_{mode}",
+    pd_ = CDCPipeline(tmp_path / "lake_d", _cfg())
+    pd_.replay(log)
+    pr = CDCPipeline(tmp_path / "lake_r",
                      PipelineConfig(num_partitions=8, epoch_size=200))
-    pr.replay(log, mode=mode)
+    pr.replay(log)
 
     got_d = sorted_canonical(pa.Table.from_pandas(pd_.read_lake().to_pandas()))
     got_r = sorted_canonical(pa.Table.from_pandas(pr.read_lake().to_pandas()))
@@ -45,7 +44,7 @@ def test_delta_matches_rewrite_and_oracle(tmp_path, env_log, mode):
     assert got_d.equals(want.cast(got_d.schema))
     assert got_d.equals(got_r)
     # delta files actually exist (the sink isn't silently rewriting)
-    deltas = list((tmp_path / f"lake_d_{mode}").rglob("*.delta.parquet"))
+    deltas = list((tmp_path / "lake_d").rglob("*.delta.parquet"))
     assert deltas, "expected at least one delta file"
 
 
@@ -67,9 +66,9 @@ def test_delta_resume_across_modes(tmp_path, env_log):
     log, env = env_log
     lake = tmp_path / "lake"
     p1 = CDCPipeline(lake, _cfg())
-    p1.replay(log, max_offset=399, mode="actors")
+    p1.replay(log, max_offset=399)
     p2 = CDCPipeline(lake, _cfg())
-    p2.replay(log, mode="groupby")
+    p2.replay(log)
     got = sorted_canonical(pa.Table.from_pandas(p2.read_lake().to_pandas()))
     want = sorted_canonical(replay_envelopes(env))
     assert got.equals(want.cast(got.schema))

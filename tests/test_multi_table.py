@@ -7,7 +7,6 @@ import json
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 from commons_codec_ray.config import PipelineConfig
 from commons_codec_ray.pipelines.cdc import CDCPipeline
@@ -68,8 +67,7 @@ def test_lww_combine_keys_on_table_name():
     assert got == {"transcripts": "t-keep", "notes": "n-keep"}
 
 
-@pytest.mark.parametrize("mode", ["groupby", "actors"])
-def test_multi_table_colliding_keys_replay(tmp_path, mode):
+def test_multi_table_colliding_keys_replay(tmp_path, placement):
     """E2E regression for cross-table key collisions: identical
     (conv_id, turn_idx) exists in both tables within one epoch/batch."""
     rows = [
@@ -80,17 +78,16 @@ def test_multi_table_colliding_keys_replay(tmp_path, mode):
     ]
     log = tmp_path / "env.parquet"
     pq.write_table(pa.Table.from_pylist(rows), log)
-    lake = tmp_path / f"lake_collide_{mode}"
+    lake = tmp_path / "lake_collide"
     pipe = CDCPipeline(lake, PipelineConfig(num_partitions=4, epoch_size=100))
-    pipe.replay(str(log), mode=mode, epoch_size=100)
+    pipe.replay(str(log), epoch_size=100)
     tdf = pipe.read_lake(table="transcripts").to_pandas().sort_values(["conv_id", "turn_idx"])
     ndf = pipe.read_lake(table="notes").to_pandas().sort_values(["conv_id", "turn_idx"])
     assert tdf["text"].tolist() == ["t-row", "t-other"]
     assert ndf["text"].tolist() == ["n-row", "n-other"]
 
 
-@pytest.mark.parametrize("mode", ["groupby", "actors"])
-def test_multi_table_replay_and_read(tmp_path, mode):
+def test_multi_table_replay_and_read(tmp_path, placement):
     rows = [
         envelope(0, "a", 0, "t-row-1"),
         envelope(1, "b", 0, "t-row-2"),
@@ -102,9 +99,9 @@ def test_multi_table_replay_and_read(tmp_path, mode):
     ]
     log = tmp_path / "env.parquet"
     pq.write_table(pa.Table.from_pylist(rows), log)
-    lake = tmp_path / f"lake_{mode}"
+    lake = tmp_path / "lake"
     pipe = CDCPipeline(lake, PipelineConfig(num_partitions=4, epoch_size=3))
-    pipe.replay(str(log), mode=mode, epoch_size=3)
+    pipe.replay(str(log), epoch_size=3)
 
     tdf = pipe.read_lake(table="transcripts").to_pandas().sort_values(["conv_id", "turn_idx"])
     ndf = pipe.read_lake(table="notes").to_pandas().sort_values(["conv_id", "turn_idx"])

@@ -66,7 +66,7 @@ def _replay(monkeypatch, lake, log, cfg, stops=(None,), epoch_size=300, actors=F
             m.setattr(util, "DRIVER_POOL_ROWS", 0)
         for stop in stops:
             pipe = CDCPipeline(lake, PipelineConfig(**cfg))
-            pipe.replay(log, mode="actors", epoch_size=epoch_size, max_offset=stop)
+            pipe.replay(log, epoch_size=epoch_size, max_offset=stop)
     return pipe
 
 
@@ -140,12 +140,22 @@ def _pool_actors() -> int:
     return sum(a["ActorClassName"] in POOL_CLASSES for a in state.actors().values())
 
 
+def _wait_no_pool_actor_alive() -> None:
+    deadline = time.monotonic() + 10  # ray.kill is asynchronous
+    while any(
+        a["State"] == "ALIVE" and a["ActorClassName"] in POOL_CLASSES
+        for a in state.actors().values()
+    ):
+        assert time.monotonic() < deadline, "a pool actor outlived its call"
+        time.sleep(0.1)
+
+
 def test_small_default_calls_spawn_no_pool_actor(tmp_path, envelope_log):
     from commons_codec_ray.stages.graph import components_sharded, kcore_sharded, pagerank, sssp
 
     before = _pool_actors()
     pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=16, epoch_size=300))
-    pipe.replay(envelope_log, mode="actors")
+    pipe.replay(envelope_log)
     assert _appliers(pipe) == {"driver"}
     src, dst = [0, 0, 1, 2, 3], [1, 2, 2, 3, 4]
     edges = rd.from_arrow(pa.table({"src": src, "dst": dst, "w": [1] * 5}))
@@ -167,13 +177,7 @@ def test_pools_of_two_spawn_actors_and_kill_them(tmp_path, monkeypatch, envelope
     cfg = {"num_partitions": 16, "epoch_size": 300}
     _replay(monkeypatch, tmp_path / "lake", envelope_log, cfg, actors=True)
     assert _pool_actors() == before + 4
-    deadline = time.monotonic() + 10  # ray.kill is asynchronous
-    while any(
-        a["State"] == "ALIVE" and a["ActorClassName"] in POOL_CLASSES
-        for a in state.actors().values()
-    ):
-        assert time.monotonic() < deadline, "a pool actor outlived its call"
-        time.sleep(0.1)
+    _wait_no_pool_actor_alive()
 
 
 def test_tail_poll_keeps_the_driver_applier(tmp_path, envelope_log):
@@ -184,11 +188,11 @@ def test_tail_poll_keeps_the_driver_applier(tmp_path, envelope_log):
     half = env.num_rows // 2
     pq.write_table(env.slice(0, half), log / "part-0.parquet", row_group_size=200)
     pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=16, epoch_size=300))
-    assert pipe.poll(str(log), mode="actors") > 0
+    assert pipe.poll(str(log)) > 0
     runner = pipe._runner
     assert runner.appliers == "driver"
     pq.write_table(env.slice(half), log / "part-1.parquet", row_group_size=200)
-    assert pipe.poll(str(log), mode="actors") > 0
+    assert pipe.poll(str(log)) > 0
     assert pipe._runner is runner
     pipe.close()
     assert pipe._runner is None
@@ -208,9 +212,9 @@ def test_tail_polls_write_equal_lakes_in_both_placements(tmp_path, monkeypatch, 
             cfg = PipelineConfig(num_partitions=16, epoch_size=300, emit_changes=True)
             pipe = CDCPipeline(tmp_path / name, cfg)
             pq.write_table(env.slice(0, half), log / "part-0.parquet", row_group_size=200)
-            assert pipe.poll(str(log), mode="actors") > 0
+            assert pipe.poll(str(log)) > 0
             pq.write_table(env.slice(half), log / "part-1.parquet", row_group_size=200)
-            assert pipe.poll(str(log), mode="actors") > 0
+            assert pipe.poll(str(log)) > 0
             pipe.close()
         assert _appliers(pipe) == ({2} if actors else {"driver"})
         lakes[name] = _lake_bytes(pipe), _epoch_counters(pipe)
@@ -238,3 +242,51 @@ def test_sized_pool_rule(monkeypatch):
     assert util.sized_pool(None, 99, 4) == 1
     assert util.sized_pool(None, 100, 4) == 4
     assert util.sized_pool(3, 10, 4) == 3  # an explicit size always wins
+
+
+def test_dataset_entry_points_write_equal_lakes_and_leave_no_actor(tmp_path, monkeypatch, envelope_log):
+    """bootstrap_full_load, run_epoch over a Dataset and
+    replay_dead_letters go through the applier pool: spawned actors write
+    the bytes one applier in the driver writes, and none outlives its
+    call, also when the epoch raises."""
+    from commons_codec_ray.decode.dialects import DECODERS
+    from commons_codec_ray.pipelines.oracle import replay_envelopes, sorted_canonical
+
+    env = pq.read_table(envelope_log)
+    snapshot = replay_envelopes(env.filter(pa.compute.less(env["source_offset"], 300)))
+    # the rest of the log, with every debezium envelope under a dialect
+    # the decoders learn only before the dead-letter replay
+    rest = env.filter(pa.compute.greater_equal(env["source_offset"], 300))
+    renamed = pa.compute.equal(rest["dialect"], "debezium")
+    rest = rest.set_column(
+        rest.schema.get_field_index("dialect"), "dialect",
+        pa.compute.if_else(renamed, pa.scalar("vendor-x"), rest["dialect"]),
+    )
+    cuts = [i * snapshot.num_rows // 3 for i in range(4)]
+    thirds = [snapshot.slice(cuts[i], cuts[i + 1] - cuts[i]) for i in range(3)]
+    broken = pa.table({"lsn": pa.array([10**9]), "source_offset": pa.array([10**9])})
+    lakes = {}
+    for name, actors in (("driver", False), ("actors", True)):
+        with monkeypatch.context() as m:
+            if actors:
+                m.setattr(util, "DRIVER_POOL_ROWS", 0)
+            cfg = PipelineConfig(num_partitions=16, epoch_size=300, emit_changes=True)
+            pipe = CDCPipeline(tmp_path / name, cfg)
+            assert pipe.bootstrap_full_load(rd.from_arrow(thirds))["rows_out"] == snapshot.num_rows
+            _wait_no_pool_actor_alive()
+            res = pipe.run_epoch(rd.from_arrow(rest), epoch=1, offset_range=(300, 10**6))
+            assert res["dead_letters"] == pa.compute.sum(renamed.cast(pa.int64())).as_py()
+            _wait_no_pool_actor_alive()
+            m.setitem(DECODERS, "vendor-x", DECODERS["debezium"])
+            assert pipe.replay_dead_letters()["dead_letters"] == 0
+            _wait_no_pool_actor_alive()
+            with pytest.raises(ray.exceptions.RayTaskError, match="payload"):
+                pipe.run_epoch(rd.from_arrow(broken), epoch=3, offset_range=(10**6, 10**6))
+            _wait_no_pool_actor_alive()
+        assert pipe.checkpoint().last_epoch == 2
+        assert _appliers(pipe) == ({2} if actors else {"driver"})
+        lakes[name] = _lake_bytes(pipe), _epoch_counters(pipe)
+    assert lakes["driver"] == lakes["actors"]
+    got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()))
+    want = sorted_canonical(replay_envelopes(env))
+    assert got.equals(want.cast(got.schema))

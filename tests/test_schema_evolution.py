@@ -9,6 +9,7 @@ import pyarrow.parquet as pq
 import pytest
 import ray
 
+from commons_codec_ray import util
 from commons_codec_ray.config import PipelineConfig, SchemaRegistry, resolve_logical_type
 from commons_codec_ray.pipelines.cdc import CDCPipeline
 
@@ -65,10 +66,11 @@ def test_added_column_materializes_and_backfills_null(tmp_path):
     assert df.loc[df.turn_idx == 0, "rating"].isna().all()  # old rows null-filled
 
 
-def test_added_column_actor_mode(tmp_path):
-    """Schema evolution must behave identically through the actor-pool
-    apply path (decode tasks return the control → registry →
-    set_extra_columns before the flush)."""
+def test_added_column_actor_mode(tmp_path, monkeypatch):
+    """Schema evolution must behave identically on spawned applier
+    actors (decode tasks return the control → registry →
+    set_extra_columns on every actor before the flush)."""
+    monkeypatch.setattr(util, "DRIVER_POOL_ROWS", 0)
     log = tmp_path / "env.parquet"
     write_log(
         log,
@@ -84,7 +86,8 @@ def test_added_column_actor_mode(tmp_path):
         ],
     )
     pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=4, epoch_size=2))
-    pipe.replay(str(log), mode="actors", epoch_size=2)
+    pipe.replay(str(log), epoch_size=2)
+    assert {e["appliers"] for e in pipe.metrics()["epochs"]} == {2}
     df = pipe.read_lake().to_pandas().sort_values("turn_idx").reset_index(drop=True)
     assert "rating" in df.columns
     assert df.loc[df.turn_idx == 1, "rating"].iloc[0] == 5
@@ -173,14 +176,13 @@ def test_added_column_actor_mode_with_spill(tmp_path):
     )
     cfg = PipelineConfig(num_partitions=4, epoch_size=2, applier_state_budget_bytes=1)
     pipe = CDCPipeline(tmp_path / "lake", cfg)
-    pipe.replay(str(log), mode="actors", epoch_size=2)
+    pipe.replay(str(log), epoch_size=2)
     df = pipe.read_lake().to_pandas().sort_values("turn_idx").reset_index(drop=True)
     assert df["text"].tolist() == ["old-row-updated", "new-row"]
     assert df["rating"].tolist() == [7, 5]
 
 
-@pytest.mark.parametrize("mode", ["groupby", "actors"])
-def test_added_column_survives_delta_sink_and_spill(tmp_path, mode):
+def test_added_column_survives_delta_sink_and_spill(tmp_path, placement):
     """Regression: delta files must CARRY schema-evolved columns
     (materialized from aux) — with an eviction budget, partition state is
     rebuilt purely from base+delta files, and evolved values used to come
@@ -202,11 +204,10 @@ def test_added_column_survives_delta_sink_and_spill(tmp_path, mode):
         ],
     )
     cfg = PipelineConfig(
-        num_partitions=4, epoch_size=2, sink_mode="delta",
-        applier_state_budget_bytes=1 if mode == "actors" else None,
+        num_partitions=4, epoch_size=2, sink_mode="delta", applier_state_budget_bytes=1,
     )
-    pipe = CDCPipeline(tmp_path / f"lake_{mode}", cfg)
-    pipe.replay(str(log), mode=mode, epoch_size=2)
+    pipe = CDCPipeline(tmp_path / "lake", cfg)
+    pipe.replay(str(log), epoch_size=2)
     df = pipe.read_lake().to_pandas().sort_values("turn_idx").reset_index(drop=True)
     assert df["text"].tolist() == ["base-row", "delta-row", "later-row"]
     assert df.loc[1, "rating"] == 5  # carried by a DELTA file, not a rewrite
@@ -310,30 +311,24 @@ def _object_column_log(control_epoch_before_data: bool):
 @pytest.mark.parametrize("control_epoch_before_data", [False, True])
 def test_object_column_control_same_lake_in_both_modes(tmp_path, control_epoch_before_data):
     """A control event that registers an OBJECT column changes how the
-    decoder treats that column (JSON strings are re-parsed). The actor
-    path learns the epoch's controls from its decode tasks, so when they
-    land in the same epoch as the data it must decode that epoch again;
-    either way its lake and manifests must equal the groupby path's."""
+    decoder treats that column (JSON strings are re-parsed). The replay
+    learns the epoch's controls from its decode tasks, so when they land
+    in the same epoch as the data it must decode that epoch again;
+    either way rows before the control keep a null ``meta`` and rows
+    after it carry the re-parsed value."""
     log = tmp_path / "env.parquet"
     write_log(log, _object_column_log(control_epoch_before_data))
-    lakes, manifests = {}, {}
-    for mode in ("groupby", "actors"):
-        pipe = CDCPipeline(tmp_path / f"lake_{mode}", PipelineConfig(num_partitions=4, epoch_size=2))
-        results = pipe.replay(str(log), mode=mode, epoch_size=2)
-        refs = pipe.read_lake(with_lsn=True).to_arrow_refs()
-        lakes[mode] = pa.concat_tables(ray.get(refs), promote_options="permissive").sort_by(
-            [("conv_id", "ascending"), ("turn_idx", "ascending")]
-        )
-        manifests[mode] = [
-            pipe.store.read_manifest(r["epoch"])["metrics"]["schema_events"] for r in results
-        ]
-    # rows decoded after the control carry the re-parsed value, which
-    # the lake stores as canonical JSON text; rows before it stay null
+    pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=4, epoch_size=2))
+    results = pipe.replay(str(log), epoch_size=2)
+    refs = pipe.read_lake(with_lsn=True).to_arrow_refs()
+    lake = pa.concat_tables(ray.get(refs), promote_options="permissive")
+    # the lake stores the re-parsed value as canonical JSON text
     canonical = '{"lang": "en", "score": 3}'
-    for mode, lake in lakes.items():
-        keys = zip(lake["conv_id"].to_pylist(), lake["turn_idx"].to_pylist())
-        metas = dict(zip(keys, lake["meta"].to_pylist()))
-        want = {("a", 0): None, ("a", 1): canonical, ("b", 0): canonical, ("c", 0): None}
-        assert metas == want, mode
-    assert lakes["actors"].equals(lakes["groupby"])
-    assert manifests["actors"] == manifests["groupby"] == [0, 1, 0]
+    keys = zip(lake["conv_id"].to_pylist(), lake["turn_idx"].to_pylist())
+    metas = dict(zip(keys, lake["meta"].to_pylist()))
+    want = {("a", 0): None, ("a", 1): canonical, ("b", 0): canonical, ("c", 0): None}
+    assert metas == want
+    schema_events = [
+        pipe.store.read_manifest(r["epoch"])["metrics"]["schema_events"] for r in results
+    ]
+    assert schema_events == [0, 1, 0]

@@ -1,8 +1,7 @@
-"""Applier-state LRU spill (actor mode): with an artificially tiny state
-budget every partition is evicted after each apply and reloaded from its
-committed/epoch files on the next touch — the final lake must be
-byte-identical to the unbounded-memory groupby path (lake ≫ RAM mode,
-SURVEY.md §3.4 / TODO #5)."""
+"""Applier-state LRU spill: with an artificially tiny state budget every
+partition is evicted after each apply and reloaded from its
+committed/epoch files on the next touch — the final lake must equal the
+single-thread oracle's (lake ≫ RAM mode, SURVEY.md §3.4 / TODO #5)."""
 
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import pytest
 from commons_codec_ray.config import PipelineConfig
 from commons_codec_ray.envelopes import EventsToEnvelopes
 from commons_codec_ray.pipelines.cdc import CDCPipeline
-from commons_codec_ray.pipelines.oracle import sorted_canonical
+from commons_codec_ray.pipelines.oracle import replay_envelopes, sorted_canonical
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -32,16 +31,15 @@ def canonical(tbl: pa.Table) -> pa.Table:
     return sorted_canonical(tbl.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"]))
 
 
+def oracle_lake(envelope_log: str) -> pa.Table:
+    return canonical(replay_envelopes(pq.read_table(envelope_log)))
+
+
 @pytest.mark.parametrize("sink_mode", ["rewrite", "delta"])
 def test_spilled_actor_replay_matches_groupby(tmp_path, envelope_log, sink_mode):
-    # reference: unbounded groupby path
-    ref = CDCPipeline(
-        tmp_path / "lake_ref", PipelineConfig(num_partitions=16, epoch_size=300)
-    )
-    ref.replay(envelope_log, mode="groupby", epoch_size=300)
-    want = canonical(pa.Table.from_pandas(ref.read_lake().to_pandas()))
+    want = oracle_lake(envelope_log)
 
-    # actor path with a 1-byte budget: every partition evicts after every
+    # a 1-byte budget: every partition evicts after every
     # apply; multi-epoch replay forces reload-from-files on each epoch
     cfg = PipelineConfig(
         num_partitions=16,
@@ -50,7 +48,7 @@ def test_spilled_actor_replay_matches_groupby(tmp_path, envelope_log, sink_mode)
         applier_state_budget_bytes=1,
     )
     pipe = CDCPipeline(tmp_path / f"lake_spill_{sink_mode}", cfg)
-    results = pipe.replay(envelope_log, mode="actors", epoch_size=300)
+    results = pipe.replay(envelope_log, epoch_size=300)
     assert len(results) >= 3  # several epochs → evict/reload actually exercised
     got = canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()))
     assert got.num_rows == want.num_rows
@@ -67,7 +65,7 @@ def test_budgeted_actor_lazy_load_and_cap(tmp_path, envelope_log):
     lake = tmp_path / "lake_probe"
     cfg = PipelineConfig(num_partitions=16, epoch_size=300)
     pipe = CDCPipeline(lake, cfg)
-    pipe.replay(envelope_log, mode="groupby", epoch_size=10**9)  # one epoch
+    pipe.replay(envelope_log, epoch_size=10**9)  # one epoch
 
     budget = 64 * 1024
     ckpt = pipe.checkpoint()
@@ -91,22 +89,16 @@ def test_budgeted_actor_lazy_load_and_cap(tmp_path, envelope_log):
 def test_spill_resume_after_partial_run(tmp_path, envelope_log):
     """Crash-resume composed with the state budget: stop after ~half the
     offsets, resume with a FRESH pipeline (fresh actors, lazy loads from
-    the checkpoint), byte-identical to an uninterrupted groupby run."""
-    ref = CDCPipeline(
-        tmp_path / "lake_ref", PipelineConfig(num_partitions=16, epoch_size=300)
-    )
-    ref.replay(envelope_log, mode="groupby", epoch_size=300)
-    want = canonical(pa.Table.from_pandas(ref.read_lake().to_pandas()))
+    the checkpoint), equal to the oracle's lake."""
+    want = oracle_lake(envelope_log)
 
     lake = tmp_path / "lake_resume"
     cfg = PipelineConfig(num_partitions=16, epoch_size=300, applier_state_budget_bytes=1)
-    CDCPipeline(lake, cfg).replay(
-        envelope_log, mode="actors", epoch_size=300, max_offset=499
-    )
+    CDCPipeline(lake, cfg).replay(envelope_log, epoch_size=300, max_offset=499)
     # simulated crash: new pipeline object resumes from the checkpoint
     cfg2 = PipelineConfig(num_partitions=16, epoch_size=300, applier_state_budget_bytes=1)
     pipe = CDCPipeline(lake, cfg2)
     assert pipe.checkpoint().next_offset == 500
-    pipe.replay(envelope_log, mode="actors", epoch_size=300)
+    pipe.replay(envelope_log, epoch_size=300)
     got = canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()))
     assert got.equals(want.cast(got.schema))

@@ -5,6 +5,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from commons_codec_ray.config import PipelineConfig
+from commons_codec_ray.decode.dialects import DECODERS
 from commons_codec_ray.envelopes import EventsToEnvelopes
 from commons_codec_ray.pipelines.cdc import CDCPipeline
 from commons_codec_ray.pipelines.oracle import replay_envelopes, sorted_canonical
@@ -79,12 +80,12 @@ def test_poll_actors_reuses_warm_pool(tmp_path):
         pq.write_table(part, log / f"append-{i}.parquet", row_group_size=100)
 
     append(0, 0, 400)
-    assert pipe.poll(str(log), mode="actors") > 0
+    assert pipe.poll(str(log)) > 0
     runner = pipe._runner
     assert runner is not None  # pool kept warm after the poll
 
     append(1, 400, 1000)
-    assert pipe.poll(str(log), mode="actors") > 0
+    assert pipe.poll(str(log)) > 0
     assert pipe._runner is runner  # SAME pool reused, no respawn
 
     got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()))
@@ -93,3 +94,68 @@ def test_poll_actors_reuses_warm_pool(tmp_path):
 
     pipe.close()
     assert pipe._runner is None
+
+
+def _append(env, log, i, lo, hi):
+    """Write the envelopes with offsets in [lo, hi) as the log's i-th file."""
+    off = env["source_offset"]
+    part = env.filter(pa.compute.and_(pa.compute.greater_equal(off, lo), pa.compute.less(off, hi)))
+    pq.write_table(part, log / f"append-{i}.parquet", row_group_size=100)
+
+
+def _assert_lake_is_oracle(pipe, env):
+    got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()))
+    want = sorted_canonical(replay_envelopes(env))
+    assert got.num_rows == want.num_rows
+    assert got.equals(want.cast(got.schema))
+
+
+def test_poll_after_dead_letter_replay_keeps_replayed_rows(tmp_path, monkeypatch):
+    """Dead-letter replay commits an epoch without the pool a poll keeps
+    warm; the next poll must not rewrite partitions from the pool's
+    older state, which lacks the replayed rows."""
+    events = pq.read_table(f"{SF_DIR}/events.parquet")
+    env = EventsToEnvelopes(duplicates=False)(events).sort_by("lsn")
+    # a slice of the debezium envelopes arrives under a dialect name the
+    # decoders do not know yet: those rows dead-letter
+    renamed = pa.compute.and_(
+        pa.compute.equal(pa.compute.bit_wise_and(env["lsn"], 4), 4),
+        pa.compute.equal(env["dialect"], "debezium"),
+    )
+    dialect = pa.compute.if_else(renamed, pa.scalar("vendor-x"), env["dialect"])
+    env = env.set_column(env.schema.get_field_index("dialect"), "dialect", dialect)
+    log = tmp_path / "log"
+    log.mkdir()
+    pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=8, epoch_size=300))
+    _append(env, log, 0, 0, 500)
+    assert pipe.poll(str(log)) > 0
+    assert pipe.metrics()["dead_letters_total"] > 0
+    monkeypatch.setitem(DECODERS, "vendor-x", DECODERS["debezium"])
+    assert pipe.replay_dead_letters()["dead_letters"] == 0
+    _append(env, log, 1, 500, 1000)
+    assert pipe.poll(str(log)) > 0
+    _assert_lake_is_oracle(pipe, env)
+    pipe.close()
+
+
+def test_poll_after_compact_and_vacuum_reads_no_deleted_file(tmp_path):
+    """compact() commits an epoch without the warm pool, and vacuum then
+    deletes the files the pool would reload its evicted partitions from;
+    the next poll must start from the compacted checkpoint."""
+    events = pq.read_table(f"{SF_DIR}/events.parquet")
+    env = EventsToEnvelopes(duplicates=False)(events).sort_by("lsn")
+    log = tmp_path / "log"
+    log.mkdir()
+    cfg = PipelineConfig(
+        num_partitions=8, epoch_size=300, sink_mode="delta", compact_ratio=10.0,
+        applier_state_budget_bytes=1,
+    )
+    pipe = CDCPipeline(tmp_path / "lake", cfg)
+    for i, (lo, hi) in enumerate([(0, 400), (400, 700), (700, 1000)]):
+        _append(env, log, i, lo, hi)
+        if i == 2:
+            assert pipe.compact()["partitions_compacted"] > 0
+            pipe.vacuum(keep_last=0)
+        assert pipe.poll(str(log)) > 0
+    _assert_lake_is_oracle(pipe, env)
+    pipe.close()

@@ -6,7 +6,6 @@ import json
 
 import pyarrow as pa
 import pyarrow.parquet as pq
-import pytest
 
 from commons_codec_ray.config import PipelineConfig
 from commons_codec_ray.pipelines.cdc import CDCPipeline
@@ -24,8 +23,7 @@ def envelope(lsn, conv, turn, text, ts):
             "payload": json.dumps(payload), "conv_id": conv}
 
 
-@pytest.mark.parametrize("mode", ["groupby", "actors"])
-def test_late_events_counted_against_prior_watermark(tmp_path, mode):
+def test_late_events_counted_against_prior_watermark(tmp_path, placement):
     rows = [
         # epoch 1: watermark advances to 12:00
         envelope(0, "a", 0, "on-time", "2024-01-01T10:00:00"),
@@ -36,8 +34,8 @@ def test_late_events_counted_against_prior_watermark(tmp_path, mode):
     ]
     log = tmp_path / "env.parquet"
     pq.write_table(pa.Table.from_pylist(rows), log)
-    pipe = CDCPipeline(tmp_path / f"lake_{mode}", PipelineConfig(num_partitions=4))
-    results = pipe.replay(str(log), mode=mode, epoch_size=2)
+    pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=4))
+    results = pipe.replay(str(log), epoch_size=2)
     assert len(results) == 2
     assert results[0]["late_events"] == 0
     assert results[0]["max_event_ts_us"] == 1704110400000000  # 12:00 UTC

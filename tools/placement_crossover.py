@@ -6,7 +6,7 @@ For each input size it times full calls with both placements, the runs
 interleaved, and prints one JSON line per size with the median wall
 times:
 
-- ``cdc``: ``replay(mode="actors")`` of an update log shaped like the
+- ``cdc``: ``replay()`` of an update log shaped like the
   ``replay_update`` benchmark workload (4 rounds over one key set, 85 %
   of a round's events kept, 64 partitions, two epochs), with
   ``--cdc-events`` events offered per round. Driver placement against
@@ -84,7 +84,7 @@ def _time_replay(log: Path, lake: Path, rows: int) -> float:
 
     cfg = PipelineConfig(num_partitions=NUM_PARTITIONS, epoch_size=math.ceil(rows / 2))
     t0 = time.perf_counter()
-    CDCPipeline(lake, cfg).replay(str(log), mode="actors")
+    CDCPipeline(lake, cfg).replay(str(log))
     return time.perf_counter() - t0
 
 

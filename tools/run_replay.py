@@ -4,7 +4,7 @@
 
     ray job submit --working-dir . -- \
         python tools/run_replay.py --envelopes /data/envlog --lake /data/lake \
-        --mode actors --epoch-size 2000000
+        --epoch-size 2000000
 
 Locally it runs against ``ray.init(address="local")``. This script OWNS
 the Ray session (unlike the library / __ray_entry__, which never init).
@@ -25,7 +25,6 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--envelopes", required=True, help="envelope log (parquet file or dir)")
     ap.add_argument("--lake", required=True, help="lake directory (created if missing)")
-    ap.add_argument("--mode", choices=("groupby", "actors"), default="actors")
     ap.add_argument("--epoch-size", type=int, default=2_000_000)
     ap.add_argument("--num-partitions", type=int, default=64)
     ap.add_argument("--num-cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
@@ -65,10 +64,9 @@ def main() -> int:
             args.envelopes,
             poll_interval_s=args.poll_interval,
             max_idle_polls=args.max_idle_polls,
-            mode=args.mode,
         )
     else:
-        results = pipe.replay(args.envelopes, mode=args.mode)
+        results = pipe.replay(args.envelopes)
     if args.vacuum_keep is not None:
         vac = pipe.vacuum(keep_last=args.vacuum_keep)
         print(f"vacuumed {vac['orphans_removed']} superseded files", file=sys.stderr)
