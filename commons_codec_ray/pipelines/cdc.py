@@ -1,13 +1,14 @@
 """The CDC ingest pipeline: epoch loop over an envelope log → Parquet lake.
 
 Stage boundaries (SURVEY.md §3.4): driver (epoch plan, manifests) →
-stateless decode tasks (one per row-group slice of the log, or per block
-of a Dataset) → ONE hash exchange on ``partition_id`` into the applier
-pool → per-partition LWW apply (partition state held across epochs,
-merged, the new partition file written) → two-phase commit (manifest +
-atomic checkpoint) → metrics/lineage. Every lake write — ``replay``,
-``poll``/``watch``, ``run_epoch``, ``replay_dead_letters`` and
-``bootstrap_full_load`` — goes through that one path
+stateless decode tasks (one per row-group slice of the log, or per row
+range of a Dataset's blocks) → ONE hash exchange on ``partition_id``
+into the applier pool → per-partition LWW apply (partition state held
+across epochs, merged, the new partition file written) → two-phase
+commit (manifest + atomic checkpoint) → metrics/lineage. Every lake
+write — ``replay``, ``poll``/``watch``, ``run_epoch``,
+``replay_dead_letters``, ``bootstrap_full_load`` and the query
+catalog's CDC replays — goes through that one path
 (:mod:`commons_codec_ray.stages.actor_applier`).
 
 Scale notes:
@@ -40,10 +41,11 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from commons_codec_ray import util
 from commons_codec_ray.config import PipelineConfig, SchemaRegistry, resolve_logical_type
 from commons_codec_ray.schemas import OP_SCHEMA_CHANGE, OP_UPSERT
 from commons_codec_ray.sink.manifest import Checkpoint, LakeManifestStore
-from commons_codec_ray.stages.actor_applier import ActorPoolApplyRunner, log_rows
+from commons_codec_ray.stages.actor_applier import ActorPoolApplyRunner, committed_rows, log_rows
 from commons_codec_ray.stages.applier import final_state
 
 _STATIC_COLUMNS = {"conv_id", "turn_idx", "role", "text", "tool", "ts"}
@@ -274,10 +276,12 @@ class CDCPipeline:
         t0 = time.time()
         self._release_runner()  # its state goes stale with this commit
         ds = ds.materialize()
-        runner = self._new_runner(ds.count())
+        rows = [md.num_rows for b in ds.iter_internal_ref_bundles() for _, md in b.blocks]
+        runner = self._new_runner(sum(rows))
         try:
             return self._apply_epoch(
-                runner, ds.to_arrow_refs(), epoch, offset_range, t0, decode, **extra
+                runner, list(zip(ds.to_arrow_refs(), rows)), epoch, offset_range, t0,
+                decode, **extra,
             )
         finally:
             runner.shutdown()
@@ -558,50 +562,55 @@ class CDCPipeline:
         its state as of committed epoch E (time travel): the manifests
         record every epoch's partition files, so any committed snapshot
         is reconstructible until :meth:`vacuum` removes it. ``table``
-        selects one logical table (default: the config's table)."""
+        selects one logical table (default: the config's table).
+
+        Each partition's table is its base file, or base plus deltas
+        merged by LWW (delta sink). The read is placed as the applier
+        pool is: below :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS`
+        committed rows (counted from the file footers) the driver reads
+        every partition with pyarrow and returns one Arrow block, since
+        starting a Ray Data read costs more than reading a small lake.
+        Above it, the same per-partition read runs as Ray Data tasks,
+        one partition a task (PERF.md "Catalog replays on the
+        Applier")."""
         from commons_codec_ray.sink.manifest import entry_files
+        from commons_codec_ray.stages.applier import merge_base_with_deltas
 
         table = table or self.config.table
         if epoch is None:
             partitions = self.store.read_checkpoint().partitions
         else:
             partitions = self._partitions_at(epoch)
-        entries = [
-            entry_files(entry)
-            for key, entry in partitions.items()
-            if key.split("#", 1)[0] == table
-        ]
+        partitions = {k: e for k, e in partitions.items() if k.split("#", 1)[0] == table}
+        entries = [(b, d) for b, d in map(entry_files, partitions.values()) if b or d]
         if not entries:
             raise FileNotFoundError(f"empty lake at {self.store.root}")
         root = self.store.root
-        if not any(deltas for _, deltas in entries):
-            ds = rd.read_parquet([str(root / base) for base, _ in entries if base])
-        else:
-            # delta sink: one merge task per partition (base + deltas → LWW)
-            items = [
-                {"base": str(root / base) if base else "", "deltas": [str(root / d) for d in deltas]}
-                for base, deltas in entries
-            ]
-            extra = _extra_columns(self.config.registry, table)
+        extra = _extra_columns(self.config.registry, table)
 
-            def merge_partition(df) -> pa.Table:
-                from commons_codec_ray.stages.applier import merge_base_with_deltas
+        def read(entries) -> pa.Table:
+            outs = []
+            for base, deltas in entries:
+                tbl = pq.read_table(root / base) if base else None
+                if deltas:
+                    tbl = merge_base_with_deltas(
+                        tbl, [pq.read_table(root / d) for d in deltas], extra
+                    )
+                outs.append(final_state(tbl, with_lsn))
+            return pa.concat_tables(outs, promote_options="permissive")
 
-                outs = []
-                for _, row in df.iterrows():
-                    base = pq.read_table(row["base"]) if row["base"] else None
-                    deltas = [pq.read_table(d) for d in row["deltas"]]
-                    outs.append(merge_base_with_deltas(base, deltas, extra))
-                return pa.concat_tables(outs, promote_options="permissive")
-
-            ds = rd.from_items(items).map_batches(
-                merge_partition, batch_format="pandas", batch_size=1
-            )
-        if not with_lsn:
-            ds = ds.map_batches(
-                lambda t: final_state(t, with_lsn=False), batch_format="pyarrow"
-            )
-        return ds
+        limit = util.DRIVER_POOL_ROWS
+        if committed_rows(str(root), partitions, limit) < limit:
+            return rd.from_arrow(read(entries))
+        # Kept for memory, not speed: on a 4M-row, 64-partition lake (4
+        # Ray CPUs) the driver read took 1.2 s and this one 1.2-2.4 s, but
+        # a streamed pass (iter_batches) raised the driver's peak RSS by
+        # ~760 MB through the driver read and by ~40 MB through this one
+        items = [{"base": b or "", "deltas": d} for b, d in entries]
+        return rd.from_items(items).map_batches(
+            lambda t: read(zip(t["base"].to_pylist(), t["deltas"].to_pylist())),
+            batch_format="pyarrow", batch_size=1,
+        )
 
     def replay_dead_letters(self) -> dict[str, Any]:
         """Re-ingest every committed dead letter through the (presumably

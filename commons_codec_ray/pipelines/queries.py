@@ -29,7 +29,6 @@ from ray.data.aggregate import Max, Sum
 from commons_codec_ray.config import PipelineConfig
 from commons_codec_ray.envelopes import EventsToEnvelopes
 from commons_codec_ray.schemas import OP_NAMES, OP_SCHEMA_CHANGE
-from commons_codec_ray.stages.applier import apply_changes
 from commons_codec_ray.stages.decode_stage import DecodeEnvelopes
 from commons_codec_ray.stages import dedup as dedup_stage
 from commons_codec_ray.stages import text as text_stage
@@ -68,34 +67,59 @@ def _documents(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 
+def _via_temp_lake(cfg: PipelineConfig, apply):
+    """Run ``apply(pipe, work_dir)`` on a CDCPipeline over a fresh temp
+    lake and return the lake's final state, read back materialized; the
+    temp dir is removed when the call returns or raises."""
+    import shutil
+    import tempfile
+
+    from commons_codec_ray.pipelines.cdc import CDCPipeline
+
+    work = tempfile.mkdtemp(prefix="ccr_lake_")
+    try:
+        pipe = CDCPipeline(f"{work}/lake", cfg)
+        apply(pipe, work)
+        return pipe.read_lake().materialize()
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _apply_via_pipeline(ds, cfg: PipelineConfig | None = None, decode: bool = True):
+    """The catalog's CDC replays: apply a Dataset of envelopes (or, with
+    ``decode=False``, of op records) as one epoch through CDCPipeline's
+    applier pool — decode tasks, hash split, LWW apply — and return the
+    final lake state."""
+
+    def apply(pipe, _work):
+        if decode:
+            pipe.run_epoch(ds, 0, (0, 0))
+        else:
+            pipe._apply_dataset(ds, 0, (0, 0), decode=False)
+
+    return _via_temp_lake(cfg or PipelineConfig(), apply)
+
+
 def q_cdc_replay(sf_dir: str):
     """Full mixed-dialect CDC replay (with duplicate deliveries) → final
-    lake state. The headline pipeline: encode → decode → hash partition →
-    LWW apply; exactly one shuffle."""
-    cfg = PipelineConfig()
+    lake state. The headline pipeline: encode → decode → hash split into
+    the applier pool → LWW apply, through CDCPipeline like every lake
+    write."""
     ds = _events(sf_dir)
-    ds = ds.map_batches(EventsToEnvelopes(duplicates=True), batch_format="pyarrow")
-    ds = ds.map_batches(
-        DecodeEnvelopes(cfg, combine=True),
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
+    return _apply_via_pipeline(
+        ds.map_batches(EventsToEnvelopes(duplicates=True), batch_format="pyarrow")
     )
-    # good data ops only (no dead letters are generated here; cheap guard)
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.less(t["op"], OP_SCHEMA_CHANGE)), batch_format="pyarrow"
-    )
-    return apply_changes(ds, cfg)
 
 
 def q_cdc_replay_shuffled(sf_dir: str):
     """Ordering-robustness evidence: the SAME replay with the envelope
     stream deliberately SCRAMBLED first (sorted by a splitmix hash of
     the lsn — adversarial arrival order, duplicates included). Because
-    apply_changes orders per key by lsn inside the partition and LWW is
-    a max, the final lake must be byte-identical to the in-order oracle
-    — per-key ordering survives shuffle + arbitrary arrival order, the
-    §2.8 guarantee the reference gets for free by being single-threaded."""
-    cfg = PipelineConfig()
+    the applier resolves each key by max lsn, whatever order its ops
+    arrive in, the final lake must be byte-identical to the in-order
+    oracle — per-key ordering survives the hash split + arbitrary
+    arrival order, the §2.8 guarantee the reference gets for free by
+    being single-threaded."""
     ds = _events(sf_dir)
     ds = ds.map_batches(EventsToEnvelopes(duplicates=True), batch_format="pyarrow")
 
@@ -106,16 +130,9 @@ def q_cdc_replay_shuffled(sf_dir: str):
         return t.append_column("_scr", pa.array(h.astype(np.int64), pa.int64()))
 
     ds = ds.map_batches(scramble_key, batch_format="pyarrow").sort("_scr")
-    ds = ds.map_batches(lambda t: t.drop_columns(["_scr"]), batch_format="pyarrow")
-    ds = ds.map_batches(
-        DecodeEnvelopes(cfg, combine=True),
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
+    return _apply_via_pipeline(
+        ds.map_batches(lambda t: t.drop_columns(["_scr"]), batch_format="pyarrow")
     )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.less(t["op"], OP_SCHEMA_CHANGE)), batch_format="pyarrow"
-    )
-    return apply_changes(ds, cfg)
 
 
 _CDC_REPLAY_SQL = """
@@ -141,14 +158,15 @@ def q_cdc_merge_sources(sf_dir: str):
     and a corrections feed (priority 2, every 7th lsn, amended text)
     stream the SAME table, and conflict resolution is lexicographic
     (lsn, priority) — encoded as one int64 ``eff = 4·lsn + priority``
-    so the standard LWW kernel needs no second sort key and the
-    ordering survives any cluster layout. Both feeds run the REAL
-    mixed-dialect envelope encode → decode path with duplicate
-    deliveries; the union shares ONE shuffle_key exchange (the same
-    single all-to-all as cdc_replay — merging sources adds decode
-    width, not shuffle count). Corrections at a key's final lsn win;
-    corrections that are deletes (lsn ≡ 7 mod 70 — the 7th-lsn feed
-    deliberately intersects the %10==7 delete lane) tombstone it."""
+    in the ops' ``lsn`` so the applier's LWW needs no second sort key
+    and the ordering survives any cluster layout. Both feeds run the
+    REAL mixed-dialect envelope encode → decode path with duplicate
+    deliveries; the union of their ops is applied as one epoch through
+    CDCPipeline's applier pool (the same hash split as cdc_replay —
+    merging sources adds decode width, not exchanges). Corrections at a
+    key's final lsn win; corrections that are deletes (lsn ≡ 7 mod 70 —
+    the 7th-lsn feed deliberately intersects the %10==7 delete lane)
+    tombstone it."""
     cfg = PipelineConfig()
 
     def decoded(events_ds):
@@ -183,18 +201,7 @@ def q_cdc_merge_sources(sf_dir: str):
     corr = decoded(
         _events(sf_dir).map_batches(corrections, batch_format="pyarrow")
     ).map_batches(prio(2), batch_format="pyarrow")
-
-    def resolve(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["conv_id", "turn_idx", "lsn"], kind="mergesort")
-        out = df.drop_duplicates(["conv_id", "turn_idx"], keep="last")
-        out = out[out["op"].to_numpy() == 1]
-        return out[["conv_id", "turn_idx", "role", "text", "tool", "ts"]]
-
-    return (
-        primary.union(corr)
-        .groupby("shuffle_key")
-        .map_groups(resolve, batch_format="pandas")
-    )
+    return _apply_via_pipeline(primary.union(corr), cfg, decode=False)
 
 
 _CDC_MERGE_SOURCES_SQL = """
@@ -250,6 +257,7 @@ def q_cdc_log_compaction(sf_dir: str):
         out = out[["conv_id", "turn_idx", "op", "role", "text", "tool", "ts", "lsn"]]
         return out.assign(op=out["op"].astype(np.int64))
 
+    # not the Applier: the lake drops tombstones, this output keeps them
     return ds.groupby("shuffle_key").map_groups(compact, batch_format="pandas")
 
 
@@ -298,6 +306,7 @@ def q_cdc_replay_universal(sf_dir: str):
     def apply_univ(group: pa.Table) -> pa.Table:
         return apply_ops_universal(None, group).drop_columns(["_lsn"])
 
+    # not the Applier: its state is the typed-column layout, this is pk/data/aux
     final = ds.groupby("partition_id").map_groups(apply_univ, batch_format="pyarrow")
 
     def materialize(t: pa.Table) -> pa.Table:
@@ -406,23 +415,13 @@ def q_cdc_replay_all_dialects(sf_dir: str):
     """The mixed-bus replay: ONE envelope stream round-robining over
     ALL EIGHT dialects (debezium, binlog, ddbstream, maxwell, canal,
     connect, mongo, dbz_mongo — ``lsn % 8``), duplicates included, through the
-    same decode → partition → LWW apply path as cdc_replay. The final
-    lake state is dialect-invariant, so the oracle is the shared
-    envelope-free replay SQL."""
-    cfg = PipelineConfig()
+    same decode → hash split → LWW apply path (CDCPipeline's applier
+    pool) as cdc_replay. The final lake state is dialect-invariant, so
+    the oracle is the shared envelope-free replay SQL."""
     ds = _events(sf_dir)
-    ds = ds.map_batches(
-        EventsToEnvelopes(dialect="all", duplicates=True), batch_format="pyarrow"
+    return _apply_via_pipeline(
+        ds.map_batches(EventsToEnvelopes(dialect="all", duplicates=True), batch_format="pyarrow")
     )
-    ds = ds.map_batches(
-        DecodeEnvelopes(cfg, combine=True),
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.less(t["op"], OP_SCHEMA_CHANGE)), batch_format="pyarrow"
-    )
-    return apply_changes(ds, cfg)
 
 
 def q_mongo_full_load(sf_dir: str):
@@ -626,24 +625,14 @@ FROM events GROUP BY event_type
 def q_cdc_replay_mongo(sf_dir: str):
     """End-to-end replay driven ENTIRELY by MongoDB change-stream
     envelopes (the reference's flagship dialect): encode → decode_mongo
-    → hash partition → LWW apply, duplicates included — proves the
+    → hash split → LWW apply, duplicates included — proves the
     mongo grammar carries inserts/updates/replaces/deletes through the
     full lake path alone, not just the decode stage. Oracle: the shared
     envelope-free replay SQL (final state is dialect-invariant)."""
-    cfg = PipelineConfig()
     ds = _events(sf_dir)
-    ds = ds.map_batches(
-        EventsToEnvelopes(dialect="mongo", duplicates=True), batch_format="pyarrow"
+    return _apply_via_pipeline(
+        ds.map_batches(EventsToEnvelopes(dialect="mongo", duplicates=True), batch_format="pyarrow")
     )
-    ds = ds.map_batches(
-        DecodeEnvelopes(cfg, combine=True),
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.less(t["op"], OP_SCHEMA_CHANGE)), batch_format="pyarrow"
-    )
-    return apply_changes(ds, cfg)
 
 
 def q_lake_audit(sf_dir: str):
@@ -656,18 +645,7 @@ def q_lake_audit(sf_dir: str):
     ONE bucketed exchange of key partials → per-bucket distinct counts
     summed. Oracle recomputes the same audit from the replay CTE."""
     nb = adaptive_buckets()
-    cfg = PipelineConfig()
-    ds = _events(sf_dir)
-    ds = ds.map_batches(EventsToEnvelopes(duplicates=True), batch_format="pyarrow")
-    ds = ds.map_batches(
-        DecodeEnvelopes(cfg, combine=True),
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.less(t["op"], OP_SCHEMA_CHANGE)), batch_format="pyarrow"
-    )
-    lake = apply_changes(ds, cfg)
+    lake = q_cdc_replay(sf_dir)
 
     def key_rows(t: pa.Table) -> pa.Table:
         df = pd.DataFrame(
@@ -1081,12 +1059,7 @@ def q_cdc_idempotent_replay(sf_dir: str):
     duplicate is a checkpoint-detected no-op (pipelines/cdc.py
     ``run_epoch``: epoch ≤ last_epoch), so the final lake must equal the
     plain replay oracle byte-for-byte."""
-    import shutil as _shutil
-    import tempfile as _tempfile
-
     import pyarrow.parquet as _pq
-
-    from commons_codec_ray.pipelines.cdc import CDCPipeline
 
     events = _pq.read_table(f"{sf_dir}/events.parquet")
     n = events.num_rows
@@ -1095,22 +1068,17 @@ def q_cdc_idempotent_replay(sf_dir: str):
     e1 = env.filter(pc.less(env["lsn"], boundary))
     e2 = env.filter(pc.greater_equal(env["lsn"], boundary))
 
-    lake = _tempfile.mkdtemp(prefix="ccr_idem_")
-    try:
-        pipe = CDCPipeline(lake, PipelineConfig(num_partitions=16))
+    def rng(part):
+        offs = part["source_offset"]
+        return (pc.min(offs).as_py(), pc.max(offs).as_py())
 
-        def rng(part):
-            offs = part["source_offset"]
-            return (pc.min(offs).as_py(), pc.max(offs).as_py())
-
+    def apply(pipe, _work):
         pipe.run_epoch(rd.from_arrow(e1), epoch=0, offset_range=rng(e1))
         # whole-epoch duplicate delivery → must be a committed-epoch no-op
         pipe.run_epoch(rd.from_arrow(e1), epoch=0, offset_range=rng(e1))
         pipe.run_epoch(rd.from_arrow(e2), epoch=1, offset_range=rng(e2))
-        t = pa.Table.from_pandas(pipe.read_lake().to_pandas(), preserve_index=False)
-        return t.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"])
-    finally:
-        _shutil.rmtree(lake, ignore_errors=True)
+
+    return _via_temp_lake(PipelineConfig(num_partitions=16), apply)
 
 
 def q_cdc_replay_partial(sf_dir: str):
@@ -1158,6 +1126,7 @@ def q_cdc_replay_partial(sf_dir: str):
 
     from commons_codec_ray.stages.applier import apply_ops_partial
 
+    # not the Applier: it replaces whole rows, a partial image merges per column
     return (
         ev.map_batches(ops, batch_format="pyarrow")
         .groupby("_b")
@@ -7877,10 +7846,10 @@ def q_cdc_replay_proto(sf_dir: str):
     varint-framed proto3 messages — the other standard Kafka value
     encoding next to Avro): same flattened change records, same
     op-record construction (`_op_table_from_change_rows`), same LWW
-    apply — the final lake must be byte-equal to `_CDC_REPLAY_SQL`
-    regardless of which wire format carried the stream. Deflate-
-    compressed Avro, null Avro and protobuf now all feed the identical
-    apply lane."""
+    apply through CDCPipeline's applier pool — the final lake must be
+    byte-equal to `_CDC_REPLAY_SQL` regardless of which wire format
+    carried the stream. Deflate-compressed Avro, null Avro and protobuf
+    now all feed the identical apply lane."""
     from pathlib import Path
 
     from commons_codec_ray.decode.proto_wire import decode_frames, encode_frames
@@ -7927,7 +7896,7 @@ def q_cdc_replay_proto(sf_dir: str):
         )
 
     ops_ds = paths.map_batches(decode_shard, batch_format="pyarrow", batch_size=1)
-    return apply_changes(ops_ds, cfg)
+    return _apply_via_pipeline(ops_ds, cfg, decode=False)
 
 
 def q_cdc_replay_avro(sf_dir: str):
@@ -7938,10 +7907,10 @@ def q_cdc_replay_avro(sf_dir: str):
     container files ship; per-block sync markers verified, blocks
     inflated with raw zlib), each shard decoded in one map_batches
     task into the engine's op-record schema
-    (`_op_table_from_change_rows`) and applied by the standard LWW
-    exchange. Final lake must equal the same `_CDC_REPLAY_SQL` oracle
-    as the JSON-envelope replay — the codec swap cannot change one
-    byte of state."""
+    (`_op_table_from_change_rows`) and applied as one epoch of ops
+    through CDCPipeline's applier pool. Final lake must equal the same
+    `_CDC_REPLAY_SQL` oracle as the JSON-envelope replay — the codec
+    swap cannot change one byte of state."""
     from pathlib import Path
 
     from commons_codec_ray.decode.avro_wire import read_ocf, write_ocf
@@ -7992,7 +7961,7 @@ def q_cdc_replay_avro(sf_dir: str):
         )
 
     ops_ds = paths.map_batches(decode_shard, batch_format="pyarrow", batch_size=1)
-    return apply_changes(ops_ds, cfg)
+    return _apply_via_pipeline(ops_ds, cfg, decode=False)
 
 
 def q_avro_ingest(sf_dir: str):
@@ -8842,12 +8811,8 @@ def q_cdc_schema_evolution(sf_dir: str):
     Arrow schema unification, never a rewrite of committed files. The
     oracle re-derives the widened state from the lsn split."""
     import json as _json
-    import shutil as _shutil
-    import tempfile as _tempfile
 
     import pyarrow.parquet as _pq
-
-    from commons_codec_ray.pipelines.cdc import CDCPipeline
 
     events = _pq.read_table(f"{sf_dir}/events.parquet")
     n = events.num_rows
@@ -8893,9 +8858,8 @@ def q_cdc_schema_evolution(sf_dir: str):
             "conv_id": pa.array([None], pa.string()),
         }
     )
-    lake = _tempfile.mkdtemp(prefix="ccr_schemaevo_")
-    try:
-        pipe = CDCPipeline(lake, PipelineConfig(num_partitions=16))
+
+    def apply(pipe, _work):
         for epoch, part in enumerate((env1, pa.concat_tables([control, env2]))):
             offs = part["source_offset"]
             pipe.run_epoch(
@@ -8903,14 +8867,8 @@ def q_cdc_schema_evolution(sf_dir: str):
                 epoch=epoch,
                 offset_range=(pc.min(offs).as_py(), pc.max(offs).as_py()),
             )
-        out = pa.Table.from_pandas(
-            pipe.read_lake().to_pandas(), preserve_index=False
-        )
-        return out.select(
-            ["conv_id", "turn_idx", "role", "text", "tool", "ts", "rating"]
-        )
-    finally:
-        _shutil.rmtree(lake, ignore_errors=True)
+
+    return _via_temp_lake(PipelineConfig(num_partitions=16), apply)
 
 
 _CDC_SCHEMA_EVOLUTION_SQL = """
@@ -9330,37 +9288,26 @@ def _q_replay_via_pipeline(sf_dir: str, *, post_replay=None, epoch_floor: int = 
     the same _CDC_REPLAY_SQL oracle must hold for EVERY sink config.
     ``post_replay(pipe)`` runs between replay and readback (maintenance
     gates like q_cdc_compaction hook in here)."""
-    import shutil as _shutil
-    import tempfile as _tempfile
-
     import pyarrow.parquet as _pq
-
-    from commons_codec_ray.pipelines.cdc import CDCPipeline
 
     events = _pq.read_table(f"{sf_dir}/events.parquet")
     env = EventsToEnvelopes(duplicates=True)(events).sort_by("lsn")
-    work = _tempfile.mkdtemp(prefix="ccr_replaymode_")
-    try:
+    # ~5 epochs at every sf (epoch boundaries are what this gate
+    # exercises; a FIXED size would mean 500 epoch commits at sf1.0
+    # — per-epoch fixed costs, not the engine, would dominate).
+    # Results are byte-identical at any epoch size by construction.
+    epoch = max(epoch_floor, env.num_rows // 5 + 1)
+
+    def apply(pipe, work):
         log = f"{work}/envelopes.parquet"
         _pq.write_table(env, log, row_group_size=512)
-        # ~5 epochs at every sf (epoch boundaries are what this gate
-        # exercises; a FIXED size would mean 500 epoch commits at sf1.0
-        # — per-epoch fixed costs, not the engine, would dominate).
-        # Results are byte-identical at any epoch size by construction.
-        epoch = max(epoch_floor, env.num_rows // 5 + 1)
-        pipe = CDCPipeline(
-            f"{work}/lake",
-            PipelineConfig(num_partitions=16, epoch_size=epoch, **cfg_kwargs),
-        )
         pipe.replay(log, epoch_size=epoch)
         if post_replay is not None:
             post_replay(pipe)
-        out = pa.Table.from_pandas(
-            pipe.read_lake().to_pandas(), preserve_index=False
-        )
-        return out.select(["conv_id", "turn_idx", "role", "text", "tool", "ts"])
-    finally:
-        _shutil.rmtree(work, ignore_errors=True)
+
+    return _via_temp_lake(
+        PipelineConfig(num_partitions=16, epoch_size=epoch, **cfg_kwargs), apply
+    )
 
 
 def q_cdc_replay_actors(sf_dir: str):
@@ -11682,17 +11629,7 @@ def q_cdc_late_data(sf_dir: str):
     source, not a recompute of the envelope stream), driver-side
     exclusive prefix max, one keyed exchange for the within-bucket
     vectorized scan."""
-    cfg = PipelineConfig()
-    ds = _late_envelopes(sf_dir, emit="kept")
-    ds = ds.map_batches(
-        DecodeEnvelopes(cfg, combine=True),
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
-    )
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.less(t["op"], OP_SCHEMA_CHANGE)), batch_format="pyarrow"
-    )
-    return apply_changes(ds, cfg)
+    return _apply_via_pipeline(_late_envelopes(sf_dir, emit="kept"))
 
 
 def _late_envelopes(sf_dir: str, *, emit: str):
@@ -12359,9 +12296,9 @@ def q_tool_call_stats(sf_dir: str):
     post-ingest analytics an agent-data pipeline runs): per
     conversation, turns, tool-call count, distinct tools used, and the
     first tool-calling turn (NULL when the conversation never calls a
-    tool). Composes the full streaming replay (decode -> one shuffle ->
-    LWW apply) with one conv-bucketed aggregation exchange; per-group
-    work is vectorized pandas."""
+    tool). Composes the cdc_replay lake (decode -> hash split -> LWW
+    apply through CDCPipeline's applier pool) with one conv-bucketed
+    aggregation exchange; per-group work is vectorized pandas."""
     nb = adaptive_buckets()
     lake = q_cdc_replay(sf_dir)
 

@@ -1,10 +1,11 @@
 """Stateful applier pool — the one code path that applies CDC ops to a lake.
 
 ``replay``/``poll``/``watch`` (epochs sliced from an envelope log),
-``run_epoch`` and dead-letter replay (a Dataset of envelopes) and the
-full load (a Dataset of ops) all run through it. Its shape (SURVEY.md
-§2.4/§3.4; the north star's "stateful actor-pool appliers … in-actor
-Arrow-backed state table"):
+``run_epoch`` and dead-letter replay (a Dataset of envelopes), the full
+load (a Dataset of ops) and the query catalog's CDC replays (one epoch
+into a temp lake, ``pipelines/queries.py::_apply_via_pipeline``) all
+run through it. Its shape (SURVEY.md §2.4/§3.4; the north star's
+"stateful actor-pool appliers … in-actor Arrow-backed state table"):
 
 - ``A`` **appliers**, each owning the fixed partition set
   ``{pid : pid % A == actor_id}``; partition state (transcript rows +
@@ -17,11 +18,11 @@ Arrow-backed state table"):
   Larger replays, or an explicit ``num_actors`` ≥ 2, spawn ``A``
   :class:`PartitionApplier` actors;
 - ``K`` **decode tasks** per epoch (raw ``@ray.remote``), each reading a
-  row-group slice of the envelope log (or taking one Dataset block),
-  decoding, LWW-combining within the slice, and hash-splitting its
-  output into ``A`` sub-tables returned as separate objects
-  (``num_returns=A + 1``) — an explicit hash exchange through the
-  object store, no sampling, no sort;
+  row-group slice of the envelope log (or taking a row range of a
+  Dataset block), decoding, LWW-combining within the slice, and
+  hash-splitting its output into ``A`` sub-tables returned as separate
+  objects (``num_returns=A + 1``) — an explicit hash exchange through
+  the object store, no sampling, no sort;
 - the decode tasks' trailing objects carry the slice's schema-change
   and dead-letter rows, so the log is read once per epoch: the driver
   applies the epoch's control events to the registry in lsn order and
@@ -94,15 +95,17 @@ def decode_split_task(
 
     ``source`` is either row groups of the envelope log, of which only the
     rows with offsets in ``[lo, hi)`` are read, or one Arrow block of a
-    Dataset, taken whole. ``decode`` is built once in the driver, so
-    dialects registered there reach every task; None means the block
-    already holds ops (a full load).
+    Dataset, of which rows ``[lo, hi)`` are taken. ``decode`` is built
+    once in the driver, so dialects registered there reach every task;
+    None means the block already holds ops (a full load).
 
     Returns ``num_actors + 1`` objects: one ops sub-table per actor plus
     a trailing table of the slice's schema-change and dead-letter rows
     (``op``, ``lsn``, ``source_offset``, ``aux``, ``error``), kept
     separate so appliers stay on the data-only fast path.
     """
+    if isinstance(source, pa.Table):
+        source = source.slice(lo, hi - lo)
     if decode is None:
         return (*split_by_owner(source, num_actors), empty_ops_table().select(_SPECIAL_COLUMNS))
     if isinstance(source, pa.Table):
@@ -474,6 +477,20 @@ def plan_file_slices(
     return slices
 
 
+def block_row_ranges(blocks: list[tuple[Any, int]], num_tasks: int) -> list[tuple[Any, int, int]]:
+    """Cut Dataset blocks, given as (block ref, rows), into (ref, lo, hi)
+    row ranges, ~``num_tasks`` in all: each block gets a share of the
+    tasks in proportion to its rows, and at least one. A one-block epoch
+    then decodes on ``num_tasks`` CPUs instead of one."""
+    total = max(1, sum(rows for _, rows in blocks))
+    units = []
+    for ref, rows in blocks:
+        k = max(1, min(rows, rows * num_tasks // total))
+        cuts = [i * rows // k for i in range(k + 1)]
+        units += [(ref, cuts[i], cuts[i + 1]) for i in range(k)]
+    return units
+
+
 def _extra_columns_json(config: PipelineConfig) -> str:
     """Evolved (non-static) columns of the configured table as JSON for
     actor construction — single definition of the static-column exclusion
@@ -489,7 +506,7 @@ def _extra_columns_json(config: PipelineConfig) -> str:
     )
 
 
-def _committed_rows(lake_root: str, base_partitions: dict[str, Any], limit: int) -> int:
+def committed_rows(lake_root: str, base_partitions: dict[str, Any], limit: int) -> int:
     """Rows in the committed partition files, from their footers; stops
     opening footers once the count reaches ``limit``."""
     from commons_codec_ray.sink.manifest import entry_files
@@ -528,7 +545,7 @@ class ActorPoolApplyRunner:
         self._meta_cache = {} if meta_cache is None else meta_cache
         if not num_actors:
             # only the comparison with DRIVER_POOL_ROWS matters
-            rows += _committed_rows(lake_root, base_partitions, util.DRIVER_POOL_ROWS - rows)
+            rows += committed_rows(lake_root, base_partitions, util.DRIVER_POOL_ROWS - rows)
         # spawned: one applier per ~3 cores (at least 2, at most P); one
         # decode task per core (at least 4)
         self.num_actors = sized_pool(
@@ -571,16 +588,16 @@ class ActorPoolApplyRunner:
             ray.get(self._ping_refs)
             self._ping_refs = None
 
-    def _decode_and_ingest(self, units: list, lo: int, hi: int, decode: bool) -> tuple[list, list]:
-        """Submit one decode task per unit and queue each task's
-        sub-tables on their actors; returns (ingest refs, refs of the
-        tasks' trailing schema-change/dead-letter tables)."""
+    def _decode_and_ingest(self, units: list, decode: bool) -> tuple[list, list]:
+        """Submit one decode task per (source, lo, hi) unit and queue each
+        task's sub-tables on their actors; returns (ingest refs, refs of
+        the tasks' trailing schema-change/dead-letter tables)."""
         A = self.num_actors
         # registry and dialects as of now, shipped once
         decoder = ray.put(DecodeEnvelopes(self.config, combine=True)) if decode else None
         refs_matrix = [
-            decode_split_task.options(num_returns=A + 1).remote(u, lo, hi, decoder, A)
-            for u in units
+            decode_split_task.options(num_returns=A + 1).remote(src, lo, hi, decoder, A)
+            for src, lo, hi in units
         ]
         # incremental push: each actor ingests one decode task's slice as
         # soon as that task finishes (per-actor ordered queue) — the merge
@@ -603,22 +620,25 @@ class ActorPoolApplyRunner:
         """Decode, exchange and apply one epoch.
 
         ``source`` is the envelope log's files, of which the offsets in
-        ``[lo, hi)`` make the epoch, or the Arrow block refs of a Dataset,
-        one decode task each and applied whole. With ``decode=False`` the
-        blocks already hold ops and are only split by owner.
+        ``[lo, hi)`` make the epoch, or a Dataset's (Arrow block ref, rows)
+        pairs, applied whole and cut into row ranges for
+        ``num_decode_tasks`` decode tasks (:func:`block_row_ranges`).
+        With ``decode=False`` the blocks already hold ops and are only
+        split by owner.
 
         The epoch's schema-change rows come back from the decode tasks
         and are passed to ``on_control`` in lsn order before any actor
         flushes, so they take effect at this epoch's boundary. Returns
         (lineage rows, dead-letter table or None, schema-change rows)."""
         if source and isinstance(source[0], str):
-            units = plan_file_slices(source, lo, hi, self.num_decode_tasks, self._meta_cache)
+            slices = plan_file_slices(source, lo, hi, self.num_decode_tasks, self._meta_cache)
+            units = [(s, lo, hi) for s in slices]
         else:
-            units = source
+            units = block_row_ranges(source, self.num_decode_tasks)
         if not units:
             return [], None, []
         decoded_with = object_columns(self.config)
-        ingest_refs, special_refs = self._decode_and_ingest(units, lo, hi, decode)
+        ingest_refs, special_refs = self._decode_and_ingest(units, decode)
         self.wait_ready()
         special = pa.concat_tables(ray.get(special_refs))
         control_mask = pc.equal(special["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
@@ -634,7 +654,7 @@ class ActorPoolApplyRunner:
                 # the epoch was decoded against the old OBJECT/MAP set:
                 # drop what the actors hold and decode it again
                 calls += [a.discard_pending.remote() for a in self.actors]
-                ingest_refs, special_refs = self._decode_and_ingest(units, lo, hi, decode)
+                ingest_refs, special_refs = self._decode_and_ingest(units, decode)
                 calls += ingest_refs
                 special = pa.concat_tables(ray.get(special_refs))
             # Ray runs one caller's calls to an actor in order, so the

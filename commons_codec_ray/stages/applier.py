@@ -1,4 +1,5 @@
-"""Last-writer-wins apply: the engine's one shuffle + merge.
+"""Last-writer-wins apply kernels, run by the applier pool
+(:mod:`commons_codec_ray.stages.actor_applier`) and the lake's reads.
 
 Semantics (SURVEY.md §2.6, derived from the reference):
 
@@ -12,8 +13,8 @@ Semantics (SURVEY.md §2.6, derived from the reference):
 - DELETE with the max lsn removes the key.
 
 LWW is an associative, commutative reduce, so it runs in three layers:
-  1. within-batch combine right after decode (before the shuffle),
-  2. per-partition reduce after the hash shuffle on ``partition_id``,
+  1. within-slice combine in each decode task, before its hash split,
+  2. per-partition reduce in the applier that owns the ``partition_id``,
   3. merge against the partition's base state (base rows participate with
      their stored ``_lsn``), making epoch re-application a no-op.
 
@@ -417,22 +418,6 @@ def final_state(out: pa.Table, with_lsn: bool = False) -> pa.Table:
     return out.drop_columns([LSN_COLUMN])
 
 
-def apply_changes(ops_ds, config=None, num_partitions: int | None = None):
-    """Distributed LWW apply with no base lake (pure replay → final state).
-
-    ``ops_ds`` is a Dataset of op records (dead letters already split
-    off). The ONE all-to-all exchange on the hot path: hash shuffle on
-    ``partition_id`` via ``groupby().map_groups`` — each group is a full
-    key-partition, so per-key ordering needs no cross-partition
-    coordination.
-    """
-    def _apply(group: pa.Table) -> pa.Table:
-        out = apply_ops_to_base(None, group)
-        return final_state(out)
-
-    return ops_ds.groupby("partition_id").map_groups(_apply, batch_format="pyarrow")
-
-
 PARTIAL_COLUMNS = ("role", "text", "tool", "ts")
 
 
@@ -452,8 +437,7 @@ def apply_ops_partial(df):
       DuckDB's ignores NULL values).
 
     Pandas-vectorized per bucket (groupby max / idxmax — C paths, no
-    per-key Python); same one-exchange contract as the full-image LWW
-    apply."""
+    per-key Python); one conv-bucketed exchange."""
     import pandas as pd
 
     keys = ["conv_id", "turn_idx"]

@@ -179,7 +179,7 @@ def frame_sample(ds, frame_interval_ms: int = 200, concurrency: int = 2, batch_s
         fn_constructor_kwargs={"frame_interval_ms": frame_interval_ms},
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=pool_size(concurrency),
+        concurrency=(1, pool_size(concurrency)),
     )
 
 
@@ -262,5 +262,5 @@ def feature_extract(ds, feature_dim: int = 16, concurrency: int = 2, batch_size:
         fn_constructor_kwargs={"feature_dim": feature_dim},
         batch_format="pyarrow",
         batch_size=batch_size,  # small: payloads are large binaries
-        concurrency=pool_size(concurrency),
+        concurrency=(1, pool_size(concurrency)),
     )

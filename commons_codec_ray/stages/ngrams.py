@@ -173,7 +173,7 @@ def decontaminate(
             return t.filter(pa.array(keep))
 
     return ds.map_batches(
-        ContaminationFilter, batch_format="pyarrow", concurrency=pool_size(4)
+        ContaminationFilter, batch_format="pyarrow", concurrency=(1, pool_size(4))
     )
 
 

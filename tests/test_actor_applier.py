@@ -125,3 +125,40 @@ def test_actor_replay_on_one_logical_cpu(tmp_path, sf_dir):
         raise AssertionError(f"actor replay at num_cpus=1 still running after {TIMEOUT_S} s")
     assert proc.returncode == 0, err[-3000:]
     assert "LAKE-EQUAL" in out
+
+
+def test_one_block_run_epoch_decodes_in_num_decode_tasks(tmp_path, monkeypatch, sf_dir):
+    """A Dataset of one block is cut into row ranges, one decode task
+    each, so a one-block epoch does not decode on one CPU; the lake is
+    the oracle's."""
+    import ray.data as rd
+
+    from commons_codec_ray.pipelines.cdc import CDCPipeline
+    from commons_codec_ray.pipelines.oracle import replay_envelopes, sorted_canonical
+    from commons_codec_ray.stages import actor_applier
+
+    real = actor_applier.decode_split_task
+    ranges = []
+
+    class Counting:
+        def options(self, **kw):
+            task = real.options(**kw)
+
+            class Submit:
+                def remote(self, *args):
+                    ranges.append(args[1:3])
+                    return task.remote(*args)
+
+            return Submit()
+
+    monkeypatch.setattr(actor_applier, "decode_split_task", Counting())
+    env = EventsToEnvelopes(duplicates=True)(pq.read_table(f"{sf_dir}/events.parquet"))
+    pipe = CDCPipeline(tmp_path / "lake", PipelineConfig(num_partitions=16))
+    assert pipe.run_epoch(rd.from_arrow(env), 0, (0, 0))["events"] > 0
+    assert len(ranges) == max(4, int(ray.cluster_resources()["CPU"]))
+    assert ranges[0][0] == 0 and ranges[-1][1] == env.num_rows
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    cols = ["conv_id", "turn_idx", "role", "text", "tool", "ts"]
+    got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()).select(cols))
+    want = sorted_canonical(replay_envelopes(env).select(cols))
+    assert got.equals(want.cast(got.schema))

@@ -290,3 +290,74 @@ def test_dataset_entry_points_write_equal_lakes_and_leave_no_actor(tmp_path, mon
     got = sorted_canonical(pa.Table.from_pandas(pipe.read_lake().to_pandas()))
     want = sorted_canonical(replay_envelopes(env))
     assert got.equals(want.cast(got.schema))
+
+
+def _read_both_ways(monkeypatch, pipe, **kw) -> tuple[pa.Table, pa.Table]:
+    """``read_lake(**kw)`` in the driver (default ``DRIVER_POOL_ROWS``)
+    and as Ray Data tasks (``DRIVER_POOL_ROWS = 0``), each sorted by key."""
+
+    def read() -> tuple[pa.Table, int]:
+        refs = pipe.read_lake(**kw).to_arrow_refs()
+        tbl = pa.concat_tables(ray.get(refs), promote_options="permissive")
+        return tbl.sort_by([("conv_id", "ascending"), ("turn_idx", "ascending")]), len(refs)
+
+    driver, driver_blocks = read()
+    with monkeypatch.context() as m:
+        m.setattr(util, "DRIVER_POOL_ROWS", 0)
+        ray_data, ray_data_blocks = read()
+    assert driver_blocks == 1 and ray_data_blocks > 1
+    assert driver.num_rows > 0
+    return driver, ray_data
+
+
+@pytest.mark.parametrize(
+    "log_name,cfg,read",
+    [
+        ("envelope_log", {}, {}),
+        ("envelope_log", {"sink_mode": "delta", "applier_state_budget_bytes": 1,
+                          "compact_ratio": 10}, {}),
+        ("envelope_log", {"sink_mode": "delta", "compact_ratio": 10}, {"epoch": 1}),
+        ("envelope_log", {"sink_mode": "delta", "compact_ratio": 10}, {"with_lsn": True}),
+        ("multi_table_log", {"sink_mode": "delta", "compact_ratio": 10}, {"table": "notes"}),
+    ],
+    ids=["rewrite", "delta-spill", "time-travel", "with-lsn", "multi-table"],
+)
+def test_driver_and_ray_data_reads_give_equal_tables(tmp_path, monkeypatch, request, log_name, cfg, read):
+    """read_lake reads a lake below DRIVER_POOL_ROWS in the driver and a
+    larger one as Ray Data tasks; both give the same table."""
+    log = request.getfixturevalue(log_name)
+    cfg = {"num_partitions": 16, "epoch_size": 300, **cfg}
+    pipe = _replay(monkeypatch, tmp_path / "lake", log, cfg)
+    if cfg.get("sink_mode") == "delta":
+        assert any(entry_files(e)[1] for e in pipe.checkpoint().partitions.values())
+    driver, ray_data = _read_both_ways(monkeypatch, pipe, **read)
+    assert driver.equals(ray_data)
+    assert ("_lsn" in driver.column_names) == bool(read.get("with_lsn"))
+    if "epoch" in read:
+        assert driver.num_rows < _read_both_ways(monkeypatch, pipe)[0].num_rows
+
+
+def test_catalog_replay_leaves_no_temp_lake_or_applier(tmp_path, monkeypatch, envelope_log):
+    """The catalog's replay helper, with spawned appliers and a Ray Data
+    read, removes its temp lake and kills its appliers, also when the
+    apply raises."""
+    import tempfile
+
+    from commons_codec_ray.pipelines.oracle import replay_envelopes, sorted_canonical
+    from commons_codec_ray.pipelines.queries import _apply_via_pipeline
+
+    monkeypatch.setattr(util, "DRIVER_POOL_ROWS", 0)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    env = pq.read_table(envelope_log)
+    before = _pool_actors()
+    got = sorted_canonical(pa.Table.from_pandas(_apply_via_pipeline(rd.from_arrow(env)).to_pandas()))
+    want = sorted_canonical(replay_envelopes(env))
+    assert got.equals(want.cast(got.schema))
+    assert _pool_actors() == before + 2
+    assert list(tmp_path.iterdir()) == []
+    _wait_no_pool_actor_alive()
+    broken = pa.table({"lsn": pa.array([10**9]), "source_offset": pa.array([10**9])})
+    with pytest.raises(ray.exceptions.RayTaskError, match="payload"):
+        _apply_via_pipeline(rd.from_arrow(broken))
+    assert list(tmp_path.iterdir()) == []
+    _wait_no_pool_actor_alive()
