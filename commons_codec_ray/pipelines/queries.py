@@ -7460,25 +7460,33 @@ _GRAPH_SETUP_PER_EVENT = 4
 
 def _graph_events(sf_dir: str):
     """``event_id`` of ``events.parquet`` for the graph queries that run
-    on stages/graph.py's shard pools, read in as many blocks as their
-    pool can use. The count comes from the Parquet footer: when
+    on stages/graph.py's shard pools, in the form their pool runs best
+    on. The count comes from the Parquet footer: when
     ``_GRAPH_SETUP_PER_EVENT × rows`` stays below
     :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS`, the pool is one
-    shard in the driver whatever the block count, so ONE block is read
-    (extra blocks only add read tasks and ``add_static`` calls; measured
-    in PERF.md "Graph reads follow pool placement"). Larger files keep
-    ~CPUs/2 blocks (floor 8): a spawned pool takes its shard count from
-    the setup block count, and a 200-block default read of a small file
-    would spawn 200 routing tasks for kilobytes of edges."""
+    shard in the driver, so the events are read with pyarrow into one
+    ``pa.Table`` and the whole query runs on Arrow tables in the driver,
+    with no Ray Data execution (its executor start-up cost more than the
+    query; PERF.md "Small graph queries skip Ray Data"). Larger files
+    are a Ray Dataset of ~CPUs/2 blocks (floor 8): a spawned pool takes
+    its shard count from the setup block count, and a 200-block default
+    read of a small file would spawn 200 routing tasks for kilobytes of
+    edges."""
     from commons_codec_ray import util
 
     path = f"{sf_dir}/events.parquet"
     rows = pq.read_metadata(path).num_rows
     if _GRAPH_SETUP_PER_EVENT * rows < util.DRIVER_POOL_ROWS:
-        blocks = 1
-    else:
-        blocks = max(8, pool_size(1 << 30) // 2)
-    return rd.read_parquet(path, columns=["event_id"], override_num_blocks=blocks)
+        return pq.read_table(path, columns=["event_id"])
+    # Above the bound a table would still run on ONE driver shard, so the
+    # driver would hold the whole graph; the Dataset keeps it flat. At 1M
+    # events and 4 Ray CPUs the driver's peak RSS was 317 / 486 / 391 MB
+    # as a table (pagerank / kcore_sharded / link_prediction) against
+    # 206 MB as this Dataset, which spawns 3 shards. It is slower there,
+    # though (PERF.md "Small graph queries skip Ray Data").
+    return rd.read_parquet(
+        path, columns=["event_id"], override_num_blocks=max(8, pool_size(1 << 30) // 2)
+    )
 
 
 def q_components(sf_dir: str):
@@ -7528,9 +7536,9 @@ def q_components_sharded(sf_dir: str):
     deterministic event-derived graph and recursive-CTE oracle as
     q_components — the pure-Dataset variant that re-unions the edge
     table into a sort every round; this is the shape that survives a
-    100 TB edge list (static data shuffled exactly once). Read blocks
-    follow pool placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import components_sharded
+    100 TB edge list (static data shuffled exactly once). The input
+    follows pool placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import components_sharded, map_rows
 
     events = _graph_events(sf_dir)
 
@@ -7540,7 +7548,7 @@ def q_components_sharded(sf_dir: str):
         b = (a // 8) * 8 + (eid * 3) % 8
         return pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
 
-    pairs = events.map_batches(edges, batch_format="pyarrow")
+    pairs = map_rows(events, edges)
     return components_sharded(pairs)
 
 
@@ -9404,12 +9412,13 @@ def q_pagerank(sf_dir: str):
     the contribution stream shard→shard as plasma objects. Same
     deterministic event-derived graph as q_components, directed.
 
-    Read blocks follow pool placement (``_graph_events``): one block
-    while the pool is one driver shard, else ~CPUs/2 (floor 8), since a
-    spawned pool's shard count follows the setup block count. Measured
+    The input follows pool placement (``_graph_events``): one Arrow
+    table in the driver while the pool is one driver shard, else a
+    Dataset of ~CPUs/2 blocks (floor 8), since a spawned pool's shard
+    count follows the setup block count. Measured
     at sf0.1/32 cpus: 3.46 s (r4 unioned variant, 5 sorts) → 1.74 s
     sharded."""
-    from commons_codec_ray.stages.graph import pagerank
+    from commons_codec_ray.stages.graph import map_rows, pagerank
 
     events = _graph_events(sf_dir)
 
@@ -9420,7 +9429,7 @@ def q_pagerank(sf_dir: str):
         return pa.table({"src": pa.array(a), "dst": pa.array(b)})
 
     return pagerank(
-        events.map_batches(edges, batch_format="pyarrow"), iterations=4
+        map_rows(events, edges), iterations=4
     )
 
 
@@ -9624,8 +9633,8 @@ def q_ppr(sf_dir: str):
     so 3 unrolled CTE rounds replay every score
     bit-for-bit; zero contributions are pruned in flight (personalized
     mass stays sparse early — the volume win over uniform PageRank).
-    Read blocks follow pool placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import personalized_pagerank
+    The input follows pool placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import map_rows, personalized_pagerank
 
     events = _graph_events(sf_dir)
 
@@ -9636,7 +9645,7 @@ def q_ppr(sf_dir: str):
         return pa.table({"src": pa.array(a), "dst": pa.array(b)})
 
     return personalized_pagerank(
-        events.map_batches(edges, batch_format="pyarrow"),
+        map_rows(events, edges),
         seeds=np.arange(0, 1200, 97, dtype=np.int64),
         iterations=3,
     )
@@ -9691,9 +9700,9 @@ def q_bfs_levels(sf_dir: str):
     6 levels; the adjacency and the visited set stay on shard actors
     and each level is one superstep that expands only the new
     frontier; the oracle unrolls the same duplicate-free frontiers as
-    difference CTEs (AS MATERIALIZED — each is referenced twice). Read
-    blocks follow pool placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import bfs_levels
+    difference CTEs (AS MATERIALIZED — each is referenced twice). The
+    input follows pool placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import bfs_levels, map_rows
 
     events = _graph_events(sf_dir)
 
@@ -9704,7 +9713,7 @@ def q_bfs_levels(sf_dir: str):
         return pa.table({"src": pa.array(a), "dst": pa.array(b)})
 
     return bfs_levels(
-        events.map_batches(edges, batch_format="pyarrow"), source=0, max_levels=6
+        map_rows(events, edges), source=0, max_levels=6
     )
 
 
@@ -9717,9 +9726,9 @@ def q_sssp(sf_dir: str):
     each one superstep on the shard actors that hold the adjacency and
     the distances. Delta-relaxation (only improved nodes re-relax) is
     bit-identical to the textbook recurrence, which the oracle unrolls
-    as min-CTEs. Read blocks follow pool placement
+    as min-CTEs. The input follows pool placement
     (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import sssp
+    from commons_codec_ray.stages.graph import map_rows, sssp
 
     events = _graph_events(sf_dir)
 
@@ -9731,7 +9740,7 @@ def q_sssp(sf_dir: str):
         return pa.table({"src": pa.array(a), "dst": pa.array(b), "w": pa.array(w)})
 
     return sssp(
-        events.map_batches(edges, batch_format="pyarrow"), source=0, rounds=6
+        map_rows(events, edges), source=0, rounds=6
     )
 
 
@@ -9923,8 +9932,8 @@ def q_kcore_sharded(sf_dir: str):
     run vs the Dataset variant's two full-edge exchanges per round).
     The shape that survives a 100 TB edge list. Its two edge families,
     each routed both ways, make the 4 setup rows per event that
-    ``_graph_events`` sizes its read by."""
-    from commons_codec_ray.stages.graph import kcore_sharded
+    ``_graph_events`` places its input by."""
+    from commons_codec_ray.stages.graph import kcore_sharded, map_rows
 
     events = _graph_events(sf_dir)
 
@@ -9941,7 +9950,7 @@ def q_kcore_sharded(sf_dir: str):
             }
         )
 
-    return kcore_sharded(events.map_batches(edges, batch_format="pyarrow"), k=4)
+    return kcore_sharded(map_rows(events, edges), k=4)
 
 
 def q_densest_subgraph(sf_dir: str):
@@ -11236,8 +11245,12 @@ def _bipartite_edges(sf_dir: str):
     link-prediction queries and encoded identically in both SQL
     oracles (users 0..599 ↔ hubs 600..696; the q_triangles permutation
     graph has no wedges at all, so a co-engagement shape is used):
-    ``src = eid % 600``, ``dst = 600 + eid % 97``. Read blocks follow
-    pool placement (``_graph_events``), not Ray Data's default."""
+    ``src = eid % 600``, ``dst = 600 + eid % 97``. The input follows
+    pool placement (``_graph_events``): an Arrow table below the driver
+    bound, else a Dataset read in the floor's blocks, not Ray Data's
+    default."""
+    from commons_codec_ray.stages.graph import map_rows
+
     events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
@@ -11246,7 +11259,7 @@ def _bipartite_edges(sf_dir: str):
             {"src": pa.array(eid % 600), "dst": pa.array(600 + eid % 97)}
         )
 
-    return events.map_batches(edges, batch_format="pyarrow")
+    return map_rows(events, edges)
 
 
 def q_link_prediction(sf_dir: str):

@@ -38,6 +38,17 @@ pool is ONE shard, a plain instance of the same shard class in the
 driver, since a fresh shard process costs ~0.45 s against ~0.01 s of
 supersteps at that size. Larger inputs, or ``num_shards`` ≥ 2, spawn
 the shards as actors with one set of options (no CPU reserved).
+
+These five take their edges as a Ray Dataset or as a ``pa.Table``, and
+return the same kind (``link_prediction`` always returns a table). A
+table is the low-latency form: the setup is built with one call in the
+driver and no Ray Data execution runs at all, where a Dataset pays
+~0.1 s of executor start-up for a one-block read (PERF.md "Small graph
+queries skip Ray Data"). A table is ONE setup block, so its default
+pool is one driver shard at any size: the caller already holds the
+whole input in the driver, and only ``num_shards`` ≥ 2 spawns shards
+for it. Inputs that should not pass through the driver are given as a
+Dataset.
 """
 
 from __future__ import annotations
@@ -111,21 +122,36 @@ def _shard_actor(shard_cls):
     return ray.remote(shard_cls).options(num_cpus=0, scheduling_strategy="SPREAD")
 
 
+def map_rows(data, fn):
+    """``fn`` over the rows of ``data``: called once on a ``pa.Table``,
+    mapped over a Dataset's batches (lazily, as ``map_batches``)."""
+    if isinstance(data, pa.Table):
+        return fn(data)
+    return data.map_batches(fn, batch_format="pyarrow")
+
+
 @contextmanager
 def _shard_pool(shard_cls, setup, num_shards: int | None, *init_args):
     """Yield ``A`` shards ``shard_cls(A, *init_args)`` that hold the rows
-    of the ``setup`` Dataset (with its ``_b`` owner bucket), each row
-    routed once to its owner.
+    of ``setup`` (a Dataset or a ``pa.Table`` with the ``_b`` owner
+    bucket), each row routed once to its owner.
 
     ``A`` is ``num_shards``, or by :func:`~commons_codec_ray.util.sized_pool`
     one below the driver crossover, else one per setup block up to the
-    :func:`pool_size` clamp. A pool of one is an :class:`InDriver` handle
-    on a plain ``shard_cls`` in the driver; larger pools are actors, and
-    every one spawned is killed on the way out, however the body leaves.
+    :func:`pool_size` clamp. A table is one block, so its default pool
+    is one shard at ANY size. A pool of one is an :class:`InDriver`
+    handle on a plain ``shard_cls`` in the driver, and a table setup
+    then goes to it as is: no ``ray.put``, no Ray Data.
+    Larger pools are actors, and every one spawned is killed on the way
+    out, however the body leaves.
     """
-    setup = setup.materialize()
-    setup_refs = setup.to_arrow_refs()
-    A = sized_pool(num_shards, setup.count(), pool_size(max(1, len(setup_refs))))
+    if isinstance(setup, pa.Table):
+        A = sized_pool(num_shards, setup.num_rows, 1)
+        blocks = [setup if A == 1 else ray.put(setup)]
+    else:
+        setup = setup.materialize()
+        blocks = setup.to_arrow_refs()
+        A = sized_pool(num_shards, setup.count(), pool_size(max(1, len(blocks))))
     spawned = []
     try:
         if A == 1:
@@ -135,7 +161,7 @@ def _shard_pool(shard_cls, setup, num_shards: int | None, *init_args):
                 spawned.append(_shard_actor(shard_cls).remote(A, *init_args))
             shards = spawned
         acks = []
-        for blk in setup_refs:
+        for blk in blocks:
             parts = [blk] if A == 1 else _fan_out(_route_to_shards, A, blk, A)
             acks.extend(w.add_static.remote(p) for w, p in zip(shards, parts))
         ray.get(acks)
@@ -145,10 +171,14 @@ def _shard_pool(shard_cls, setup, num_shards: int | None, *init_args):
             ray.kill(w, no_restart=True)
 
 
-def _collect(refs: list):
-    """The shards' result tables as a Dataset. Called inside the pool:
-    the results are computed before any spawned shard dies, and stay in
-    the object store after. All-empty results keep their schema."""
+def _collect(refs: list, like):
+    """The shards' result tables as the kind of data the operator was
+    given (``like``): one ``pa.Table`` for a table, else a Dataset.
+    Called inside the pool: the results are computed before any spawned
+    shard dies, and a Dataset's stay in the object store after. All-empty
+    results keep their schema."""
+    if isinstance(like, pa.Table):
+        return pa.concat_tables(ray.get(refs))
     ray.wait(refs, num_returns=len(refs), fetch_local=False)
     ds = rd.from_arrow_refs(refs)
     return ds if ds.count() else rd.from_arrow(ray.get(refs[0]))
@@ -342,6 +372,9 @@ def pagerank(
     and rides to every shard as an init argument. An empty edge set
     gives an empty result, as the SQL oracle does; seeded, it raises
     like any graph without a live seed.
+
+    ``edges_ds`` may be a ``pa.Table``; the result is then a table, and
+    the pool one driver shard unless ``num_shards`` is given.
     """
     if iterations < 1:
         raise ValueError(f"pagerank needs iterations >= 1, got {iterations}")
@@ -375,16 +408,15 @@ def pagerank(
             ]
         )
 
-    setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
+    setup = map_rows(edges_ds, explode_setup)
     with _shard_pool(_PagerankShard, setup, num_shards, nb, seeds) as shards:
         A = len(shards)
         n_init = sum(ray.get([w.build.remote() for w in shards]))
         if seeds is not None and n_init == 0:
             raise ValueError("personalized pagerank: no seed is present in the graph")
         if n_init == 0:  # no edges, no nodes: the oracle's empty result
-            return rd.from_arrow(
-                pa.table({"node": pa.array([], pa.int64()), "score": pa.array([], pa.int64())})
-            )
+            empty = pa.table({"node": pa.array([], pa.int64()), "score": pa.array([], pa.int64())})
+            return _collect([ray.put(empty)], edges_ds)
         s0 = SCALE // n_init
         base = 15 * s0 // 100
         outs = [_fan_out(w.contrib0, A, s0) for w in shards]
@@ -394,7 +426,8 @@ def pagerank(
                 for o, w in enumerate(shards)
             ]
         return _collect(
-            [w.step.remote(True, base, *_inbox(outs, o)) for o, w in enumerate(shards)]
+            [w.step.remote(True, base, *_inbox(outs, o)) for o, w in enumerate(shards)],
+            edges_ds,
         )
 
 
@@ -834,6 +867,8 @@ def components_sharded(
     (label <- label[label]), so rounds ≈ log2(diameter); the loop stops
     at the first round with zero improvements anywhere. Identical
     output to ``dedup_clusters_distributed`` at any shard count.
+    ``pairs_ds`` may be a ``pa.Table``; the result is then a table, and
+    the pool one driver shard unless ``num_shards`` is given.
     """
     nb = num_buckets or adaptive_buckets()
 
@@ -846,7 +881,7 @@ def components_sharded(
             {"_b": hash_bucket(k, nb), "key": pa.array(k), "peer": pa.array(p)}
         )
 
-    setup = pairs_ds.map_batches(explode_setup, batch_format="pyarrow")
+    setup = map_rows(pairs_ds, explode_setup)
     with _shard_pool(_CCShard, setup, num_shards, nb) as shards:
         A = len(shards)
         ray.get([w.build.remote() for w in shards])
@@ -862,7 +897,7 @@ def components_sharded(
             )
             if changed == 0:
                 break
-        return _collect([w.result.remote() for w in shards])
+        return _collect([w.result.remote() for w in shards], pairs_ds)
 
 
 def _sym_edges(edges_ds, src: str, dst: str, op_name: str = "graph op"):
@@ -1075,6 +1110,8 @@ def kcore_sharded(
     bytes over the entire run), while the Dataset variant re-exchanges
     the full edge table twice per round. Identical (node, deg) output
     at any shard count; rounds = peel depth, same early stop.
+    ``edges_ds`` may be a ``pa.Table``; the result is then a table, and
+    the pool one driver shard unless ``num_shards`` is given.
     """
     nb = num_buckets or adaptive_buckets()
 
@@ -1089,7 +1126,7 @@ def kcore_sharded(
             {"_b": hash_bucket(kk, nb), "key": pa.array(kk), "peer": pa.array(p)}
         )
 
-    setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
+    setup = map_rows(edges_ds, explode_setup)
     with _shard_pool(_KCoreShard, setup, num_shards, nb, k) as shards:
         A = len(shards)
         ray.get([w.build.remote() for w in shards])
@@ -1107,7 +1144,7 @@ def kcore_sharded(
                 f"max_rounds={max_rounds}; raise max_rounds (peel depth is "
                 "data-dependent, worst case O(n) on a path)"
             )
-        return _collect([w.result.remote() for w in shards])
+        return _collect([w.result.remote() for w in shards], edges_ds)
 
 
 def densest_subgraph(
@@ -1527,7 +1564,8 @@ def link_prediction(edges_ds, src: str = "src", dst: str = "dst",
 
     Returns a ``pa.Table`` ``(a, b, cn, <score_col>)`` where
     ``<score_col>`` is ``jaccard_ppm`` or ``ra``, all int64, ordered by
-    (score DESC, cn DESC, a, b), at most ``top_k`` rows.
+    (score DESC, cn DESC, a, b), at most ``top_k`` rows. A ``pa.Table``
+    ``edges_ds`` runs on one driver shard unless ``num_shards`` is given.
     """
     if score not in ("jaccard", "resource_allocation"):
         raise ValueError(f"unknown link-prediction score: {score!r}")
@@ -1542,7 +1580,7 @@ def link_prediction(edges_ds, src: str = "src", dst: str = "dst",
         p = np.concatenate([b[keep], a[keep]])
         return pa.table({"_b": hash_bucket(k, nb), "key": pa.array(k), "peer": pa.array(p)})
 
-    setup = edges_ds.map_batches(explode_setup, batch_format="pyarrow")
+    setup = map_rows(edges_ds, explode_setup)
     ra = score == "resource_allocation"
     scol = "ra" if ra else "jaccard_ppm"
     with _shard_pool(_LinkShard, setup, num_shards, nb, ra) as shards:
@@ -1810,7 +1848,8 @@ def bfs_levels(edges_ds, source: int, max_levels: int = 6,
     adjacency is routed to shard actors once, and each level is one
     superstep in which only newly-reached (improved) nodes expand —
     exactly the level-synchronous frontier. See :func:`sssp` for the
-    superstep shape and exactness notes.
+    superstep shape and exactness notes. ``edges_ds`` may be a
+    ``pa.Table``; the result is then a table, from one driver shard.
     """
 
     def unit(t: pa.Table) -> pa.Table:
@@ -1823,7 +1862,7 @@ def bfs_levels(edges_ds, source: int, max_levels: int = 6,
         )
 
     out = sssp(
-        edges_ds.map_batches(unit, batch_format="pyarrow"),
+        map_rows(edges_ds, unit),
         source=source,
         rounds=max_levels,
         src=src,
@@ -1831,10 +1870,7 @@ def bfs_levels(edges_ds, source: int, max_levels: int = 6,
         weight="_w1",
         num_buckets=num_buckets,
     )
-    return out.map_batches(
-        lambda t: pa.table({"node": t["node"], "level": t["dist"]}),
-        batch_format="pyarrow",
-    )
+    return map_rows(out, lambda t: pa.table({"node": t["node"], "level": t["dist"]}))
 
 
 class _SSSPShard(_Shard):
@@ -1930,6 +1966,8 @@ def sssp(edges_ds, source: int, rounds: int = 6,
     later ones would fold nothing. Exact integer arithmetic throughout,
     and ``dist + w`` past int64 raises ``OverflowError``; weights must
     be ≥ 0 for the ≤-rounds-edges truncation to bound true distances.
+    ``edges_ds`` may be a ``pa.Table``; the result is then a table, and
+    the pool one driver shard unless ``num_shards`` is given.
     """
     nb = num_buckets or adaptive_buckets()
 
@@ -1942,7 +1980,7 @@ def sssp(edges_ds, source: int, rounds: int = 6,
         )
 
     seed = pa.table({"key": pa.array([source], pa.int64()), "dist": pa.array([0], pa.int64())})
-    setup = edges_ds.map_batches(explode, batch_format="pyarrow")
+    setup = map_rows(edges_ds, explode)
     with _shard_pool(_SSSPShard, setup, num_shards, nb) as shards:
         A = len(shards)
         owner = hash_bucket(np.array([source], np.int64), nb)[0].as_py() % A
@@ -1957,4 +1995,4 @@ def sssp(edges_ds, source: int, rounds: int = 6,
             inboxes = [_inbox(outs, o) for o in range(A)]
             if not sent:
                 break
-        return _collect([w.result.remote(*inboxes[o]) for o, w in enumerate(shards)])
+        return _collect([w.result.remote(*inboxes[o]) for o, w in enumerate(shards)], edges_ds)

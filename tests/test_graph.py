@@ -688,3 +688,90 @@ def test_pair_packing_rejects_ids_beyond_31_bits(ray_session, op, bad):
     ds = _edges([(bad, 5), (5, 6), (6, bad)])
     with pytest.raises(Exception, match=r"ValueError: .*31 bits"):
         getattr(graph, op)(ds)
+
+
+# --- the table path: Arrow tables in, Arrow tables out -----------------------
+# The shard-pool operators take their edges as a pa.Table too (the graph
+# queries pass one when the pool is one driver shard); each must return
+# a table holding exactly what the same edges as a Dataset give.
+
+
+def _table_ops():
+    from commons_codec_ray.stages import graph
+
+    return {
+        "pagerank": lambda e, n: graph.pagerank(e, iterations=3, num_shards=n),
+        "pagerank_seeded": lambda e, n: graph.personalized_pagerank(
+            e, seeds=[1, 4, 17, 999], iterations=3, num_shards=n
+        ),
+        "components_sharded": lambda e, n: graph.components_sharded(
+            e, id_a="src", id_b="dst", num_shards=n
+        ),
+        "kcore_sharded": lambda e, n: graph.kcore_sharded(e, k=3, num_shards=n),
+        "sssp": lambda e, n: graph.sssp(e, source=1, rounds=4, num_shards=n),
+        # bfs_levels takes no num_shards: its pool follows the input size
+        "bfs_levels": lambda e, n: graph.bfs_levels(e, source=1, max_levels=4),
+        "link_prediction": lambda e, n: graph.link_prediction(e, top_k=20, num_shards=n),
+        "link_prediction_ra": lambda e, n: graph.link_prediction(
+            e, top_k=20, score="resource_allocation", num_shards=n
+        ),
+    }
+
+
+TABLE_CASES = [
+    (op, n) for op in _table_ops() for n in (None, 2) if not (op == "bfs_levels" and n)
+]
+
+
+def _weighted(n_edges: int, seed: int = 13) -> pa.Table:
+    rng = np.random.RandomState(seed)
+    return pa.table(
+        {
+            "src": pa.array(rng.randint(0, 40, n_edges), pa.int64()),
+            "dst": pa.array(rng.randint(0, 40, n_edges), pa.int64()),
+            "w": pa.array(rng.randint(1, 10, n_edges), pa.int64()),
+        }
+    )
+
+
+def _rows_of(out) -> tuple[list, list, list]:
+    """Column names, types and sorted rows of a table or a Dataset."""
+    if not isinstance(out, pa.Table):
+        schema = out.schema()
+        rows = out.take_all()
+        return schema.names, schema.types, sorted(tuple(r[c] for c in schema.names) for r in rows)
+    rows = out.to_pylist()
+    return out.column_names, out.schema.types, sorted(tuple(r.values()) for r in rows)
+
+
+@pytest.mark.parametrize("op,num_shards", TABLE_CASES)
+def test_table_in_table_out_matches_the_dataset_path(ray_session, op, num_shards):
+    call = _table_ops()[op]
+    tbl = _weighted(300)
+    got = call(tbl, num_shards)
+    assert isinstance(got, pa.Table), type(got)
+    want = call(rd.from_arrow(tbl).repartition(3), num_shards)
+    assert isinstance(want, pa.Table) == op.startswith("link_prediction")
+    assert got.num_rows > 0
+    assert _rows_of(got) == _rows_of(want)
+
+
+@pytest.mark.parametrize("op,num_shards", [c for c in TABLE_CASES if c[0] != "pagerank_seeded"])
+def test_empty_edge_table_keeps_the_full_schema(ray_session, op, num_shards):
+    call = _table_ops()[op]
+    got = call(_weighted(0), num_shards)
+    assert isinstance(got, pa.Table), type(got)
+    names, types, rows = _rows_of(got)
+    assert (names, types, rows) == _rows_of(call(rd.from_arrow(_weighted(0)), num_shards))
+    assert types == [pa.int64()] * len(names)
+    # the traversals still reach their source, at distance/level 0
+    assert rows == ([(1, 0)] if op in ("sssp", "bfs_levels") else [])
+
+
+@pytest.mark.parametrize("num_shards", [None, 2])
+def test_seeded_pagerank_table_without_a_live_seed_raises(ray_session, num_shards):
+    from commons_codec_ray.stages.graph import personalized_pagerank
+
+    for tbl in (_weighted(0), _weighted(50)):
+        with pytest.raises(ValueError, match="no seed"):
+            personalized_pagerank(tbl, seeds=[999], num_shards=num_shards)

@@ -310,3 +310,22 @@ def test_sssp_overflow_raises_instead_of_wrapping(ray_session):
     assert _as_dict(got, "dist") == {0: 0, 1: 1 << 62, 2: i64_max}
     with pytest.raises(OverflowError, match="overflows int64"):
         sssp(_edges(src, dst, w), source=0, rounds=3).to_pandas()
+
+
+@pytest.mark.parametrize("num_shards", [None, 2])
+def test_sssp_table_input_keeps_its_edge_cases(ray_session, num_shards):
+    """A ``pa.Table`` input takes the driver path with the same rules:
+    ``rounds=0`` is the source alone, and an int64 overflow raises."""
+    from commons_codec_ray.stages.graph import bfs_levels, sssp
+
+    src, dst, w = _random_weighted(31)
+    tbl = pa.table({"src": src, "dst": dst, "w": w})
+    got = sssp(tbl, source=7, rounds=0, num_shards=num_shards)
+    assert isinstance(got, pa.Table) and _as_dict(got.to_pandas(), "dist") == {7: 0}
+    got = sssp(tbl, source=7, rounds=5, num_shards=num_shards).to_pandas()
+    assert _as_dict(got, "dist") == _python_bellman_ford(src, dst, w, 7, 5)
+    got = bfs_levels(tbl.select(["src", "dst"]), source=7, max_levels=5)
+    assert _as_dict(got.to_pandas(), "level") == _python_bfs(src, dst, 7, 5)
+    big = pa.table({"src": [0, 1], "dst": [1, 2], "w": [1 << 62, 1 << 62]})
+    with pytest.raises(OverflowError, match="overflows int64"):
+        sssp(big, source=0, rounds=3, num_shards=num_shards)

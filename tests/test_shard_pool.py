@@ -41,24 +41,28 @@ _SCRIPT = textwrap.dedent(
         )
 
         src, dst = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-        edges = rd.from_arrow(pa.table({"src": src, "dst": dst, "w": [1] * len(src)}))
-        pairs = rd.from_arrow(pa.table({"id_a": src, "id_b": dst}))
+        edge_tbl = pa.table({"src": src, "dst": dst, "w": [1] * len(src)})
+        pair_tbl = pa.table({"id_a": src, "id_b": dst})
 
-        def rows(ds, col):
-            df = ds.to_pandas()
+        def rows(out, col):
+            df = out.to_pandas()
             return dict(zip(df["node"].tolist(), df[col].tolist()))
 
-        assert len(rows(pagerank(edges, iterations=3, num_shards=2), "score")) == 8
-        assert rows(components_sharded(pairs, num_shards=2), "cluster_id") == {
-            0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 10: 10, 11: 10,
-        }
-        assert rows(kcore_sharded(edges, k=3, num_shards=2), "deg") == {0: 3, 1: 3, 2: 3, 3: 3}
-        assert rows(sssp(edges, source=0, rounds=3, num_shards=2), "dist") == {
-            0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3,
-        }
-        # (0, 4), (1, 4), (2, 4) and (3, 5) tie at one common neighbor
-        top = link_prediction(edges, top_k=2, num_shards=2).to_pylist()
-        assert [(r["a"], r["b"], r["jaccard_ppm"]) for r in top] == [(0, 4, 250_000), (1, 4, 250_000)]
+        # Datasets, then the same edges as Arrow tables
+        for edges, pairs in ((rd.from_arrow(edge_tbl), rd.from_arrow(pair_tbl)), (edge_tbl, pair_tbl)):
+            assert len(rows(pagerank(edges, iterations=3, num_shards=2), "score")) == 8
+            assert rows(components_sharded(pairs, num_shards=2), "cluster_id") == {
+                0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 10: 10, 11: 10,
+            }
+            assert rows(kcore_sharded(edges, k=3, num_shards=2), "deg") == {0: 3, 1: 3, 2: 3, 3: 3}
+            assert rows(sssp(edges, source=0, rounds=3, num_shards=2), "dist") == {
+                0: 0, 1: 1, 2: 1, 3: 1, 4: 2, 5: 3,
+            }
+            # (0, 4), (1, 4), (2, 4) and (3, 5) tie at one common neighbor
+            top = link_prediction(edges, top_k=2, num_shards=2).to_pylist()
+            assert [(r["a"], r["b"], r["jaccard_ppm"]) for r in top] == [
+                (0, 4, 250_000), (1, 4, 250_000),
+            ]
         print("SHARDED-OK")
     finally:
         ray.shutdown()
@@ -111,10 +115,10 @@ def _alive_shards() -> list[str]:
         time.sleep(0.1)
 
 
-def _edges(src, dst, w=None):
+def _edges(src, dst, w=None, table=False):
     cols = {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
     cols["w"] = pa.array(w if w is not None else np.ones(len(src), np.int64), pa.int64())
-    return rd.from_arrow(pa.table(cols))
+    return pa.table(cols) if table else rd.from_arrow(pa.table(cols))
 
 
 def test_no_shard_outlives_a_call(ray_session):
@@ -126,32 +130,34 @@ def test_no_shard_outlives_a_call(ray_session):
         sssp,
     )
 
-    edges = _edges(SRC, DST)
-    pairs = rd.from_arrow(pa.table({"id_a": SRC, "id_b": DST}))
-    calls = [
-        lambda: pagerank(edges, iterations=3, num_shards=2),
-        lambda: components_sharded(pairs, num_shards=2),
-        lambda: kcore_sharded(edges, k=3, num_shards=2),
-        lambda: sssp(edges, source=0, rounds=3, num_shards=2),
-        lambda: link_prediction(edges, num_shards=2),
-    ]
-    for call in calls:
-        ds = call()
-        assert _alive_shards() == []
-        # the results outlive their shards
-        assert (ds.num_rows if isinstance(ds, pa.Table) else ds.count()) > 0
+    pair_tbl = pa.table({"id_a": SRC, "id_b": DST})
+    # Dataset input, then the same edges as Arrow tables
+    for edges, pairs in ((_edges(SRC, DST), rd.from_arrow(pair_tbl)), (_edges(SRC, DST, table=True), pair_tbl)):
+        calls = [
+            lambda: pagerank(edges, iterations=3, num_shards=2),
+            lambda: components_sharded(pairs, num_shards=2),
+            lambda: kcore_sharded(edges, k=3, num_shards=2),
+            lambda: sssp(edges, source=0, rounds=3, num_shards=2),
+            lambda: link_prediction(edges, num_shards=2),
+        ]
+        for call in calls:
+            out = call()
+            assert _alive_shards() == []
+            # the results outlive their shards
+            assert (out.num_rows if isinstance(out, pa.Table) else out.count()) > 0
 
 
 def test_no_shard_outlives_a_failed_call(ray_session):
     from commons_codec_ray.stages.graph import kcore_sharded, sssp
 
-    # a path peels from both ends, one node per end per round
-    path = _edges([0, 1, 2, 3, 4], [1, 2, 3, 4, 5])
-    with pytest.raises(RuntimeError, match="did not reach fixpoint"):
-        kcore_sharded(path, k=2, max_rounds=1, num_shards=2)
-    assert _alive_shards() == []
-    # the second superstep's relaxation passes int64 max
-    big = _edges([0, 1], [1, 2], [1 << 62, 1 << 62])
-    with pytest.raises(OverflowError):
-        sssp(big, source=0, rounds=3, num_shards=2)
-    assert _alive_shards() == []
+    for table in (False, True):
+        # a path peels from both ends, one node per end per round
+        path = _edges([0, 1, 2, 3, 4], [1, 2, 3, 4, 5], table=table)
+        with pytest.raises(RuntimeError, match="did not reach fixpoint"):
+            kcore_sharded(path, k=2, max_rounds=1, num_shards=2)
+        assert _alive_shards() == []
+        # the second superstep's relaxation passes int64 max
+        big = _edges([0, 1], [1, 2], [1 << 62, 1 << 62], table=table)
+        with pytest.raises(OverflowError):
+            sssp(big, source=0, rounds=3, num_shards=2)
+        assert _alive_shards() == []

@@ -19,19 +19,27 @@ times:
   the link-prediction catalog queries), so the wedges that
   link_prediction's cost follows outgrow its setup rows; its lines
   report the wedge count too.
-- ``graph_read``: ``q_pagerank`` and ``q_kcore_sharded`` from
-  ``queries()`` on an ``events.parquet`` of ``--graph-read-events``
-  seeded event ids, with the pool placed as usual (in the driver below
-  ``DRIVER_POOL_ROWS`` setup rows) and the events read in one block
-  against the ~CPUs/2 floor (``pipelines/queries.py::_graph_events``).
-  This measures where the one-block read stops paying.
+- ``graph_read``: ``q_pagerank``, ``q_kcore_sharded`` and
+  ``q_link_prediction`` from ``queries()`` on an ``events.parquet`` of
+  ``--graph-read-events`` seeded event ids. The table path reads the
+  events into one Arrow table and runs the whole query in the driver
+  on one shard, whatever the size; the Ray Data path reads them as a
+  Dataset: in one block below the bound of
+  ``pipelines/queries.py::_graph_events``, and in the ~CPUs/2 floor of
+  blocks at and above it, where the query reads a Dataset itself (its
+  pool spawns once the setup reaches ``DRIVER_POOL_ROWS`` rows). Each
+  path runs in two fresh driver processes (one warm-up call, then
+  ``--repeats`` timed calls each), alternating with the other path's,
+  so the line also reports each path's driver peak RSS (median over its
+  two processes). This measures where the table path stops
+  paying.
 
 The script owns its Ray session; run it once per CPU count:
 
     python tools/placement_crossover.py --cpus 2 --cdc-events 15000 30000 150000
     python tools/placement_crossover.py --cpus 4 --graph-edges 200000 800000 --repeats 3
     python tools/placement_crossover.py --cpus 2 --cdc-events --graph-edges 100000 --hubs 97
-    python tools/placement_crossover.py --cpus 2 --cdc-events --graph-edges --graph-read-events 10000 250000
+    python tools/placement_crossover.py --cpus 2 --cdc-events --graph-edges --graph-read-events 10000 300000
 
 Inputs are built under a temporary directory and removed afterwards.
 """
@@ -136,19 +144,62 @@ def _build_events(d: Path, num_events: int, seed: int) -> None:
     pq.write_table(pa.table({"event_id": pa.array(ids, pa.int64())}), d / "events.parquet")
 
 
-def _time_graph_read(op: str, sf_dir: Path, one_block: bool) -> float:
-    """One ``queries()`` call with the events read in one block, or in
-    the floor's block count, whatever the pool placement."""
+def _time_graph_read(op: str, sf_dir: Path, table: bool) -> float:
+    """One ``queries()`` call with the events as one Arrow table, or as
+    the Ray Dataset of the read blocks the bound picks."""
+    import pyarrow as pa
+    import ray.data as rd
+
     from commons_codec_ray.pipelines import queries
 
-    saved = queries._GRAPH_SETUP_PER_EVENT
-    queries._GRAPH_SETUP_PER_EVENT = 0 if one_block else float("inf")
+    saved_rows, saved_read = queries._GRAPH_SETUP_PER_EVENT, queries._graph_events
+
+    def as_dataset(d: str):
+        events = saved_read(d)
+        if isinstance(events, pa.Table):  # below the bound: one read block
+            return rd.read_parquet(f"{d}/events.parquet", columns=["event_id"], override_num_blocks=1)
+        return events
+
+    if table:
+        queries._GRAPH_SETUP_PER_EVENT = 0
+    else:
+        queries._graph_events = as_dataset
     try:
         t0 = time.perf_counter()
-        queries.QUERIES[op](str(sf_dir)).materialize()
+        out = queries.QUERIES[op](str(sf_dir))
+        if not isinstance(out, pa.Table):
+            out.materialize()
         return time.perf_counter() - t0
     finally:
-        queries._GRAPH_SETUP_PER_EVENT = saved
+        queries._GRAPH_SETUP_PER_EVENT, queries._graph_events = saved_rows, saved_read
+
+
+# One path of the graph_read leg in a fresh driver process joined to the
+# session: argv = address, op, events dir, table (0/1), timed calls.
+_READ_PROC = """
+import json, resource, sys
+import ray
+ray.init(address=sys.argv[1], logging_level="ERROR")
+from tools.placement_crossover import _time_graph_read
+op, sf_dir, table, calls = sys.argv[2], sys.argv[3], sys.argv[4] == "1", int(sys.argv[5])
+_time_graph_read(op, sf_dir, table)
+walls = [_time_graph_read(op, sf_dir, table) for _ in range(calls)]
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"walls": walls, "rss_mb": rss_mb}))
+ray.shutdown()
+"""
+
+
+def _graph_read_proc(address: str, op: str, sf_dir: Path, table: bool, calls: int) -> dict:
+    import os
+    import subprocess
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(ROOT), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _READ_PROC, address, op, str(sf_dir), str(int(table)), str(calls)],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main() -> int:
@@ -159,9 +210,10 @@ def main() -> int:
     ap.add_argument("--graph-edges", type=int, nargs="*", default=[10_000, 50_000])
     ap.add_argument("--hubs", type=int, default=0,
                     help="join every edge to one of this many hubs (0: random graph)")
-    ap.add_argument("--graph-read-events", type=int, nargs="*", default=[10_000, 100_000, 250_000],
+    ap.add_argument("--graph-read-events", type=int, nargs="*", default=[10_000, 100_000, 250_000, 300_000],
                     help="events of the graph_read leg's input")
-    ap.add_argument("--repeats", type=int, default=3, help="timed calls per placement")
+    ap.add_argument("--repeats", type=int, default=3,
+                    help="timed calls per placement (graph_read: per driver process)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -195,15 +247,20 @@ def main() -> int:
                     extra = {"wedges": wedges} if op == "link_prediction" else {}
                     _report(args.cpus, op, num_edges, times, **extra)
             util.DRIVER_POOL_ROWS = saved
+            address = ray.get_runtime_context().gcs_address
             for num_events in args.graph_read_events:
                 sf_dir = tmp / f"events-{num_events}"
                 _build_events(sf_dir, num_events, args.seed)
-                for op in ("pagerank", "kcore_sharded"):
-                    times = {"one_block": [], "floor": []}
-                    for _ in range(args.repeats):
-                        times["one_block"].append(_time_graph_read(op, sf_dir, True))
-                        times["floor"].append(_time_graph_read(op, sf_dir, False))
-                    _report(args.cpus, f"graph_read:{op}", num_events, times)
+                for op in ("pagerank", "kcore_sharded", "link_prediction"):
+                    times = {"table": [], "ray_data": []}
+                    rss = {"table": [], "ray_data": []}
+                    for _ in range(2):
+                        for path in times:
+                            got = _graph_read_proc(address, op, sf_dir, path == "table", args.repeats)
+                            times[path] += got["walls"]
+                            rss[path].append(got["rss_mb"])
+                    peaks = {f"{k}_rss_mb": round(statistics.median(v)) for k, v in rss.items()}
+                    _report(args.cpus, f"graph_read:{op}", num_events, times, **peaks)
     finally:
         util.DRIVER_POOL_ROWS = saved
         ray.shutdown()
