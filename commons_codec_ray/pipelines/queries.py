@@ -7489,55 +7489,16 @@ def _graph_events(sf_dir: str):
     )
 
 
-def q_components(sf_dir: str):
-    """Connected components as a first-class operator
-    (stages/dedup.py dedup_clusters_distributed: bucketed min-label
-    propagation + pointer jumping, rounds ≈ log diameter): a
-    deterministic event-derived edge list (edges stay within 8-node
-    blocks, so the recursive-CTE oracle's transitive closure stays
-    bounded at every sf) → per-node min-reachable-id cluster labels.
-
-    Read blocks are capped at ~CPUs/2 (floor 8): every round re-unions
-    the symmetric edge table into a sort whose cost scales with block
-    count — a 200-block default read of a small file multiplies
-    per-round sort overhead (measured at sf0.1/32 cpus: 52 s default →
-    see PERF.md after the cap). At real scale callers size read blocks
-    to data (~128 MB) as usual."""
-    # shuffle parallelism follows block count: keep the cap whatever the
-    # size (PERF.md "Round-5: components read-block cap")
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
-
-    pairs = events.map_batches(edges, batch_format="pyarrow")
-    labels = dedup_stage.dedup_clusters_distributed(pairs)
-    return labels.map_batches(
-        lambda t: pa.table(
-            {"node": t["doc_id"], "cluster_id": t["cluster_id"]}
-        ),
-        batch_format="pyarrow",
-    )
-
-
 def q_components_sharded(sf_dir: str):
-    """Connected components, actor-sharded (stages/graph.py
-    components_sharded): the symmetric adjacency is hash-routed to
-    shard actors ONCE; per round only label messages move (a delta
-    min-label hop phase + a pointer-jump phase, rounds ≈ log2 of the
-    component diameter) as direct plasma objects between actors. Same
-    deterministic event-derived graph and recursive-CTE oracle as
-    q_components — the pure-Dataset variant that re-unions the edge
-    table into a sort every round; this is the shape that survives a
-    100 TB edge list (static data shuffled exactly once). The input
-    follows pool placement (``_graph_events``)."""
+    """Connected components (stages/graph.py components_sharded), the
+    ``components`` and ``components_sharded`` entries: a deterministic
+    event-derived edge list (edges stay within 8-node blocks, so the
+    recursive-CTE oracle's transitive closure stays bounded at every
+    sf) → per-node min-reachable-id cluster labels. The symmetric
+    adjacency is hash-routed to the shards ONCE; per round only label
+    messages move (a delta min-label hop phase + a pointer-jump phase,
+    rounds ≈ log2 of the component diameter). The input follows pool
+    placement (``_graph_events``)."""
     from commons_codec_ray.stages.graph import components_sharded, map_rows
 
     events = _graph_events(sf_dir)
@@ -9410,7 +9371,7 @@ def q_pagerank(sf_dir: str):
     actors ONCE (no sort at all — map-only setup + per-block routing
     tasks); each of the four fused scatter+gather iterations moves only
     the contribution stream shard→shard as plasma objects. Same
-    deterministic event-derived graph as q_components, directed.
+    deterministic event-derived graph as q_components_sharded, directed.
 
     The input follows pool placement (``_graph_events``): one Arrow
     table in the driver while the pool is one driver shard, else a
@@ -9439,7 +9400,7 @@ def q_triangles(sf_dir: str):
     edge dedup, degree orientation (caps out-degree at O(√m) so the
     wedge set can't blow up), vectorized wedge generation per source
     bucket, wedge∩edge membership in pair-keyed buckets. Same
-    deterministic event-derived graph as q_pagerank/q_components."""
+    deterministic event-derived graph as q_pagerank/q_components_sharded."""
     from commons_codec_ray.stages.graph import triangle_count
 
     events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id"])
@@ -9496,7 +9457,7 @@ def q_assortativity(sf_dir: str):
     Σy²) per batch — r is computed in float ONCE on the driver from
     exact integers (order-invariant), rounded 4dp to match DuckDB's
     streaming corr. Uses the varied-degree two-family graph
-    (q_kcore's) so r is well-defined."""
+    (q_kcore_sharded's) so r is well-defined."""
     import ray
 
     from commons_codec_ray.stages.graph import _sym_edges
@@ -9886,53 +9847,19 @@ p{i} AS (
 _PAGERANK_SQL = _pagerank_sql(4)
 
 
-def q_kcore(sf_dir: str):
-    """k-core decomposition (stages/graph.py:kcore — simultaneous
-    Matula–Beck peeling): a deterministic event-derived graph mixing a
-    low-degree circular band family (node-dependent forward offsets,
-    gets peeled) with near-complete 8-node blocks on a 320-node
-    subrange (survives), k=4. Each peel round is two node-keyed
-    exchanges (deg(u)/deg(v) from the same pre-round snapshot) + a
-    vectorized filter, early-stopped at fixpoint; the oracle unrolls 8
-    identical rounds (≥ the actual peel depth at every sf; post-
-    fixpoint rounds are no-ops on both sides)."""
-    from commons_codec_ray.stages.graph import kcore
-    # shuffle parallelism follows block count: keep the cap whatever the
-    # size (PERF.md "Round-5: components read-block cap")
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a1 = eid % 1400
-        b1 = (a1 + 1 + (eid % (1 + a1 % 4))) % 1400
-        a2 = eid % 320
-        b2 = (a2 // 8) * 8 + (eid // 64) % 8
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([a1, a2])),
-                "dst": pa.array(np.concatenate([b1, b2])),
-            }
-        )
-
-    return kcore(
-        events.map_batches(edges, batch_format="pyarrow"), k=4, max_rounds=12
-    )
-
-
 def q_kcore_sharded(sf_dir: str):
-    """k-core, actor-sharded (stages/graph.py:kcore_sharded): same
-    deterministic event-derived graph and unrolled oracle as q_kcore,
-    but the deduped symmetric adjacency is hash-routed to shard actors
-    ONCE and each peel round moves only death notices (one message per
-    edge incident to a just-peeled node — ≤ 2|E| bytes over the whole
-    run vs the Dataset variant's two full-edge exchanges per round).
-    The shape that survives a 100 TB edge list. Its two edge families,
-    each routed both ways, make the 4 setup rows per event that
-    ``_graph_events`` places its input by."""
+    """k-core decomposition (stages/graph.py:kcore_sharded —
+    simultaneous Matula–Beck peeling), the ``kcore`` and
+    ``kcore_sharded`` entries: a deterministic event-derived graph
+    mixing a low-degree circular band family (node-dependent forward
+    offsets, gets peeled) with near-complete 8-node blocks on a
+    320-node subrange (survives), k=4. The deduped symmetric adjacency
+    is hash-routed to the shards ONCE and each peel round moves only
+    death notices (≤ 2|E| messages over the whole run), early-stopped
+    at fixpoint; the oracle unrolls 8 identical rounds (≥ the actual
+    peel depth at every sf; post-fixpoint rounds are no-ops on both
+    sides). Its two edge families, each routed both ways, make the 4
+    setup rows per event that ``_graph_events`` places its input by."""
     from commons_codec_ray.stages.graph import kcore_sharded, map_rows
 
     events = _graph_events(sf_dir)
@@ -9958,8 +9885,8 @@ def q_densest_subgraph(sf_dir: str):
     Bahmani et al., VLDB 2012, ε=0): iterated average-degree peel with
     the exact integer removal test deg·V ≤ 2E, best prefix by exact
     rational density compare. Same event-derived two-family graph as
-    q_kcore (the 8-block subrange is the planted dense region the peel
-    must isolate); the oracle unrolls 8 identical rounds and picks the
+    q_kcore_sharded (the 8-block subrange is the planted dense region
+    the peel must isolate); the oracle unrolls 8 identical rounds and picks the
     winner with a cross-product NOT-EXISTS argmax."""
     from commons_codec_ray.stages.graph import densest_subgraph
     # shuffle parallelism follows block count: keep the cap whatever the
@@ -12838,7 +12765,7 @@ QUERIES = {
     "cdc_replay_proto": q_cdc_replay_proto,
     "gzip_ingest": q_gzip_ingest,
     "top_users_per_type": q_top_users_per_type,
-    "components": q_components,
+    "components": q_components_sharded,
     "components_sharded": q_components_sharded,
     "mode_per_group": q_mode_per_group,
     "sft_pairs": q_sft_pairs,
@@ -12861,7 +12788,7 @@ QUERIES = {
     "bm25": q_bm25,
     "kmeans": q_kmeans,
     "semdedup": q_semdedup,
-    "kcore": q_kcore,
+    "kcore": q_kcore_sharded,
     "densest_subgraph": q_densest_subgraph,
     "clustering_coeff": q_clustering_coeff,
     "assortativity": q_assortativity,

@@ -715,192 +715,6 @@ def jaccard_pairs_narrow(
 # ---------------------------------------------------------------------------
 
 
-def dedup_clusters(pairs_df: pd.DataFrame, id_a: str = "id_a", id_b: str = "id_b") -> pd.DataFrame:
-    """Connected components over near-dup pairs → (doc_id, cluster_id).
-
-    Driver-side union-find — justified because the LSH pair set is tiny
-    relative to the corpus (pairs ≈ true near-dups; the all-pairs blowup
-    never materializes). If the pair set ever rivals the corpus size,
-    switch to iterative min-label propagation with groupby (guide
-    pattern); the output contract stays the same.
-    """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(pairs_df[id_a].to_numpy(), pairs_df[id_b].to_numpy()):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    rows = sorted((int(node), find(int(node))) for node in parent)
-    return pd.DataFrame(rows, columns=["doc_id", "cluster_id"]).astype("int64")
-
-
-def dedup_clusters_distributed(pairs_ds, rounds: int | None = None, num_buckets: int | None = None):
-    """Distributed connected components over a near-dup pair Dataset via
-    iterative min-label propagation (node label = min reachable id;
-    labels spread one hop per round, so rounds ≈ the component diameter
-    — small for LSH dup clusters, which are near-cliques). Returns a
-    Dataset of (doc_id, cluster_id), one row per node in a pair.
-
-    Scale shape: per round, ONE coarse-bucketed groupby joins labels onto
-    edges (vectorized pandas merge inside each of ``num_buckets`` groups
-    — never one UDF call per node) plus one NATIVE min-aggregate, then a
-    POINTER-JUMPING step (label <- label[label], one more bucketed
-    merge): label chains collapse by doubling, so rounds ≈ log2(component
-    diameter) instead of the diameter — a 1000-node path converges in ~10
-    rounds, not 1000. The convergence check is a kilobyte global sum
-    (monotonically decreasing until fixpoint). No driver materialization
-    of pairs or labels.
-    """
-    num_buckets = num_buckets or adaptive_buckets()
-
-    def sym_edges(t: pa.Table) -> pa.Table:
-        a = t["id_a"].to_numpy(zero_copy_only=False)
-        b = t["id_b"].to_numpy(zero_copy_only=False)
-        # self-loops (a,a),(b,b) make "each node keeps its own label" an
-        # ordinary edge message, removing a per-round union of labels
-        # into the aggregate (one less dataset consumption per round)
-        node = np.concatenate([a, b, a, b]).astype(np.int64)
-        peer = np.concatenate([b, a, a, b]).astype(np.int64)
-        return pa.table(
-            {
-                "_b": hash_bucket(node, num_buckets),
-                "node": pa.array(node),
-                "peer": pa.array(peer),
-                "label": pa.nulls(len(node), pa.int64()),
-            }
-        )
-
-    def _rename(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["node"], "label": t["min(label)"]})
-
-    def seed(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False)
-        return pa.table({"node": pa.array(node), "label": pa.array(node)})
-
-    def label_rows(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "_b": hash_bucket(node, num_buckets),
-                "node": t["node"],
-                "peer": pa.nulls(t.num_rows, pa.int64()),
-                "label": t["label"],
-            }
-        )
-
-    def forward_bucket(df: pd.DataFrame) -> pa.Table:
-        lab = df.loc[df["label"].notna(), ["node", "label"]]
-        ed = df.loc[df["label"].isna(), ["node", "peer"]]
-        m = ed.merge(lab, on="node", how="inner")
-        # arrow output so the downstream union with arrow blocks is
-        # homogeneous (mixed block types break the sort-based aggregate)
-        return pa.table(
-            {
-                "dst": pa.array(m["peer"].to_numpy(dtype="int64")),
-                "label": pa.array(m["label"].to_numpy(dtype="int64")),
-            }
-        )
-
-    def jump_rows(t: pa.Table) -> pa.Table:
-        """Emit BOTH jump row kinds from one pass over the labels — query
-        rows keyed by hash(label) and map rows keyed by hash(node) — so
-        the input Dataset is consumed exactly once (no mid-round
-        materialize to guard a double consumption)."""
-        node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        lab = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(node)
-        nulls = np.zeros(n, dtype=np.int64)
-        return pa.table(
-            {
-                "_b": pa.chunked_array(
-                    [hash_bucket(lab, num_buckets), hash_bucket(node, num_buckets)]
-                ),
-                "node": pa.array(np.concatenate([node, nulls])),
-                "is_q": pa.array(np.concatenate([np.ones(n, bool), np.zeros(n, bool)])),
-                "key": pa.array(np.concatenate([lab, node])),
-                "mapped": pa.array(np.concatenate([nulls, lab])),
-            }
-        )
-
-    def jump_bucket(df: pd.DataFrame) -> pa.Table:
-        q = df.loc[df["is_q"], ["node", "key"]]
-        m = df.loc[~df["is_q"], ["key", "mapped"]]
-        j = q.merge(m, on="key", how="left")
-        # every label IS a node id present in labels, so the merge always
-        # hits; fillna(key) is belt-and-braces for an empty map partition
-        lab = j["mapped"].fillna(j["key"]).to_numpy(dtype="int64")
-        return pa.table(
-            {"node": pa.array(j["node"].to_numpy(dtype="int64")), "label": pa.array(lab)}
-        )
-
-    def pointer_jump(labels_ds):
-        """label <- label[label]: one bucketed self-merge on the label,
-        consuming ``labels_ds`` exactly once (jump_rows emits both sides
-        of the merge)."""
-        return (
-            labels_ds.map_batches(jump_rows, batch_format="pyarrow")
-            .groupby("_b")
-            .map_groups(jump_bucket, batch_format="pandas")
-        )
-
-    edges = pairs_ds.map_batches(sym_edges, batch_format="pyarrow").materialize()
-    labels = (
-        edges.map_batches(seed, batch_format="pyarrow")
-        .groupby("node")
-        .min("label")
-        .map_batches(_rename, batch_format="pyarrow")
-        .materialize()
-    )
-
-    max_rounds = rounds if rounds is not None else 64
-    prev_sum = None
-    # per-round block budget: labels re-union with edges every round, and
-    # without a bound the block count grows round over round (union
-    # blocks → sort partitions → next union), inflating task counts and
-    # driver memory by round ~10. Scaled with the cluster so label maps
-    # don't under-parallelize on wide clusters, but always bounded.
-    try:
-        import ray as _ray
-
-        _cpus = int(_ray.cluster_resources().get("CPU", 8)) if _ray.is_initialized() else 8
-    except Exception:  # noqa: BLE001
-        _cpus = 8
-    label_blocks = max(8, min(256, 2 * _cpus))
-    for _ in range(max_rounds):
-        # each node sends its label to every neighbor (self-loops carry
-        # the keep-own-label message), takes the min of what it received,
-        # then pointer-jumps label <- label[label]. labels and propagated
-        # are each consumed ONCE, so the only materialize per round is
-        # the final labels.
-        propagated = (
-            labels.map_batches(label_rows, batch_format="pyarrow")
-            .union(edges)
-            .groupby("_b")
-            .map_groups(forward_bucket, batch_format="pandas")
-            .groupby("dst")
-            .min("label")
-            .map_batches(
-                lambda t: pa.table({"node": t["dst"], "label": t["min(label)"]}),
-                batch_format="pyarrow",
-            )
-        )
-        labels = pointer_jump(propagated).repartition(label_blocks).materialize()
-        cur = labels.sum("label")
-        if cur == prev_sum:
-            break
-        prev_sum = cur
-    return labels.map_batches(
-        lambda t: pa.table({"doc_id": t["node"], "cluster_id": t["label"]}),
-        batch_format="pyarrow",
-    )
-
-
 def exact_jaccard_pairs(
     ds,
     threshold: float = 0.7,
@@ -1191,7 +1005,6 @@ def near_dedup(
     id_column: str = "doc_id",
     max_driver_pairs: int = 2_000_000,
     keep_by: tuple[str, str] | None = None,
-    cc: str = "dataset",
     transport: str = "wide",
 ):
     """Near-duplicate removal: MinHash+LSH pairs → clusters → one
@@ -1202,22 +1015,17 @@ def near_dedup(
     (ties broken by min id) — the "keep the highest-quality page of the
     mirror set" rule of crawl curation.
 
-    Pair count ≤ ``max_driver_pairs`` (the common case: pairs ≈ true
-    near-dups ≪ corpus) uses driver union-find + a broadcast loser set;
-    above the guard, clustering runs distributed
-    (``dedup_clusters_distributed``) and losers are removed with a
-    bucketed anti-join — nothing corpus-sized ever lands on the driver.
-    With ``keep_by``, scores reach the small clusters table via one
-    member-filtered scan (driver path) or a bucketed hash join
-    (distributed path) — never the reverse.
-
-    ``cc`` picks the distributed clustering engine above the guard:
-    ``"dataset"`` (default) is ``dedup_clusters_distributed`` — streams
-    every round through plasma with spill, the memory-elastic choice
-    when the pair set itself is enormous; ``"sharded"`` is
-    ``graph.components_sharded`` — adjacency pinned in shard actors
-    (routed once, only label messages move per round), ~3× faster when
-    2× the pair set fits cluster RAM. Identical labels either way.
+    Clusters come from :func:`~commons_codec_ray.stages.graph.components_sharded`
+    (min id per connected component of the pair graph). The pair count
+    decides only how losers are removed: ≤ ``max_driver_pairs`` (the
+    common case: pairs ≈ true near-dups ≪ corpus) the pairs come to the
+    driver as one ``pa.Table``, are clustered there by a pool of one,
+    and the losers are broadcast as a set; above the guard the pairs
+    stay a Dataset, and losers are removed with a bucketed anti-join —
+    nothing corpus-sized ever lands on the driver. With ``keep_by``,
+    scores reach the small clusters table via one member-filtered scan
+    (driver path) or a bucketed hash join (distributed path) — never
+    the reverse.
 
     ``transport`` picks the pair-generation exchange layout:
     ``"wide"`` (default) = :func:`jaccard_pairs` (one barrier, sig
@@ -1230,6 +1038,10 @@ def near_dedup(
     (:func:`probe_exchange_bandwidth`) — on bandwidth-poor clusters
     narrow kicks in proportionally earlier.
     """
+    import ray
+
+    from commons_codec_ray.stages.graph import components_sharded
+
     if keep_by is not None:
         assert keep_by[1] in ("min", "max"), keep_by
     if transport == "auto":
@@ -1247,32 +1059,16 @@ def near_dedup(
     pairs_ds = pair_fn(ds, threshold=threshold, hasher=hasher, id_column=id_column)
     pairs_ds = pairs_ds.materialize()
     if pairs_ds.count() <= max_driver_pairs:
-        pairs = pairs_ds.to_pandas()
-        clusters = dedup_clusters(pairs)
+        clusters = components_sharded(pa.concat_tables(ray.get(pairs_ds.to_arrow_refs())))
         if keep_by is None:
-            losers = set(
-                clusters.loc[
-                    clusters["doc_id"] != clusters["cluster_id"], "doc_id"
-                ].tolist()
-            )
+            losers = _non_min_members(clusters)
         else:
-            losers = _driver_losers_by_score(ds, clusters, id_column, keep_by)
-        if not losers:
-            return ds
-        loser_arr = pa.array(sorted(losers), type=pa.int64())
-        return ds.map_batches(
-            lambda t: t.filter(pc.invert(pc.is_in(t[id_column], value_set=loser_arr))),
-            batch_format="pyarrow",
-        )
-    if cc == "sharded":
-        from commons_codec_ray.stages.graph import components_sharded
-
-        clusters_ds = components_sharded(pairs_ds).map_batches(
-            lambda t: t.rename_columns(["doc_id", "cluster_id"]),
-            batch_format="pyarrow",
-        )
-    else:
-        clusters_ds = dedup_clusters_distributed(pairs_ds)
+            losers = _driver_losers_by_score(ds, clusters.to_pandas(), id_column, keep_by)
+        return _drop_ids(ds, losers, id_column)
+    clusters_ds = components_sharded(pairs_ds).map_batches(
+        lambda t: t.rename_columns(["doc_id", "cluster_id"]),
+        batch_format="pyarrow",
+    )
     if keep_by is None:
         losers_ds = clusters_ds.map_batches(
             lambda t: t.filter(
@@ -1285,12 +1081,33 @@ def near_dedup(
     return _anti_join(ds, losers_ds, id_column)
 
 
+def _non_min_members(clusters: pa.Table) -> set:
+    """Every clustered id that is not its cluster's min id: the losers
+    of the default survivor policy."""
+    node = clusters["node"].to_numpy()
+    return set(node[node != clusters["cluster_id"].to_numpy()].tolist())
+
+
+def _drop_ids(ds, ids: set, id_column: str):
+    """``ds`` without the rows whose id is in ``ids``, a driver-side set
+    broadcast to every batch."""
+    if not ids:
+        return ds
+    id_arr = pa.array(sorted(ids), type=pa.int64())
+    return ds.map_batches(
+        lambda t: t.filter(pc.invert(pc.is_in(t[id_column], value_set=id_arr))),
+        batch_format="pyarrow",
+    )
+
+
 def _driver_losers_by_score(ds, clusters: pd.DataFrame, id_column: str, keep_by) -> set:
     """Driver-path keep-best: fetch (id, score) for CLUSTERED docs only
     (one broadcast-filtered scan; bounded by the pair guard), pick the
     best-scored member per cluster, losers are the rest."""
     col, direction = keep_by
-    cl_map = clusters.set_index("doc_id")["cluster_id"]
+    cl_map = clusters.set_index("node")["cluster_id"]
+    if cl_map.empty:  # no pairs: the scan below would come back column-less
+        return set()
     member_arr = pa.array(sorted(cl_map.index.tolist()), type=pa.int64())
     scores = ds.map_batches(
         lambda t: t.filter(pc.is_in(t[id_column], value_set=member_arr)).select(
@@ -1695,6 +1512,7 @@ def near_dedup_incremental(
     ]
 
     from commons_codec_ray.stages.graph import _pagerank_route as route_fn
+    from commons_codec_ray.stages.graph import components_sharded
 
     def explode(t: pa.Table, _epoch: int) -> pa.Table:
         ids = t[id_column].to_numpy(zero_copy_only=False)
@@ -1768,20 +1586,9 @@ def near_dedup_incremental(
                     max_driver_pairs=max_driver_pairs,
                 )
             pair_refs.extend(pend)
-        pairs = pa.concat_tables(ray.get(pair_refs)).to_pandas().drop_duplicates()
-        clusters = dedup_clusters(pairs)
-        losers = set(
-            clusters.loc[clusters["doc_id"] != clusters["cluster_id"], "doc_id"]
-        )
-        if not losers:
-            return ds
-        loser_arr = pa.array(sorted(losers), type=pa.int64())
-        return ds.map_batches(
-            lambda t: t.filter(
-                pc.invert(pc.is_in(t[id_column], value_set=loser_arr))
-            ),
-            batch_format="pyarrow",
-        )
+        # duplicate pairs collapse in the shard adjacency
+        clusters = components_sharded(pa.concat_tables(ray.get(pair_refs)))
+        return _drop_ids(ds, _non_min_members(clusters), id_column)
     finally:
         for w in shards:
             ray.kill(w, no_restart=True)

@@ -38,6 +38,11 @@ pool is ONE shard, a plain instance of the same shard class in the
 driver, since a fresh shard process costs ~0.45 s against ~0.01 s of
 supersteps at that size. Larger inputs, or ``num_shards`` ≥ 2, spawn
 the shards as actors with one set of options (no CPU reserved).
+``components_sharded`` and ``kcore_sharded`` are the engine's only
+connected-components and k-core implementations: the Dataset-shuffle
+variants, which re-exchanged the whole edge table every round, were
+10-50× slower on the catalog (PERF.md "One components and one k-core
+engine").
 
 These five take their edges as a Ray Dataset or as a ``pa.Table``, and
 return the same kind (``link_prediction`` always returns a table). A
@@ -776,10 +781,7 @@ class _CCShard(_Shard):
     phase (label <- label[label], a query/answer pair keyed by the
     label's owner), so rounds ≈ log2(component diameter) instead of
     diameter. Labels are component member ids, hence always resolvable
-    at hash(label)'s owner. Compare
-    :func:`~commons_codec_ray.stages.dedup.dedup_clusters_distributed`,
-    the pure-Dataset variant that re-unions the edge table into a sort
-    every round; results are identical (min id per component).
+    at hash(label)'s owner.
     """
 
     def build(self) -> int:
@@ -857,7 +859,9 @@ def components_sharded(
     max_rounds: int = 64,
 ):
     """(node:int64, cluster_id:int64) = min node id per connected
-    component — the actor-sharded variant.
+    component: the engine's one connected-components implementation
+    (the ``components`` and ``components_sharded`` entries, and
+    ``near_dedup``'s clusters).
 
     The symmetric adjacency is bucketed by hash(node) and routed to
     shard actors ONCE; each round exchanges only label messages as
@@ -865,8 +869,9 @@ def components_sharded(
     counters per round, never data). A round = one hop phase (delta
     min-label propagation along edges) + one pointer-jump phase
     (label <- label[label]), so rounds ≈ log2(diameter); the loop stops
-    at the first round with zero improvements anywhere. Identical
-    output to ``dedup_clusters_distributed`` at any shard count.
+    at the first round with zero improvements anywhere, and raises
+    ``RuntimeError`` if ``max_rounds`` runs out first (the labels would
+    not be component minima yet). Identical output at any shard count.
     ``pairs_ds`` may be a ``pa.Table``; the result is then a table, and
     the pool one driver shard unless ``num_shards`` is given.
     """
@@ -897,6 +902,13 @@ def components_sharded(
             )
             if changed == 0:
                 break
+        else:
+            # unconverged labels are not component minima
+            raise RuntimeError(
+                f"components_sharded did not reach fixpoint within "
+                f"max_rounds={max_rounds}; raise max_rounds (rounds grow "
+                "with log2 of the component diameter)"
+            )
         return _collect([w.result.remote() for w in shards], pairs_ds)
 
 
@@ -919,7 +931,8 @@ def _sym_edges(edges_ds, src: str, dst: str, op_name: str = "graph op"):
         if len(u) and (int(u.min()) < 0 or int(v.max()) >= 1 << 32):
             raise ValueError(
                 f"{op_name} packs (u, v) into one int64: node ids must be "
-                "in [0, 2**32); use the sharded variants for full-int64 ids"
+                "in [0, 2**32); kcore_sharded and components_sharded take "
+                "full-int64 ids"
             )
         packed = (u.astype(np.uint64) << np.uint64(32)) | v.astype(np.uint64)
         packed = packed.view(np.int64)
@@ -951,94 +964,6 @@ def _sym_edges(edges_ds, src: str, dst: str, op_name: str = "graph op"):
     )
 
 
-def kcore(edges_ds, k: int = 3, max_rounds: int = 64, src: str = "src", dst: str = "dst"):
-    """k-core decomposition by simultaneous peeling (the classic
-    Matula–Beck coreness peel, distributed as in Montresor et al.'s
-    message-passing formulation): repeatedly delete EVERY node whose
-    current degree is < k, until fixpoint; returns the (unique,
-    maximal) k-core as ``(node, deg)`` with each survivor's in-core
-    degree.
-
-    Semantics: undirected simple graph — multi-edges collapse,
-    self-loops drop. Each peel round is TWO node-keyed exchanges over
-    the symmetric edge table (attach deg(u), then deg(v) — both
-    degrees must come from the SAME pre-round snapshot for the peel to
-    be simultaneous, which is what makes the result order- and
-    layout-invariant) plus a vectorized filter; rounds stop early when
-    the edge count reaches fixpoint. Peel depth is data-dependent
-    (worst case O(n) on a path with k=2); at 100 TB scale the
-    escalation path is the actor-sharded message engine (`_CCShard` /
-    `_PagerankShard` pattern) where the adjacency is routed once and
-    only degree deltas move per round.
-
-    An unrolled-CTE SQL oracle replays the same rounds exactly
-    (degree = COUNT(*) per node over the symmetric table, join-filter
-    both endpoints, repeat); any rounds past fixpoint are no-ops on
-    both sides, so a fixed unroll ≥ the actual peel depth matches the
-    early-stopped engine bit-for-bit.
-    """
-
-    sym = _sym_edges(edges_ds, src, dst, op_name="kcore")
-
-    def attach(col: str, out: str):
-        def body(g: pa.Table) -> pa.Table:
-            return g.append_column(
-                out, pa.array(np.full(g.num_rows, g.num_rows, np.int64))
-            )
-
-        return body
-
-    n_prev = sym.count()
-    converged = n_prev == 0
-    for _ in range(max_rounds):
-        if n_prev == 0:
-            break
-        peeled = (
-            sym.groupby("u")
-            .map_groups(attach("u", "du"), batch_format="pyarrow")
-            .groupby("v")
-            .map_groups(attach("v", "dv"), batch_format="pyarrow")
-        )
-
-        def keep_core(t: pa.Table, _k=k) -> pa.Table:
-            du = t["du"].to_numpy(zero_copy_only=False)
-            dv = t["dv"].to_numpy(zero_copy_only=False)
-            m = (du >= _k) & (dv >= _k)
-            return t.select(["u", "v"]).filter(pa.array(m))
-
-        sym = peeled.map_batches(keep_core, batch_format="pyarrow").materialize()
-        n = sym.count()
-        if n == n_prev:
-            converged = True
-            break
-        n_prev = n
-    if not converged and n_prev != 0:
-        # returning the intermediate edge set would be a silently wrong
-        # "core" (it still contains sub-k-degree nodes)
-        raise RuntimeError(
-            f"kcore did not reach fixpoint within max_rounds={max_rounds}; "
-            "raise max_rounds (peel depth is data-dependent, worst case "
-            "O(n) on a path) or use kcore_sharded"
-        )
-
-    if n_prev == 0:  # empty core: keep the (node, deg) schema stable
-        return rd.from_arrow(
-            pa.table(
-                {"node": pa.array([], pa.int64()), "deg": pa.array([], pa.int64())}
-            )
-        )
-
-    def final_deg(g: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": pa.array([g["u"][0].as_py()], pa.int64()),
-                "deg": pa.array([g.num_rows], pa.int64()),
-            }
-        )
-
-    return sym.groupby("u").map_groups(final_deg, batch_format="pyarrow")
-
-
 class _KCoreShard(_Shard):
     """One shard of static k-core state: the deduped symmetric
     adjacency (CSR) of every node whose hash bucket this shard owns,
@@ -1050,11 +975,9 @@ class _KCoreShard(_Shard):
     incident edge tells the peer's owner to decrement. Every edge
     crosses shards at most once over the WHOLE run (when its first
     endpoint dies), so total message volume is ≤ 2|E| regardless of
-    peel depth — vs the Dataset variant's two full-edge-table
-    exchanges per round. Simultaneous-peel semantics are preserved
-    because decrements emitted in round r are applied before round
-    r+1's death check, exactly the Dataset variant's "degree from the
-    pre-round snapshot" rule.
+    peel depth. The peel is simultaneous: decrements emitted in round r
+    are applied before round r+1's death check, so every round's
+    deaths are judged on the degrees of the pre-round snapshot.
     """
 
     def __init__(self, num_shards: int, nb: int, k: int):
@@ -1103,13 +1026,23 @@ def kcore_sharded(
     num_shards: int | None = None,
     max_rounds: int = 64,
 ):
-    """k-core decomposition, actor-sharded — the 100 TB shape of
-    :func:`kcore`: the deduped symmetric adjacency is hash-routed to
-    shard actors ONCE; each peel round moves only death notices (one
-    message per edge incident to a just-peeled node, so ≤ 2|E| message
-    bytes over the entire run), while the Dataset variant re-exchanges
-    the full edge table twice per round. Identical (node, deg) output
-    at any shard count; rounds = peel depth, same early stop.
+    """k-core decomposition by simultaneous peeling (the classic
+    Matula–Beck coreness peel, in Montresor et al.'s message-passing
+    form): repeatedly delete EVERY node whose current degree is < k,
+    until fixpoint; returns the (unique, maximal) k-core as
+    ``(node, deg)`` with each survivor's in-core degree. Undirected
+    simple graph: multi-edges collapse, self-loops drop. The engine's
+    one k-core implementation (the ``kcore`` and ``kcore_sharded``
+    entries).
+
+    The deduped symmetric adjacency is hash-routed to shards ONCE;
+    each peel round moves only death notices (one message per edge
+    incident to a just-peeled node, so ≤ 2|E| message bytes over the
+    entire run). Identical (node, deg) output at any shard count;
+    rounds = peel depth, stopping at the first round with no death,
+    and ``RuntimeError`` if ``max_rounds`` runs out first. An
+    unrolled-CTE SQL oracle replays the same rounds exactly; rounds
+    past fixpoint are no-ops on both sides.
     ``edges_ds`` may be a ``pa.Table``; the result is then a table, and
     the pool one driver shard unless ``num_shards`` is given.
     """
@@ -1137,8 +1070,8 @@ def kcore_sharded(
                 break
             ray.get([w.decrement.remote(*_inbox(pouts, o)) for o, w in enumerate(shards)])
         else:
-            # same contract as kcore: an intermediate state still contains
-            # sub-k-degree nodes — raising beats a silently wrong "core"
+            # an intermediate state still contains sub-k-degree nodes:
+            # raising beats a silently wrong "core"
             raise RuntimeError(
                 f"kcore_sharded did not reach fixpoint within "
                 f"max_rounds={max_rounds}; raise max_rounds (peel depth is "
@@ -1162,7 +1095,7 @@ def densest_subgraph(
 
     Engine shape per round: two node-keyed exchanges over the current
     symmetric edge table (attach deg(u) then deg(v) — same snapshot
-    discipline as :func:`kcore`) plus a kilobyte (V, E) stat partial;
+    discipline as :func:`kcore_sharded`) plus a kilobyte (V, E) stat partial;
     per-round survivor tables stay materialized in the object store so
     the winning round's node set is read back without re-peeling
     (total retained ≤ the sum of shrinking rounds < 2·|E| rows).

@@ -153,15 +153,17 @@ def test_triangle_count_exchange_degrees_matches_broadcast(ray_session):
 
 class TestComponentsSharded:
     @staticmethod
-    def _pairs_ds(pairs):
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "id_a": pa.array([p[0] for p in pairs], pa.int64()),
-                    "id_b": pa.array([p[1] for p in pairs], pa.int64()),
-                }
-            )
+    def _pairs_table(pairs):
+        return pa.table(
+            {
+                "id_a": pa.array([p[0] for p in pairs], pa.int64()),
+                "id_b": pa.array([p[1] for p in pairs], pa.int64()),
+            }
         )
+
+    @classmethod
+    def _pairs_ds(cls, pairs):
+        return rd.from_arrow(cls._pairs_table(pairs))
 
     @staticmethod
     def _reference(pairs):
@@ -194,7 +196,7 @@ class TestComponentsSharded:
         assert dict(zip(out["node"], out["cluster_id"])) == want
 
     def test_random_graph_matches_dataset_variant(self, ray_session):
-        from commons_codec_ray.stages.dedup import dedup_clusters_distributed
+        # spawned shards on a Dataset and one driver shard on a table
         from commons_codec_ray.stages.graph import components_sharded
 
         rng = np.random.RandomState(23)
@@ -202,11 +204,10 @@ class TestComponentsSharded:
             (int(a), int(b))
             for a, b in zip(rng.randint(0, 300, 500), rng.randint(0, 300, 500))
         ]
-        ds = self._pairs_ds(pairs)
-        a = components_sharded(ds, num_shards=4).to_pandas()
-        b = dedup_clusters_distributed(self._pairs_ds(pairs)).to_pandas()
+        a = components_sharded(self._pairs_ds(pairs), num_shards=4).to_pandas()
+        b = components_sharded(self._pairs_table(pairs)).to_pandas()
         got_a = dict(zip(a["node"], a["cluster_id"]))
-        got_b = dict(zip(b["doc_id"], b["cluster_id"]))
+        got_b = dict(zip(b["node"], b["cluster_id"]))
         assert got_a == got_b == self._reference(pairs)
 
     def test_shard_count_invariance(self, ray_session):
@@ -225,7 +226,10 @@ class TestKCore:
 
     @staticmethod
     def _run(src, dst, k, blocks=5, max_rounds=12):
-        from commons_codec_ray.stages.graph import kcore
+        """The k-core of the edges, which must come out the same on a
+        Dataset of ``blocks`` blocks and on a table, at the default pool
+        and on 3 spawned shards."""
+        from commons_codec_ray.stages.graph import kcore_sharded
 
         t = pa.table(
             {
@@ -233,10 +237,16 @@ class TestKCore:
                 "dst": pa.array(np.asarray(dst, np.int64)),
             }
         )
-        got = kcore(rd.from_arrow(t).repartition(blocks), k=k, max_rounds=max_rounds).to_pandas()
-        if got.empty:  # zero-row to_pandas drops columns in Ray Data
-            return {}
-        return dict(zip(got["node"].astype(int), got["deg"].astype(int)))
+        cores = []
+        for data in (rd.from_arrow(t).repartition(blocks), t):
+            for n in (None, 3):
+                got = kcore_sharded(data, k=k, max_rounds=max_rounds, num_shards=n).to_pandas()
+                # zero-row to_pandas drops columns in Ray Data
+                cores.append(
+                    {} if got.empty else dict(zip(got["node"].astype(int), got["deg"].astype(int)))
+                )
+        assert all(c == cores[0] for c in cores), cores
+        return cores[0]
 
     def test_clique_with_pendant_chain(self, ray_session):
         # K5 on 0..4 plus chain 4-10-11-12: k=3 keeps exactly the clique,
@@ -294,11 +304,28 @@ class TestKCoreSharded:
             return {}
         return dict(zip(df["node"].astype(int), df["deg"].astype(int)))
 
+    @staticmethod
+    def _kcore_reference(ds, k):
+        """Pure-Python simultaneous peel: every round removes each node
+        of degree < k in the pre-round graph, until none is removed."""
+        df = ds.to_pandas()
+        adj: dict = {}
+        for a, b in zip(df["src"].astype(int), df["dst"].astype(int)):
+            if a != b:
+                adj.setdefault(a, set()).add(b)
+                adj.setdefault(b, set()).add(a)
+        while True:
+            dead = {u for u, nbrs in adj.items() if len(nbrs) < k}
+            if not dead:
+                return {u: len(nbrs) for u, nbrs in adj.items()}
+            adj = {u: nbrs - dead for u, nbrs in adj.items() if u not in dead}
+
     def test_matches_dataset_variant(self, ray_session):
-        from commons_codec_ray.stages.graph import kcore, kcore_sharded
+        # the name is historical: the reference is a pure-Python peel
+        from commons_codec_ray.stages.graph import kcore_sharded
 
         for seed, k in ((1, 3), (2, 6), (3, 12)):
-            want = self._as_dict(kcore(self._edges(seed), k=k, max_rounds=64))
+            want = self._kcore_reference(self._edges(seed), k)
             got = self._as_dict(kcore_sharded(self._edges(seed), k=k))
             assert got == want, (seed, k)
 
@@ -333,27 +360,10 @@ class TestKCoreSharded:
         assert [f.name for f in ds.schema().base_schema] == ["node", "deg"]
 
 
-def test_kcore_raises_on_round_exhaustion(ray_session):
-    # path graph, k=2: only the two endpoints peel per round, so
-    # fixpoint needs ~n/2 rounds — an insufficient cap must RAISE, not
-    # return a wrong intermediate "core"
+def test_32_bit_id_limit_is_only_in_sym_edges(ray_session):
     import pytest
 
-    from commons_codec_ray.stages.graph import kcore
-
-    src = list(range(29))
-    dst = list(range(1, 30))
-    t = pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
-    with pytest.raises(RuntimeError, match="fixpoint"):
-        kcore(rd.from_arrow(t).repartition(3), k=2, max_rounds=3)
-    # the default cap converges (empty 2-core of a path)
-    assert kcore(rd.from_arrow(t).repartition(3), k=2).count() == 0
-
-
-def test_kcore_rejects_ids_beyond_32_bits(ray_session):
-    import pytest
-
-    from commons_codec_ray.stages.graph import kcore, kcore_sharded
+    from commons_codec_ray.stages.graph import densest_subgraph, kcore_sharded
 
     big = 1 << 32
     t = pa.table(
@@ -362,38 +372,71 @@ def test_kcore_rejects_ids_beyond_32_bits(ray_session):
             "dst": pa.array([big + 1, big + 2, big + 2], pa.int64()),
         }
     )
+    # _sym_edges packs (u, v) into one int64 for its dedupe exchange
     with pytest.raises(Exception, match="32"):
-        kcore(rd.from_arrow(t), k=2).count()
-    # the sharded variant handles full-int64 ids: the triangle is a 2-core
+        densest_subgraph(rd.from_arrow(t))
+    # kcore_sharded handles full-int64 ids: the triangle is a 2-core
     got = kcore_sharded(rd.from_arrow(t), k=2, num_shards=2).to_pandas()
     assert sorted(got["node"].astype(int)) == [big, big + 1, big + 2]
 
 
 def test_kcore_ids_in_upper_32bit_range_work(ray_session):
-    # ids in [2^31, 2^32) used to wrap the signed shift — now valid
-    from commons_codec_ray.stages.graph import kcore
+    # ids in [2^31, 2^32) are ordinary node ids: nothing packs them
+    from commons_codec_ray.stages.graph import kcore_sharded
 
     base = (1 << 31) + 5
     src = [base, base, base + 1]
     dst = [base + 1, base + 2, base + 2]
     t = pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
-    got = kcore(rd.from_arrow(t), k=2).to_pandas()
-    assert sorted(got["node"].astype(int)) == [base, base + 1, base + 2]
-    assert (got["deg"] == 2).all()
+    for data in (rd.from_arrow(t), t):
+        got = kcore_sharded(data, k=2).to_pandas()
+        assert sorted(got["node"].astype(int)) == [base, base + 1, base + 2]
+        assert (got["deg"] == 2).all()
 
 
-def test_kcore_sharded_raises_on_round_exhaustion(ray_session):
-    # same contract as the Dataset variant: an insufficient round cap
-    # must RAISE rather than return an intermediate non-core
+def _path_edges(n):
+    return pa.table({"src": pa.array(range(n - 1), pa.int64()), "dst": pa.array(range(1, n), pa.int64())})
+
+
+def test_kcore_raises_on_round_exhaustion(ray_session):
+    # path graph, k=2: only the two endpoints peel per round, so
+    # fixpoint needs ~n/2 rounds — an insufficient cap must RAISE, not
+    # return a wrong intermediate "core"
     import pytest
 
     from commons_codec_ray.stages.graph import kcore_sharded
 
-    src = list(range(99))
-    dst = list(range(1, 100))
-    t = pa.table({"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())})
+    t = _path_edges(30)
+    for data in (rd.from_arrow(t).repartition(3), t):
+        with pytest.raises(RuntimeError, match="fixpoint"):
+            kcore_sharded(data, k=2, max_rounds=3)
+    # the default cap converges (empty 2-core of a path)
+    assert kcore_sharded(rd.from_arrow(t).repartition(3), k=2).count() == 0
+
+
+def test_kcore_sharded_raises_on_round_exhaustion(ray_session):
+    # the same contract on spawned shards
+    import pytest
+
+    from commons_codec_ray.stages.graph import kcore_sharded
+
     with pytest.raises(RuntimeError, match="fixpoint"):
-        kcore_sharded(rd.from_arrow(t).repartition(3), k=2, max_rounds=5, num_shards=3)
+        kcore_sharded(rd.from_arrow(_path_edges(100)).repartition(3), k=2, max_rounds=5, num_shards=3)
+
+
+def test_components_sharded_raises_on_round_exhaustion(ray_session):
+    # a 1000-node path needs 10 hop + pointer-jump rounds: a cap of 8
+    # must RAISE, not return labels that are not component minima
+    import pytest
+
+    from commons_codec_ray.stages.graph import components_sharded
+
+    n = 1000
+    t = pa.table({"id_a": pa.array(range(n - 1), pa.int64()), "id_b": pa.array(range(1, n), pa.int64())})
+    with pytest.raises(RuntimeError, match="fixpoint"):
+        components_sharded(t, max_rounds=8)
+    with pytest.raises(RuntimeError, match="fixpoint"):
+        components_sharded(rd.from_arrow(t).repartition(3), max_rounds=8, num_shards=3)
 
 
 class TestDensestSubgraph:

@@ -6,33 +6,52 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
 
-from commons_codec_ray.stages.dedup import dedup_clusters, near_dedup
+from commons_codec_ray.stages.dedup import near_dedup
+from commons_codec_ray.stages.graph import components_sharded
 
 SF_DIR = "/root/testdata/sf0.001"
 
 
-def test_dedup_clusters_union_find():
+def _union_find(pairs: pd.DataFrame) -> dict:
+    """Reference clusters: node -> min id of its component."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in zip(pairs["id_a"], pairs["id_b"]):
+        ra, rb = find(int(a)), find(int(b))
+        parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in parent}
+
+
+def _labels(out) -> dict:
+    """node -> cluster_id of a components_sharded result (table or Dataset)."""
+    df = out.to_pandas()
+    return dict(zip(df["node"].astype(int), df["cluster_id"].astype(int)))
+
+
+def test_dedup_clusters_union_find(ray_session):
+    # near_dedup's clusters: a pair table, one driver shard, a table back
     pairs = pd.DataFrame({"id_a": [1, 2, 10, 11], "id_b": [2, 3, 11, 12]})
-    out = dedup_clusters(pairs)
-    by_doc = dict(zip(out.doc_id, out.cluster_id))
+    out = components_sharded(pa.Table.from_pandas(pairs))
+    assert isinstance(out, pa.Table)
+    by_doc = _labels(out)
     assert by_doc[1] == by_doc[2] == by_doc[3] == 1
     assert by_doc[10] == by_doc[11] == by_doc[12] == 10
+    assert by_doc == _union_find(pairs)
 
 
-def test_distributed_clusters_match_union_find():
-    from commons_codec_ray.stages.dedup import dedup_clusters_distributed
-
+def test_distributed_clusters_match_union_find(ray_session):
+    # duplicate and reversed pairs, on a table and on spawned shards
     pairs = pd.DataFrame(
-        {"id_a": [1, 2, 10, 11, 20, 1], "id_b": [2, 3, 11, 12, 21, 3]}
+        {"id_a": [1, 2, 10, 11, 20, 1, 3, 21], "id_b": [2, 3, 11, 12, 21, 3, 1, 20]}
     )
-    got = (
-        dedup_clusters_distributed(rd.from_pandas(pairs))
-        .to_pandas()
-        .sort_values("doc_id")
-        .reset_index(drop=True)
-    )
-    want = dedup_clusters(pairs).sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(got.astype("int64"), want.astype("int64"))
+    want = _union_find(pairs)
+    assert _labels(components_sharded(pa.Table.from_pandas(pairs))) == want
+    assert _labels(components_sharded(rd.from_pandas(pairs), num_shards=3)) == want
 
 
 def test_minhasher_nondefault_k_no_neighbor_leakage():
@@ -61,17 +80,15 @@ def test_minhasher_nondefault_k_no_neighbor_leakage():
             assert not (a == b).all(), f"k={k}: order-insensitive shingles"
 
 
-def test_distributed_clusters_path_graph_converges_log_rounds():
+def test_distributed_clusters_path_graph_converges_log_rounds(ray_session):
     """Pointer-jumping (VERDICT r2 #6): a 1000-node PATH graph (diameter
     999 — the worst case for one-hop propagation) must converge within a
     logarithmic round budget, proving label <- label[label] doubling."""
     import numpy as np
 
-    from commons_codec_ray.stages.dedup import dedup_clusters_distributed
-
     n = 1000
     pairs = pd.DataFrame({"id_a": np.arange(n - 1), "id_b": np.arange(1, n)})
-    got = dedup_clusters_distributed(rd.from_pandas(pairs), rounds=12).to_pandas()
+    got = components_sharded(rd.from_pandas(pairs), max_rounds=12).to_pandas()
     assert len(got) == n
     assert (got["cluster_id"] == 0).all()  # fully converged in <=12 rounds
 
@@ -79,7 +96,7 @@ def test_distributed_clusters_path_graph_converges_log_rounds():
 def test_near_dedup_distributed_path_matches_driver_path():
     """Pathological guard: max_driver_pairs=0 forces the distributed
     clustering + bucketed anti-join; survivors must be identical to the
-    driver union-find path."""
+    driver path."""
     docs = rd.read_parquet(f"{SF_DIR}/documents.parquet", columns=["doc_id", "text"]).limit(120)
 
     def perturb(t: pa.Table) -> pa.Table:
@@ -91,11 +108,6 @@ def test_near_dedup_distributed_path_matches_driver_path():
     dist = near_dedup(corpus, threshold=0.7, max_driver_pairs=0).to_pandas()
     assert sorted(dist.doc_id) == sorted(driver.doc_id)
     assert set(dist.columns) == set(driver.columns)
-    # the actor-sharded CC engine must yield the same survivors
-    shard = near_dedup(
-        corpus, threshold=0.7, max_driver_pairs=0, cc="sharded"
-    ).to_pandas()
-    assert sorted(shard.doc_id) == sorted(driver.doc_id)
 
 
 def test_near_dedup_removes_planted_copies():
@@ -153,6 +165,26 @@ def test_near_dedup_keep_min_score():
         _scored_corpus(), threshold=0.7, keep_by=("quality", "min")
     ).to_pandas()
     assert set(got["doc_id"]) == {0, 12, 20, 99}
+
+
+def test_near_dedup_without_pairs_keeps_every_doc(ray_session):
+    # distinct vocab, so LSH yields no pair: the driver path clusters an
+    # empty pair table, and every doc survives under each policy
+    from commons_codec_ray.stages.dedup import near_dedup_incremental
+
+    want = [0, 10, 20, 99]
+
+    def distinct():
+        return _scored_corpus().map_batches(
+            lambda t: t.filter(pc.is_in(t["doc_id"], value_set=pa.array(want))),
+            batch_format="pyarrow",
+        )
+
+    for keep_by in (None, ("quality", "max")):
+        got = near_dedup(distinct(), threshold=0.7, keep_by=keep_by).to_pandas()
+        assert sorted(got["doc_id"]) == want, keep_by
+    got = near_dedup_incremental(distinct(), threshold=0.7, epochs=2).to_pandas()
+    assert sorted(got["doc_id"]) == want
 
 
 def test_narrow_transport_matches_wide(ray_session):
