@@ -294,23 +294,34 @@ class CDCPipeline:
         offset_range: tuple[int, int],
         t0: float,
         decode: bool = True,
+        next_range: tuple[int, int] | None = None,
         **extra,
     ) -> dict[str, Any]:
         """Run one epoch on ``runner`` (see ``ActorPoolApplyRunner.run_epoch``
-        for ``source``), write its dead letters, and commit it with its
-        metrics; ``extra`` joins the metrics."""
+        for ``source`` and ``next_range``, the next epoch's offsets, whose
+        decode starts before this epoch flushes), write its dead letters,
+        and commit it with its metrics; ``extra`` joins the metrics.
+
+        ``metrics.stages`` holds the driver's seconds: ``decode_wait_s``
+        blocked on the epoch's decode results and ingest, ``flush_s`` on
+        its flush, and ``commit_s`` writing its dead letters. The
+        manifest and checkpoint writes that follow (perfbench's
+        ``sink.commit_s``) cannot be timed in the manifest they write."""
         self.store.ensure_dirs(epoch)
         prev_wm = self._last_watermark(self.store.read_checkpoint())
-        lineage, dead, controls = runner.run_epoch(
+        lineage, dead, controls, stages = runner.run_epoch(
             source, epoch, *offset_range, self._apply_schema_event,
-            watermark_us=prev_wm, decode=decode,
+            watermark_us=prev_wm, decode=decode, next_range=next_range,
         )
+        t = time.perf_counter()
         n_dead = 0
         if dead is not None:
             n_dead = dead.num_rows
             dl_dir = self.store.dead_letter_dir(epoch)
             dl_dir.mkdir(parents=True, exist_ok=True)
             pq.write_table(dead, dl_dir / "dead-0000.parquet")
+        stages = {k: round(v, 4) for k, v in stages.items()}
+        stages["commit_s"] = round(time.perf_counter() - t, 4)
         metrics = {
             "changes": sum(int(r.get("n_changes", 0) or 0) for r in lineage),
             "events": sum(r["ops_applied"] for r in lineage),
@@ -320,6 +331,7 @@ class CDCPipeline:
             "schema_events": len(controls),
             "duration_s": round(time.time() - t0, 3),
             "appliers": runner.appliers,
+            "stages": stages,
             **_watermark_metrics(lineage),
             **extra,
         }
@@ -430,7 +442,10 @@ class CDCPipeline:
         row-group statistics — resume never rescans committed offsets.
         Partition state is held by the applier pool across epochs; its
         decode tasks exchange ops by hash and return each epoch's control
-        events (see :mod:`commons_codec_ray.stages.actor_applier`). A
+        events (see :mod:`commons_codec_ray.stages.actor_applier`). Epochs
+        are pipelined one deep: the next epoch's decode tasks are
+        submitted once this epoch's controls are applied, before it
+        flushes, while the epochs still commit one after another. A
         small replay runs its one applier in the driver, a large one
         spawns applier actors; the epoch manifests record which
         (``metrics.appliers``). ``keep_actors`` keeps the pool for the
@@ -465,12 +480,16 @@ class CDCPipeline:
                 # clamp to the known head: committing past it would skip
                 # offsets that arrive later within the same range (tail mode)
                 hi = min(lo + epoch_size, max_offset + 1)
-                results.append(self._apply_epoch(runner, files, epoch, (lo, hi), time.time()))
+                nxt = (hi, min(hi + epoch_size, max_offset + 1)) if hi <= max_offset else None
+                results.append(
+                    self._apply_epoch(runner, files, epoch, (lo, hi), time.time(), next_range=nxt)
+                )
                 epoch += 1
                 lo = hi
         except BaseException:
             # epoch failed: applier state may be ahead of the checkpoint —
-            # drop the pool so the next run reloads committed state
+            # drop the pool (and the next epoch's decode tasks) so the
+            # next run reloads committed state
             runner.shutdown()
             self._runner = None
             raise
@@ -856,7 +875,14 @@ class CDCPipeline:
 
     def metrics(self) -> dict[str, Any]:
         """Aggregated throughput / lag counters from the epoch manifests
-        (the north star's per-partition lineage + metrics surface)."""
+        (the north star's per-partition lineage + metrics surface).
+
+        ``wall_s_total`` sums the epochs' ``duration_s``. A replay submits
+        an epoch's decode tasks while the previous epoch flushes, but
+        ``duration_s`` runs from the epoch's own start, so the epochs'
+        durations do not overlap and no second is counted twice.
+        ``stages_s_total`` sums the epochs' ``metrics.stages`` (see
+        ``_apply_epoch``)."""
         ckpt = self.store.read_checkpoint()
         out: dict[str, Any] = {
             "last_epoch": ckpt.last_epoch,
@@ -868,6 +894,7 @@ class CDCPipeline:
             "late_events_total": 0,
             "watermark_us": None,
             "wall_s_total": 0.0,
+            "stages_s_total": {},
             "epochs": [],
         }
         for e in range(0, ckpt.last_epoch + 1):
@@ -881,6 +908,8 @@ class CDCPipeline:
             out["schema_events_total"] += met.get("schema_events", 0)
             out["wall_s_total"] += met.get("duration_s", 0.0)
             out["late_events_total"] += met.get("late_events", 0)
+            for stage, secs in met.get("stages", {}).items():
+                out["stages_s_total"][stage] = out["stages_s_total"].get(stage, 0.0) + secs
             if met.get("max_event_ts_us") is not None:
                 out["watermark_us"] = max(
                     out["watermark_us"] or 0, met["max_event_ts_us"]
@@ -893,6 +922,7 @@ class CDCPipeline:
                     "late_events": met.get("late_events", 0),
                     "max_event_ts_us": met.get("max_event_ts_us"),
                     "appliers": met.get("appliers"),
+                    "stages": met.get("stages"),
                     "events_per_s": round(
                         met.get("events", 0) / met["duration_s"], 1
                     )

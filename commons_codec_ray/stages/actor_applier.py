@@ -29,10 +29,16 @@ run through it. Its shape (SURVEY.md §2.4/§3.4; the north star's
   hands the evolved columns to the appliers before they flush. If the
   controls change the OBJECT/MAP column set the decode itself depends
   on, the appliers drop the epoch's pending ops and it is decoded again;
+- epochs are pipelined one deep: the next epoch's decode tasks are
+  submitted once this epoch's controls are applied, before it flushes,
+  so the CPUs decode epoch N+1 while the appliers merge and write epoch
+  N. Its decoder is built from the registry the serial order would use,
+  and its sub-tables reach the appliers only after N's flush, so the
+  epoch boundary and the ingest order are unchanged;
 - each applier merges its ``K`` sub-tables into its state, writes its
   partition files for the epoch (tmp + atomic rename), and returns
   lineage rows; the driver writes the dead letters and commits the
-  manifest + checkpoint.
+  manifest + checkpoint, one epoch after another.
 
 This is one of the few places the engine drops below the Dataset API —
 justified because the exchange key space is small and static (``P``
@@ -40,17 +46,19 @@ partitions), which Ray's generic sort/hash shuffles cannot exploit, and
 because applier state must persist across epochs.
 
 Failure semantics: tasks/actors are deterministic given (checkpoint,
-epoch op set); any failure aborts the epoch, and a rerun resumes from
-the last committed checkpoint (fresh appliers reload base state). The
-commit protocol in :mod:`commons_codec_ray.sink.manifest` is unchanged.
+epoch op set); any failure aborts the epoch and drops the pool, which
+cancels the next epoch's decode tasks, and a rerun resumes from the last
+committed checkpoint (fresh appliers reload base state). The commit
+protocol in :mod:`commons_codec_ray.sink.manifest` is unchanged.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 
 import numpy as np
@@ -255,9 +263,13 @@ class Applier:
         and runs each as its task's result becomes available, so merging
         overlaps the rest of the decode stage instead of waiting for a
         global barrier. In the driver the calls run one at a time in
-        submission order, each blocking until its decode task is done. A
-        rolling LWW pre-reduce bounds memory: pending ops never exceed
-        ~2× the combine threshold regardless of epoch size.
+        submission order, each blocking until its decode task is done.
+        The next epoch's decode tasks are submitted once this epoch's
+        controls are applied, before it flushes, but their ``ingest``
+        calls are issued only after this epoch's ``flush_epoch``, so an
+        applier never holds ops of two epochs. A rolling LWW pre-reduce
+        bounds memory: pending ops never exceed ~2× the combine threshold
+        regardless of epoch size.
         """
         from commons_codec_ray.stages.applier import lww_reduce
 
@@ -521,6 +533,17 @@ def committed_rows(lake_root: str, base_partitions: dict[str, Any], limit: int) 
     return rows
 
 
+class _Decoding(NamedTuple):
+    """An epoch's submitted decode tasks: its offsets ``[lo, hi)``, each
+    task's ``A + 1`` result refs, and the OBJECT/MAP column set their
+    decoder was built with."""
+
+    lo: int
+    hi: int
+    refs: list
+    object_columns: frozenset[str]
+
+
 class ActorPoolApplyRunner:
     """Drives decode tasks + the applier pool for a sequence of epochs.
 
@@ -566,6 +589,7 @@ class ActorPoolApplyRunner:
             config.emit_changes,
         )
         self._ping_refs = None
+        self._next: _Decoding | None = None  # the next epoch's decode tasks
         if self.num_actors == 1:
             self.appliers: str | int = "driver"
             self.actors = [InDriver(Applier(0, *args))]
@@ -588,24 +612,36 @@ class ActorPoolApplyRunner:
             ray.get(self._ping_refs)
             self._ping_refs = None
 
-    def _decode_and_ingest(self, units: list, decode: bool) -> tuple[list, list]:
-        """Submit one decode task per (source, lo, hi) unit and queue each
-        task's sub-tables on their actors; returns (ingest refs, refs of
-        the tasks' trailing schema-change/dead-letter tables)."""
+    def _submit(self, source: list, lo: int, hi: int, decode: bool) -> _Decoding:
+        """Submit one decode task per unit of the epoch (see ``run_epoch``
+        for ``source``), with the registry and dialects as of now."""
+        if source and isinstance(source[0], str):
+            slices = plan_file_slices(source, lo, hi, self.num_decode_tasks, self._meta_cache)
+            units = [(s, lo, hi) for s in slices]
+        else:
+            units = block_row_ranges(source, self.num_decode_tasks)
         A = self.num_actors
-        # registry and dialects as of now, shipped once
+        # shipped once per epoch
         decoder = ray.put(DecodeEnvelopes(self.config, combine=True)) if decode else None
-        refs_matrix = [
-            decode_split_task.options(num_returns=A + 1).remote(src, lo, hi, decoder, A)
-            for src, lo, hi in units
+        refs = [
+            decode_split_task.options(num_returns=A + 1).remote(src, u_lo, u_hi, decoder, A)
+            for src, u_lo, u_hi in units
         ]
+        return _Decoding(lo, hi, refs, object_columns(self.config))
+
+    def _ingest(self, decoding: _Decoding) -> tuple[list, pa.Table]:
+        """Queue each decode task's sub-tables on their appliers and wait
+        for the tasks' trailing schema-change/dead-letter tables; returns
+        (ingest refs, those rows)."""
+        A = self.num_actors
         # incremental push: each actor ingests one decode task's slice as
         # soon as that task finishes (per-actor ordered queue) — the merge
-        # overlaps the decode stage; flush_epoch is the only barrier.
+        # overlaps the decode stage; flush_epoch is the only barrier. In
+        # the driver each call blocks until its task is done.
         ingest_refs = [
-            self.actors[a].ingest.remote(refs[a]) for refs in refs_matrix for a in range(A)
+            self.actors[a].ingest.remote(refs[a]) for refs in decoding.refs for a in range(A)
         ]
-        return ingest_refs, [refs[A] for refs in refs_matrix]
+        return ingest_refs, pa.concat_tables(ray.get([refs[A] for refs in decoding.refs]))
 
     def run_epoch(
         self,
@@ -616,7 +652,8 @@ class ActorPoolApplyRunner:
         on_control: Callable[[dict[str, Any]], None],
         watermark_us: int | None = None,
         decode: bool = True,
-    ) -> tuple[list[dict[str, Any]], pa.Table | None, list[dict[str, Any]]]:
+        next_range: tuple[int, int] | None = None,
+    ) -> tuple[list[dict[str, Any]], pa.Table | None, list[dict[str, Any]], dict[str, float]]:
         """Decode, exchange and apply one epoch.
 
         ``source`` is the envelope log's files, of which the offsets in
@@ -628,47 +665,63 @@ class ActorPoolApplyRunner:
 
         The epoch's schema-change rows come back from the decode tasks
         and are passed to ``on_control`` in lsn order before any actor
-        flushes, so they take effect at this epoch's boundary. Returns
-        (lineage rows, dead-letter table or None, schema-change rows)."""
-        if source and isinstance(source[0], str):
-            slices = plan_file_slices(source, lo, hi, self.num_decode_tasks, self._meta_cache)
-            units = [(s, lo, hi) for s in slices]
-        else:
-            units = block_row_ranges(source, self.num_decode_tasks)
-        if not units:
-            return [], None, []
-        decoded_with = object_columns(self.config)
-        ingest_refs, special_refs = self._decode_and_ingest(units, decode)
+        flushes, so they take effect at this epoch's boundary. Then the
+        decode tasks of ``next_range`` (the next epoch's offsets in the
+        same ``source``) are submitted, before this epoch flushes; the
+        next call, which must be for that range, ingests them. Returns
+        (lineage rows, dead-letter table or None, schema-change rows,
+        driver wait seconds: ``decode_wait_s`` on decode results and
+        ingest, ``flush_s`` on the flush)."""
+        decoding, self._next = self._next, None
+        if decoding is None:
+            decoding = self._submit(source, lo, hi, decode)
+        assert (decoding.lo, decoding.hi) == (lo, hi), "run_epoch out of order"
+        if not decoding.refs:
+            return [], None, [], {"decode_wait_s": 0.0, "flush_s": 0.0}
         self.wait_ready()
-        special = pa.concat_tables(ray.get(special_refs))
+        t = time.perf_counter()
+        calls, special = self._ingest(decoding)
+        decode_wait = time.perf_counter() - t
         control_mask = pc.equal(special["op"], pa.scalar(OP_SCHEMA_CHANGE, pa.int8()))
         controls = sorted(
             special.filter(control_mask).select(["lsn", "source_offset", "aux"]).to_pylist(),
             key=lambda r: r["lsn"],
         )
-        calls = list(ingest_refs)
         if controls:
             for row in controls:
                 on_control(row)
-            if object_columns(self.config) != decoded_with:
+            if object_columns(self.config) != decoding.object_columns:
                 # the epoch was decoded against the old OBJECT/MAP set:
                 # drop what the actors hold and decode it again
                 calls += [a.discard_pending.remote() for a in self.actors]
-                ingest_refs, special_refs = self._decode_and_ingest(units, decode)
+                t = time.perf_counter()
+                ingest_refs, special = self._ingest(self._submit(source, lo, hi, decode))
+                decode_wait += time.perf_counter() - t
                 calls += ingest_refs
-                special = pa.concat_tables(ray.get(special_refs))
             # Ray runs one caller's calls to an actor in order, so the
             # new columns reach every actor before its flush
             extra = _extra_columns_json(self.config)
             calls += [a.set_extra_columns.remote(extra) for a in self.actors]
+        if next_range is not None:
+            # decoded against the registry as this epoch leaves it, while
+            # the appliers flush this epoch
+            self._next = self._submit(source, *next_range, decode)
+        t = time.perf_counter()
         flush_futures = [a.flush_epoch.remote(epoch, watermark_us) for a in self.actors]
         lineage = [row for rows in ray.get(flush_futures) for row in rows]
         ray.get(calls)  # surface any ingest errors
+        stages = {"decode_wait_s": decode_wait, "flush_s": time.perf_counter() - t}
         dead = special.filter(pc.equal(special["op"], pa.scalar(OP_DEAD, pa.int8())))
         dead = dead.select(["lsn", "source_offset", "aux", "error"]) if dead.num_rows else None
-        return lineage, dead, controls
+        return lineage, dead, controls, stages
 
     def shutdown(self) -> None:
+        """Kill the appliers, and cancel the next epoch's decode tasks if
+        an epoch failed while they ran."""
+        if self._next is not None:
+            for refs in self._next.refs:
+                ray.cancel(refs[0])
+            self._next = None
         if self.appliers != "driver":
             for a in self.actors:
                 ray.kill(a)

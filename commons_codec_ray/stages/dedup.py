@@ -1058,7 +1058,10 @@ def near_dedup(
     pair_fn = jaccard_pairs_narrow if transport == "narrow" else jaccard_pairs
     pairs_ds = pair_fn(ds, threshold=threshold, hasher=hasher, id_column=id_column)
     pairs_ds = pairs_ds.materialize()
-    if pairs_ds.count() <= max_driver_pairs:
+    n_pairs = pairs_ds.count()
+    if n_pairs == 0:
+        return ds  # no pair, no loser, on either path
+    if n_pairs <= max_driver_pairs:
         clusters = components_sharded(pa.concat_tables(ray.get(pairs_ds.to_arrow_refs())))
         if keep_by is None:
             losers = _non_min_members(clusters)

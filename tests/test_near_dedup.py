@@ -168,8 +168,8 @@ def test_near_dedup_keep_min_score():
 
 
 def test_near_dedup_without_pairs_keeps_every_doc(ray_session):
-    # distinct vocab, so LSH yields no pair: the driver path clusters an
-    # empty pair table, and every doc survives under each policy
+    # distinct vocab, so LSH yields no pair: every doc survives under each
+    # policy, on the driver path and above max_driver_pairs alike
     from commons_codec_ray.stages.dedup import near_dedup_incremental
 
     want = [0, 10, 20, 99]
@@ -180,9 +180,12 @@ def test_near_dedup_without_pairs_keeps_every_doc(ray_session):
             batch_format="pyarrow",
         )
 
-    for keep_by in (None, ("quality", "max")):
-        got = near_dedup(distinct(), threshold=0.7, keep_by=keep_by).to_pandas()
-        assert sorted(got["doc_id"]) == want, keep_by
+    for max_driver in (2_000_000, -1):
+        for keep_by in (None, ("quality", "max")):
+            got = near_dedup(
+                distinct(), threshold=0.7, keep_by=keep_by, max_driver_pairs=max_driver,
+            ).to_pandas()
+            assert sorted(got["doc_id"]) == want, (max_driver, keep_by)
     got = near_dedup_incremental(distinct(), threshold=0.7, epochs=2).to_pandas()
     assert sorted(got["doc_id"]) == want
 
