@@ -3695,7 +3695,13 @@ def q_lm_score(sf_dir: str):
     from per-batch partials (vocabulary-bounded kilobytes, broadcast);
     (2) per-doc scoring against the broadcast model with per-batch
     local top-k (the split itself is irreducibly per-doc, like langid).
-    Top-20 lowest-scoring docs (ties → doc_id) = disfluency candidates."""
+    Top-20 lowest-scoring docs (ties → doc_id) = disfluency candidates.
+
+    The broadcast model grows with the corpus's distinct-bigram count.
+    No sharded twin (three keyed exchanges, nothing broadcast) is kept:
+    it took 4.9-6.5 s at sf0.01 and 5.8-6.2 s at sf0.1 against 0.6-1.0
+    s and 0.8-0.9 s for this broadcast (PERF.md "Retired twin
+    engines"), and the ``lm_score_sharded`` entry runs this function."""
     import ray as _ray
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
@@ -3758,120 +3764,6 @@ scores AS (
   GROUP BY bg.doc_id)
 SELECT doc_id, lm_ppm FROM scores ORDER BY lm_ppm, doc_id LIMIT 20
 """
-
-
-def q_lm_score_sharded(sf_dir: str):
-    """lm_score with NOTHING broadcast and nothing driver-sized — the
-    unbounded-vocabulary web-scale shape (same relationship to lm_score
-    as triangles_exchange to triangles): the doc-bigram table
-    (doc_id, w1, w2, c) materializes once and feeds three keyed
-    exchanges — (1) w1-keyed to build model rows ppm = c·10⁶ // n1 with
-    the prefix totals computed in-bucket, (2) (w1,w2)-pair-keyed to
-    join doc bigrams against model rows (contrib = c_doc·ppm), (3)
-    doc-keyed to finish per-doc sums with per-bucket bottom-20 local
-    top-k, so the driver merges nb·20 candidate rows. Identical output
-    to lm_score (same oracle)."""
-    import zlib as _zlib
-
-    nb = adaptive_buckets()
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def _pairhash(w1: pd.Series, w2: pd.Series) -> np.ndarray:
-        return np.fromiter(
-            (_zlib.crc32((a + "\x1f" + b).encode()) for a, b in zip(w1, w2)),
-            np.int64,
-            len(w1),
-        )
-
-    def doc_bigrams(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_numpy(zero_copy_only=False)
-        toks_all = [(x or "").split(" ") for x in t["text"].to_pylist()]
-        n_bg = np.array([max(len(x) - 1, 0) for x in toks_all], np.int64)
-        df = pd.DataFrame(
-            {
-                "doc_id": np.repeat(ids, n_bg),
-                "w1": [w for toks in toks_all for w in toks[:-1]],
-                "w2": [w for toks in toks_all for w in toks[1:]],
-            }
-        )
-        g = df.groupby(["doc_id", "w1", "w2"], as_index=False).size().rename(columns={"size": "c"})
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    bg = docs.map_batches(doc_bigrams, batch_format="pyarrow").materialize()
-
-    # exchange 1 (w1-keyed): model rows ppm = c(w1,w2)·1e6 // n1(w1)
-    def by_w1(t: pa.Table) -> pa.Table:
-        w1 = t["w1"].to_numpy(zero_copy_only=False)
-        h = np.fromiter((_zlib.crc32(x.encode()) for x in w1), np.int64, len(w1))
-        return pa.table(
-            {"_wb": hash_bucket(h, nb), "w1": t["w1"], "w2": t["w2"], "c": t["c"]}
-        )
-
-    def model_rows(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["w1", "w2"], as_index=False)["c"].sum()
-        n1 = g.groupby("w1")["c"].sum()
-        ppm = g["c"].to_numpy(np.int64) * 1_000_000 // n1.loc[g["w1"]].to_numpy(np.int64)
-        return pd.DataFrame({"w1": g["w1"], "w2": g["w2"], "v": ppm, "doc_id": -1})
-
-    model = (
-        bg.map_batches(by_w1, batch_format="pyarrow")
-        .groupby("_wb")
-        .map_groups(model_rows, batch_format="pandas")
-    )
-
-    # exchange 2 (pair-keyed): join doc bigrams against model rows
-    def pair_rows(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        return pa.table(
-            {
-                "_pb": hash_bucket(_pairhash(df["w1"], df["w2"]), nb),
-                "w1": pa.array(df["w1"], pa.string()),
-                "w2": pa.array(df["w2"], pa.string()),
-                "v": pa.array(df["v"].to_numpy(np.int64) if "v" in df else df["c"].to_numpy(np.int64), pa.int64()),
-                "doc_id": pa.array(
-                    df["doc_id"].to_numpy(np.int64) if "doc_id" in df else np.full(len(df), -1, np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    def join_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        m = df[df["doc_id"] < 0]
-        d = df[df["doc_id"] >= 0]
-        j = d.merge(m[["w1", "w2", "v"]], on=["w1", "w2"], suffixes=("_c", "_ppm"))
-        j["s"] = j["v_c"].to_numpy(np.int64) * j["v_ppm"].to_numpy(np.int64)
-        return j.groupby("doc_id", as_index=False)["s"].sum()
-
-    contrib = (
-        model.map_batches(pair_rows, batch_format="pyarrow")
-        .union(bg.map_batches(pair_rows, batch_format="pyarrow"))
-        .groupby("_pb")
-        .map_groups(join_pairs, batch_format="pandas")
-    )
-
-    # exchange 3 (doc-keyed): finish per-doc sums, per-bucket bottom-20
-    def by_doc(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "_db", hash_bucket(t["doc_id"].to_numpy(zero_copy_only=False), nb)
-        )
-
-    def bucket_bottom(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("doc_id", as_index=False)["s"].sum()
-        return g.sort_values(["s", "doc_id"], kind="mergesort").head(20)
-
-    cand = (
-        contrib.map_batches(by_doc, batch_format="pyarrow")
-        .groupby("_db")
-        .map_groups(bucket_bottom, batch_format="pandas")
-        .to_pandas()
-    )
-    top = cand.sort_values(["s", "doc_id"], kind="mergesort").head(20)
-    return pa.table(
-        {
-            "doc_id": pa.array(top["doc_id"].to_numpy(np.int64), pa.int64()),
-            "lm_ppm": pa.array(top["s"].to_numpy(np.int64), pa.int64()),
-        }
-    )
 
 
 def q_cross_source_dups(sf_dir: str):
@@ -6416,30 +6308,35 @@ def _europe_custkeys(sf_dir: str) -> np.ndarray:
     return np.sort(custkeys)
 
 
-def q_semi_join(sf_dir: str):
-    """Broadcast semi-join: orders whose customer sits in the EUROPE
-    region. The dimension chain (region → nation → customer keys) is
-    resolved driver-side on the tiny side and broadcast ONCE via
-    ``ray.put``; the fact table streams through an ``is_in`` filter — no
-    shuffle at all. At scales where the key set outgrows memory, swap the
-    exact set for a bloom filter + exact re-check (q_semi_join_bloom)."""
+def _orders_by_europe(sf_dir: str, member: bool):
+    """(o_orderkey, o_totalprice) of the orders whose customer is
+    (``member``) or is not in the EUROPE region. The dimension chain
+    (region → nation → customer keys) is resolved driver-side on the
+    tiny side and broadcast ONCE via ``ray.put``; the fact table streams
+    through an ``is_in`` filter in plain map tasks — no shuffle and no
+    actor pool (a pool of two filter actors took 2.1-2.9 s at sf0.01
+    and sf0.1, the task map 0.5-0.8 s; PERF.md "Retired twin
+    engines")."""
     import ray as _ray
 
     keys_ref = _ray.put(pa.array(_europe_custkeys(sf_dir)))
 
-    class SemiFilter:
-        def __init__(self):
-            self.keys = _ray.get(keys_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["o_custkey"], value_set=self.keys)).select(
-                ["o_orderkey", "o_totalprice"]
-            )
+    def keep(t: pa.Table) -> pa.Table:
+        hit = pc.is_in(t["o_custkey"], value_set=_ray.get(keys_ref))
+        return t.filter(hit if member else pc.invert(hit)).select(
+            ["o_orderkey", "o_totalprice"]
+        )
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
-    return orders.map_batches(SemiFilter, batch_format="pyarrow", concurrency=pool_size(2))
+    return orders.map_batches(keep, batch_format="pyarrow")
+
+
+def q_semi_join(sf_dir: str):
+    """Broadcast semi-join: orders whose customer sits in the EUROPE
+    region (see :func:`_orders_by_europe`)."""
+    return _orders_by_europe(sf_dir, member=True)
 
 
 _SEMI_JOIN_SQL = """
@@ -6453,25 +6350,9 @@ SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey IN (
 
 def q_anti_join(sf_dir: str):
     """Broadcast anti-join: orders whose customer is NOT in EUROPE —
-    same broadcast-once machinery as q_semi_join with the filter
-    inverted (the delete-list / exclusion-list pattern)."""
-    import ray as _ray
-
-    keys_ref = _ray.put(pa.array(_europe_custkeys(sf_dir)))
-
-    class AntiFilter:
-        def __init__(self):
-            self.keys = _ray.get(keys_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.filter(
-                pc.invert(pc.is_in(t["o_custkey"], value_set=self.keys))
-            ).select(["o_orderkey", "o_totalprice"])
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
-    )
-    return orders.map_batches(AntiFilter, batch_format="pyarrow", concurrency=pool_size(2))
+    q_semi_join's filter inverted (the delete-list / exclusion-list
+    pattern)."""
+    return _orders_by_europe(sf_dir, member=False)
 
 
 _ANTI_JOIN_SQL = """
@@ -6481,41 +6362,6 @@ SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey NOT IN (
   JOIN region r ON n.n_regionkey = r.r_regionkey
   WHERE r.r_name = 'EUROPE')
 """
-
-
-def q_semi_join_bloom(sf_dir: str):
-    """Bloom-accelerated broadcast semi-join (stages/bloom.py): the
-    dimension key set is broadcast as a ~1%-FP Bloom filter (10-20×
-    smaller than the exact set at scale); the fact table streams through
-    vectorized bit probes and only the tiny bloom-surviving fraction
-    pays the exact membership re-check — composed result is EXACT, so
-    the oracle is the same SQL as q_semi_join."""
-    import ray as _ray
-
-    from commons_codec_ray.stages.bloom import BloomFilter
-
-    custkeys = _europe_custkeys(sf_dir)
-    bloom = BloomFilter(len(custkeys), fp_rate=0.01).add(custkeys)
-    bloom_ref = _ray.put(bloom.serialize())
-    exact_ref = _ray.put(pa.array(custkeys))
-
-    class BloomSemiFilter:
-        def __init__(self):
-            self.bloom = BloomFilter.deserialize(_ray.get(bloom_ref))
-            self.exact = _ray.get(exact_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            keys = t["o_custkey"].to_numpy(zero_copy_only=False)
-            maybe = self.bloom.contains(keys)  # no false negatives
-            cand = t.filter(pa.array(maybe))
-            # exact re-check only on the bloom survivors
-            out = cand.filter(pc.is_in(cand["o_custkey"], value_set=self.exact))
-            return out.select(["o_orderkey", "o_totalprice"])
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
-    )
-    return orders.map_batches(BloomSemiFilter, batch_format="pyarrow", concurrency=pool_size(2))
 
 
 def _token_df_topk(sf_dir: str, k: int, num_buckets: int = 256) -> pd.DataFrame:
@@ -7396,14 +7242,12 @@ GROUP BY 1, 2
 
 
 def q_salted_join(sf_dir: str):
-    """Skew-resistant salted hash join (stages/joins.py
-    salted_hash_join): hot probe keys round-robin over salt sub-buckets,
-    build rows for those keys replicated per salt — same output as the
-    plain join (oracle-checked), no single-bucket straggler when one key
-    dominates. hot_frac=0 here forces EVERY key down the salted path so
-    the oracle exercises the replication logic, not just the cold
-    fallback."""
-    from commons_codec_ray.stages.joins import salted_hash_join
+    """Orders per market segment through the shuffled hash join
+    (stages/joins.py hash_join): orders ⋈ customer on custkey, then a
+    per-batch partial aggregate and a keyed Sum. The name is that of a
+    retired hot-key salted join, which was never faster than the plain
+    one on these inputs (PERF.md "Retired twin engines")."""
+    from commons_codec_ray.stages.joins import hash_join
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
@@ -7416,9 +7260,7 @@ def q_salted_join(sf_dir: str):
     cust = rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
     )
-    joined = salted_hash_join(
-        orders, cust, on="c_custkey", num_salts=4, hot_frac=0.0005
-    )
+    joined = hash_join(orders, cust, on="c_custkey")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("c_mktsegment", sort=False).agg(
@@ -12693,7 +12535,7 @@ QUERIES = {
     "cube": q_cube,
     "unpivot": q_unpivot,
     "lm_score": q_lm_score,
-    "lm_score_sharded": q_lm_score_sharded,
+    "lm_score_sharded": q_lm_score,
     "typo_pairs": q_typo_pairs,
     "approx_distinct_by_key": q_approx_distinct_by_key,
     "funnel_windowed": q_funnel_windowed,
@@ -12721,7 +12563,7 @@ QUERIES = {
     "cap_per_source": q_cap_per_source,
     "semi_join": q_semi_join,
     "anti_join": q_anti_join,
-    "semi_join_bloom": q_semi_join_bloom,
+    "semi_join_bloom": q_semi_join,
     "vocab_df": q_vocab_df,
     "tfidf": q_tfidf,
     "quantiles": q_quantiles,

@@ -543,6 +543,28 @@ def jaccard_pairs_narrow(
     fewer bytes whenever pairs ≲ docs (the LSH regime). On clique-heavy
     corpora (pairs ≫ docs) the per-pair term dominates and wide wins;
     at toy scale wide's single barrier also wins on fixed cost.
+
+    Why a second transport is kept (it runs ``minhash_dedup_narrow``
+    and ``bench.py --dedup-only`` with ``GRAFT_DEDUP_MODE=narrow``):
+    on a 4-CPU box, the size of the boxes this repo runs on, narrow
+    wins by 2.2-3× (PERF.md "Round-5: LSH pair transport crossover";
+    ``bench.py --dedup-only``, LSH-regime corpus, pairs ≈ 0.16-0.28 ×
+    docs, seconds wide vs narrow):
+
+    =====  ====  ========  ===========================
+    docs   cpus  docs/cpu  faster
+    =====  ====  ========  ===========================
+    800k   16    50k       wide   (18.7 vs 23.3 s)
+    2.4M   16    150k      wide   (64.4 vs 117.5 s)
+    800k   4     200k      narrow (39.7 vs 18.0 s)
+    2.4M   4     600k      narrow (243.3 vs 80.3 s)
+    =====  ====  ========  ===========================
+
+    Wide's 4-CPU leg degrades super-linearly with corpus size (39.7 →
+    243.3 s for 3× docs: its 2.2 KB/doc exchange outgrows the object
+    store and spills) while narrow stays linear (18.0 → 80.3 s).
+    ``near_dedup`` always runs wide: its inputs are far below the
+    crossover, which lay between 150k and 200k docs per CPU.
     """
     num_buckets = num_buckets or adaptive_buckets()
     hasher = hasher or MinHasher()
@@ -847,157 +869,6 @@ def exact_jaccard_pairs(
     )
 
 
-#: Per-core exchange round-trip bandwidth (MB/s) measured on the
-#: calibration box that produced the 175k docs/core crossover below
-#: (32-HT sandbox, quiet, 2026-08-18: median 173 MB/s/core over 9
-#: rounds, spread 30-400). The probe-calibrated pick scales the
-#: crossover by (observed / reference).
-_REFERENCE_BW_MBPS_PER_CPU = 170.0
-
-_BW_PROBE_CACHE: dict[tuple, float] = {}
-
-
-def probe_exchange_bandwidth(
-    size_mb: int = 32,
-    nblocks: int = 4,
-    lanes: int | None = None,
-    rounds: int = 5,
-    refresh: bool = False,
-) -> float:
-    """Measure the cluster's effective exchange round-trip bandwidth
-    per core (MB/s): a few SPREAD-scheduled lanes each WRITE ``nblocks``
-    blocks into the object store (``ray.put`` inside the task — a real
-    serialize+copy) and a second wave of SPREAD tasks fetches and fully
-    READS them (refs passed inside a list so the fetch happens in-body,
-    not during argument prefetch — on one node a bare-ref argument
-    would be a zero-copy mmap and measure nothing). Timing is in-body,
-    so task-scheduling jitter is excluded; the median over ``rounds``
-    is cached per session.
-
-    On a single node this measures plasma+memory copy bandwidth; on a
-    multi-node cluster SPREAD lands producers and consumers on
-    different nodes, so the NIC is in the loop — which is exactly the
-    quantity the wide/narrow transport choice depends on. Noise is
-    ±2× on a busy box (documented in PERF.md); downstream consumers
-    clamp accordingly.
-    """
-    import time
-
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 1))
-    if lanes is None:
-        lanes = max(2, ncpu // 8)
-    cache_key = (size_mb, nblocks, lanes, rounds)
-    if not refresh and cache_key in _BW_PROBE_CACHE:
-        return _BW_PROBE_CACHE[cache_key]
-    n = size_mb * 1024 * 1024
-
-    @ray.remote(num_cpus=0.5, scheduling_strategy="SPREAD")
-    def _produce():
-        a = np.empty(n, dtype=np.uint8)
-        t0 = time.perf_counter()
-        refs = []
-        for k in range(nblocks):
-            a[::4096] = k
-            refs.append(ray.put(a))
-        return refs, time.perf_counter() - t0
-
-    @ray.remote(num_cpus=0.5, scheduling_strategy="SPREAD")
-    def _consume(refs):
-        t0 = time.perf_counter()
-        tot = 0
-        for r in refs:
-            tot += int(ray.get(r).sum())
-        return time.perf_counter() - t0, tot
-
-    vals = []
-    for _ in range(rounds):
-        outs = ray.get([_produce.remote() for _ in range(lanes)])
-        reads = ray.get([_consume.remote(refs) for refs, _ in outs])
-        vals.append(
-            sum(
-                size_mb * nblocks * 2 / (w + r)
-                for (_, w), (r, _) in zip(outs, reads)
-            )
-        )
-    vals.sort()
-    per_core = vals[len(vals) // 2] / max(1, ncpu)
-    _BW_PROBE_CACHE[cache_key] = per_core
-    return per_core
-
-
-def pick_pair_transport(
-    n_docs: int,
-    num_cpus: int | None = None,
-    crossover_docs_per_cpu: int | None = None,
-    bandwidth_mbps_per_cpu: float | None = None,
-) -> str:
-    """Pick the LSH pair-generation transport from the corpus size per
-    unit of parallelism (TODO #12: bandwidth:compute auto-pick).
-
-    Rationale: ``jaccard_pairs`` (wide) moves ~2.2 KB/doc in ONE
-    exchange — it wins while aggregate compute per byte is plentiful,
-    because its extra bytes are amortized over idle cores.
-    ``jaccard_pairs_narrow`` moves ~1.2 KB/doc (+0.3 KB/pair) across
-    three keyed exchanges — its fixed per-exchange costs only pay off
-    once per-core bandwidth is the wall, i.e. when each core must push
-    many documents' worth of shuffle bytes. Docs-per-core is the
-    observable that tracks that ratio on one box AND on a cluster
-    (where NIC bandwidth per core takes the place of memory bandwidth
-    per core).
-
-    Measured crossover on the 32-HT sandbox (``bench.py --dedup-only``,
-    LSH-regime corpus, pairs ≈ 0.16-0.28 × docs, quiet box, 2026-08-18;
-    seconds wide vs narrow):
-
-    =====  ====  ========  =======================
-    docs   cpus  docs/cpu  faster
-    =====  ====  ========  =======================
-    800k   16    50k       wide   (18.7 vs 23.3 s)
-    2.4M   16    150k      wide   (64.4 vs 117.5 s)
-    800k   4     200k      narrow (39.7 vs 18.0 s)
-    2.4M   4     600k      narrow (243.3 vs 80.3 s)
-    =====  ====  ========  =======================
-
-    The crossover sits between 150k and 200k docs/core on BOTH corpus
-    sizes — docs/core separates the regimes where raw corpus size or
-    raw cpu count alone would not; default 175k (env
-    ``GRAFT_NARROW_CROSSOVER``). Note wide's 4-cpu leg degrades
-    SUPER-linearly with corpus size (39.7 → 243.3 s for 3× docs: the
-    2.2 KB/doc exchange outgrows the 4-cpu object store and spills)
-    while narrow stays linear (18.0 → 80.3 s) — exactly the
-    bandwidth-bound regime the narrow layout exists for. On a real
-    cluster whose interconnect is slower per core than this box's
-    shared DRAM, narrow wins earlier — lower the threshold per
-    deployment.
-    """
-    import os
-
-    if crossover_docs_per_cpu is None:
-        crossover_docs_per_cpu = int(
-            os.environ.get("GRAFT_NARROW_CROSSOVER", "175000")
-        )
-        if bandwidth_mbps_per_cpu is not None:
-            # narrow's byte-lean exchanges pay off once per-core
-            # bandwidth is the wall, so the crossover scales with the
-            # measured per-core bandwidth relative to the calibration
-            # box. Clamp to [1/8, 8]: the probe is ±2x on a busy box,
-            # and beyond ~an order of magnitude the docs/core model
-            # itself stops being the binding constraint.
-            scale = bandwidth_mbps_per_cpu / _REFERENCE_BW_MBPS_PER_CPU
-            scale = min(8.0, max(0.125, scale))
-            crossover_docs_per_cpu = int(crossover_docs_per_cpu * scale)
-    if num_cpus is None:
-        try:
-            import ray
-
-            num_cpus = int(ray.cluster_resources().get("CPU", 1))
-        except Exception:
-            num_cpus = 1
-    return "narrow" if n_docs > crossover_docs_per_cpu * max(1, num_cpus) else "wide"
-
-
 def near_dedup(
     ds,
     threshold: float = 0.7,
@@ -1005,7 +876,6 @@ def near_dedup(
     id_column: str = "doc_id",
     max_driver_pairs: int = 2_000_000,
     keep_by: tuple[str, str] | None = None,
-    transport: str = "wide",
 ):
     """Near-duplicate removal: MinHash+LSH pairs → clusters → one
     survivor per cluster. Returns the surviving Dataset.
@@ -1026,17 +896,6 @@ def near_dedup(
     scores reach the small clusters table via one member-filtered scan
     (driver path) or a bucketed hash join (distributed path) — never
     the reverse.
-
-    ``transport`` picks the pair-generation exchange layout:
-    ``"wide"`` (default) = :func:`jaccard_pairs` (one barrier, sig
-    rides every band replica), ``"narrow"`` = byte-lean
-    :func:`jaccard_pairs_narrow`, ``"auto"`` = decide from corpus size
-    per core via :func:`pick_pair_transport` (costs one ``ds.count()``
-    — metadata-cheap on parquet-backed inputs), ``"probe"`` = "auto"
-    with the crossover calibrated by a one-per-session measurement of
-    the deployment's exchange bandwidth
-    (:func:`probe_exchange_bandwidth`) — on bandwidth-poor clusters
-    narrow kicks in proportionally earlier.
     """
     import ray
 
@@ -1044,19 +903,7 @@ def near_dedup(
 
     if keep_by is not None:
         assert keep_by[1] in ("min", "max"), keep_by
-    if transport == "auto":
-        transport = pick_pair_transport(ds.count())
-    elif transport == "probe":
-        # measure the deployment's exchange bandwidth once per session
-        # and shift the docs/core crossover accordingly — on a
-        # bandwidth-poor cluster (slow NIC per core) narrow kicks in
-        # earlier than the calibration box's 175k docs/core
-        transport = pick_pair_transport(
-            ds.count(), bandwidth_mbps_per_cpu=probe_exchange_bandwidth()
-        )
-    assert transport in ("wide", "narrow"), transport
-    pair_fn = jaccard_pairs_narrow if transport == "narrow" else jaccard_pairs
-    pairs_ds = pair_fn(ds, threshold=threshold, hasher=hasher, id_column=id_column)
+    pairs_ds = jaccard_pairs(ds, threshold=threshold, hasher=hasher, id_column=id_column)
     pairs_ds = pairs_ds.materialize()
     n_pairs = pairs_ds.count()
     if n_pairs == 0:

@@ -9,9 +9,9 @@ num_buckets``, so per-key time series never span buckets; per-bucket
 work is a single vectorized ``pandas.merge_asof``.
 
 Scale shape: one shuffle of (left ∪ right) on the bucket key; bucket
-count bounds parallelism and per-group memory (grow with input). Skewed
-keys cost what they cost in any keyed join — salt upstream if one key
-dominates.
+count bounds parallelism and per-group memory (grow with input). All
+rows of one key land in one bucket, so one hot key's matches are joined
+by one group.
 """
 
 from __future__ import annotations
@@ -164,9 +164,8 @@ def hash_join(
     |bucket_left| + |bucket_right| + |matches in bucket|, bounded by the
     adaptive bucket count (grows with input / cluster CPUs).
 
-    Many-to-many keys multiply within their bucket only; a single hot
-    key still lands in one group — salt upstream if one key dominates
-    (same contract as every keyed join).
+    Many-to-many keys multiply within their bucket only. One hot key's
+    matches all land in one bucket, joined by one group.
 
     Right non-key columns are cast to NULLABLE pandas dtypes before the
     merge so ``how="left"`` misses don't degrade int64 columns to
@@ -261,121 +260,6 @@ def range_join_agg(
 
     tagged = _tagged_union(left_ds, right_ds, all_cols, types, by, num_buckets)
     return tagged.groupby("_jb").map_groups(band_bucket, batch_format="pandas")
-
-
-def hot_keys_estimate(
-    ds, key: str, *, per_batch_top: int = 64, hot_frac: float = 0.01, max_hot: int = 64
-) -> np.ndarray:
-    """Cheap hot-key detection for skew handling: each batch reduces to
-    its top-``per_batch_top`` key counts (a kilobyte), the driver sums
-    them, and keys whose observed share exceeds ``hot_frac`` are
-    returned (at most ``max_hot``).
-
-    A globally hot key is hot in essentially every batch, so the
-    per-batch truncation cannot miss it; a key missed by truncation was
-    by definition not hot. Detection accuracy affects only load balance,
-    never join correctness.
-    """
-
-    def batch_top(df: pd.DataFrame) -> pd.DataFrame:
-        vc = df[key].value_counts().head(per_batch_top)
-        return pd.DataFrame(
-            {key: vc.index.to_numpy(), "_cnt": vc.to_numpy(dtype="int64")}
-        )
-
-    parts = ds.map_batches(batch_top, batch_format="pandas").to_pandas()
-    if parts.empty:
-        return np.empty(0, dtype=np.int64)
-    sums = parts.groupby(key)["_cnt"].sum().sort_values(ascending=False)
-    total = int(sums.sum())
-    hot = sums[sums >= hot_frac * total].head(max_hot)
-    return hot.index.to_numpy(dtype=np.int64)
-
-
-def salted_hash_join(
-    left_ds,
-    right_ds,
-    on: str,
-    how: str = "inner",
-    right_columns: list[str] | None = None,
-    suffix: str = "_right",
-    num_buckets: int | None = None,
-    num_salts: int = 8,
-    hot_frac: float = 0.01,
-    hot_keys: np.ndarray | None = None,
-):
-    """:func:`hash_join` with hot-key salting: the skew-resistant join.
-
-    In a plain keyed join one dominant key puts its entire match volume
-    in a single bucket — the straggler that stalls a 256-node cluster.
-    Here hot keys (detected by :func:`hot_keys_estimate`, or passed in)
-    are spread over ``num_salts`` sub-buckets: probe-side hot rows take
-    salt ``row_index & (num_salts-1)`` (round-robin, perfectly
-    balanced), build-side (right) hot rows are REPLICATED to every salt,
-    and cold rows use salt 0 on both sides so they pay nothing. Bucket
-    id is ``hash(key) * num_salts + salt`` — still ONE shuffle.
-
-    Output is identical to :func:`hash_join` (tested); only the
-    distribution of work changes. Replication cost: |hot build rows| x
-    num_salts, bounded because hot keys are by construction few.
-    """
-    assert how in ("inner", "left"), how
-    assert num_salts & (num_salts - 1) == 0, "num_salts must be a power of two"
-    num_buckets = num_buckets or adaptive_buckets()
-    if hot_keys is None:
-        hot_keys = hot_keys_estimate(left_ds, on, hot_frac=hot_frac)
-    left_cols = left_ds.schema().names
-    right_columns = right_columns or [c for c in right_ds.schema().names if c != on]
-    types = _union_types(left_ds, right_ds)
-    all_cols = list(dict.fromkeys([*left_cols, on, *right_columns]))
-    right_dtypes = {c: _pandas_null_dtype(types.get(c)) for c in right_columns}
-    S = np.int64(num_salts)
-
-    def pad(t: pa.Table, is_right: bool) -> pa.Table:
-        for c in all_cols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(t.num_rows, types[c]))
-        t = t.append_column(
-            "_right", pa.array(np.full(t.num_rows, is_right, dtype=bool))
-        )
-        return t.select([*all_cols, "_jb", "_right"])
-
-    def tag_probe(t: pa.Table) -> pa.Table:
-        keys = t[on].to_numpy(zero_copy_only=False).astype(np.int64)
-        base = np.asarray(hash_bucket(keys, num_buckets)) * S
-        salt = np.where(
-            np.isin(keys, hot_keys),
-            np.arange(len(keys), dtype=np.int64) & (S - 1),
-            np.int64(0),
-        )
-        t = t.append_column("_jb", pa.array(base + salt))
-        return pad(t, False)
-
-    def tag_build(t: pa.Table) -> pa.Table:
-        keys = t[on].to_numpy(zero_copy_only=False).astype(np.int64)
-        base = np.asarray(hash_bucket(keys, num_buckets)) * S
-        is_hot = np.isin(keys, hot_keys)
-        cold = t.filter(pa.array(~is_hot)).append_column(
-            "_jb", pa.array(base[~is_hot])
-        )
-        out = [pad(cold, True)]
-        hot_t = t.filter(pa.array(is_hot))
-        if hot_t.num_rows:
-            hot_base = base[is_hot]
-            for s in range(num_salts):
-                rep = hot_t.append_column("_jb", pa.array(hot_base + np.int64(s)))
-                out.append(pad(rep, True))
-        return pa.concat_tables(out, promote_options="default")
-
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df.loc[~df["_right"], left_cols]
-        r = df.loc[df["_right"], [on, *right_columns]].astype(right_dtypes)
-        return l.merge(r, on=on, how=how, suffixes=("", suffix))
-
-    tagged = left_ds.map_batches(tag_probe, batch_format="pyarrow").union(
-        right_ds.map_batches(tag_build, batch_format="pyarrow")
-    )
-    return tagged.groupby("_jb").map_groups(join_bucket, batch_format="pandas")
 
 
 def snapshot_diff(

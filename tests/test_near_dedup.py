@@ -280,102 +280,6 @@ def test_lsh_params_tuning():
     assert h.rows_per_band == r
 
 
-def test_pick_pair_transport_crossover():
-    from commons_codec_ray.stages.dedup import pick_pair_transport
-
-    # the default threshold must reproduce the measured winners
-    # (dedup.py docstring table: wide ≤150k docs/cpu, narrow ≥200k)
-    assert pick_pair_transport(800_000, num_cpus=16) == "wide"
-    assert pick_pair_transport(2_400_000, num_cpus=16) == "wide"
-    assert pick_pair_transport(800_000, num_cpus=4) == "narrow"
-    assert pick_pair_transport(2_400_000, num_cpus=4) == "narrow"
-    # explicit threshold arg overrides the default
-    assert pick_pair_transport(2_400_000, num_cpus=16,
-                               crossover_docs_per_cpu=100_000) == "narrow"
-    # env override wins when the threshold arg is omitted
-    import os
-
-    os.environ["GRAFT_NARROW_CROSSOVER"] = "1000000000"
-    try:
-        assert pick_pair_transport(2_400_000, num_cpus=4) == "wide"
-    finally:
-        del os.environ["GRAFT_NARROW_CROSSOVER"]
-
-
-def test_near_dedup_transport_variants_identical(ray_session):
-    """near_dedup survivors are transport-invariant (wide / narrow /
-    auto pick different exchange layouts, never different answers)."""
-    base = near_dedup(_scored_corpus(), threshold=0.7).to_pandas()
-    for transport in ("narrow", "auto"):
-        got = near_dedup(
-            _scored_corpus(), threshold=0.7, transport=transport
-        ).to_pandas()
-        assert set(got["doc_id"]) == set(base["doc_id"]), transport
-
-
-def test_pick_pair_transport_bandwidth_calibration():
-    from commons_codec_ray.stages.dedup import (
-        _REFERENCE_BW_MBPS_PER_CPU,
-        pick_pair_transport,
-    )
-
-    # at the reference bandwidth the calibrated pick equals the default
-    assert (
-        pick_pair_transport(
-            2_400_000, num_cpus=16,
-            bandwidth_mbps_per_cpu=_REFERENCE_BW_MBPS_PER_CPU,
-        )
-        == "wide"
-    )
-    # a bandwidth-poor cluster (NIC-bound) flips the same workload to
-    # narrow: crossover scales down with measured per-core bandwidth
-    assert (
-        pick_pair_transport(
-            2_400_000, num_cpus=16,
-            bandwidth_mbps_per_cpu=_REFERENCE_BW_MBPS_PER_CPU / 4,
-        )
-        == "narrow"
-    )
-    # a bandwidth-rich box keeps wide even deeper into narrow territory
-    assert (
-        pick_pair_transport(
-            800_000, num_cpus=4,
-            bandwidth_mbps_per_cpu=_REFERENCE_BW_MBPS_PER_CPU * 4,
-        )
-        == "wide"
-    )
-    # the clamp bounds a wild probe reading to [1/8, 8] x
-    assert (
-        pick_pair_transport(
-            175_000 * 16 * 8 + 16, num_cpus=16,
-            bandwidth_mbps_per_cpu=_REFERENCE_BW_MBPS_PER_CPU * 1000,
-        )
-        == "narrow"
-    )
-    # an explicit crossover arg bypasses calibration entirely
-    assert (
-        pick_pair_transport(
-            2_400_000, num_cpus=16, crossover_docs_per_cpu=1,
-            bandwidth_mbps_per_cpu=_REFERENCE_BW_MBPS_PER_CPU * 8,
-        )
-        == "narrow"
-    )
-
-
-def test_probe_exchange_bandwidth_runs_and_caches(ray_session):
-    from commons_codec_ray.stages import dedup
-
-    dedup._BW_PROBE_CACHE.clear()
-    bw = dedup.probe_exchange_bandwidth(size_mb=4, nblocks=2, lanes=2, rounds=1)
-    assert bw > 0
-    # same parameters are served from the session cache (same object);
-    # the cache key includes the probe parameters, so a differently-
-    # parameterized call would re-measure rather than reuse
-    assert dedup.probe_exchange_bandwidth(size_mb=4, nblocks=2, lanes=2, rounds=1) == bw
-    assert (4, 2, 2, 1) in dedup._BW_PROBE_CACHE
-    dedup._BW_PROBE_CACHE.clear()
-
-
 class TestIncrementalNearDedup:
     @staticmethod
     def _corpus(n=120, blocks=5):
