@@ -9237,34 +9237,17 @@ def q_pagerank(sf_dir: str):
 
 
 def q_triangles(sf_dir: str):
-    """Exact distributed triangle count (stages/graph.py
-    ``triangle_count``, the MR-NodeIterator++ shape): pair-bucketed
-    edge dedup, degree orientation (caps out-degree at O(√m) so the
-    wedge set can't blow up), vectorized wedge generation per source
-    bucket, wedge∩edge membership in pair-keyed buckets. Same
-    deterministic event-derived graph as q_pagerank/q_components_sharded."""
-    from commons_codec_ray.stages.graph import triangle_count
+    """Exact triangle count (stages/graph.py ``triangle_count``, the
+    oriented-wedge MR-NodeIterator++ shape), the ``triangles`` and
+    ``triangles_exchange`` entries: each shard orients its edges by
+    (degree, id), which caps out-degree at O(√m) so the wedge set can't
+    blow up, and sends each wedge once to the shard that owns its
+    closing edge. Same deterministic event-derived graph as
+    q_pagerank/q_components_sharded. The input follows pool placement
+    (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import map_rows, triangle_count
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id"])
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
-
-    return triangle_count(events.map_batches(edges, batch_format="pyarrow"))
-
-
-def q_triangles_exchange(sf_dir: str):
-    """Same exact triangle count with ``degree_mode="exchange"``: the
-    degree table stays SHARDED — deg(u)/deg(v) attach via two
-    node-keyed exchanges instead of a driver-collected ``ray.put``
-    broadcast. This is the billion-node path (node set ≫ driver
-    memory); counts are identical, so it shares the triangles oracle."""
-    from commons_codec_ray.stages.graph import triangle_count
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id"])
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9272,9 +9255,7 @@ def q_triangles_exchange(sf_dir: str):
         b = (a // 8) * 8 + (eid * 3) % 8
         return pa.table({"src": pa.array(a), "dst": pa.array(b)})
 
-    return triangle_count(
-        events.map_batches(edges, batch_format="pyarrow"), degree_mode="exchange"
-    )
+    return triangle_count(map_rows(events, edges))
 
 
 _TRIANGLES_SQL = """
@@ -9384,16 +9365,13 @@ def q_hits(sf_dir: str):
     the same deterministic directed event graph as q_pagerank —
     unnormalized (rescaling-only in exact arithmetic, guarded against
     int64 growth), so the unrolled-CTE oracle joins replay every score
-    bit-for-bit. Long output: (node, kind 'auth'|'hub', score)."""
-    from commons_codec_ray.stages.graph import hits
+    bit-for-bit. Long output: (node, kind 'auth'|'hub', score). Each
+    edge is routed once to both endpoints' shards; a half-step moves
+    only contributions. The input follows pool placement
+    (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import hits, map_rows
 
-    # shuffle parallelism follows block count: keep the cap whatever the
-    # size (PERF.md "Round-5: components read-block cap")
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9401,7 +9379,7 @@ def q_hits(sf_dir: str):
         b = (a // 8) * 8 + (eid * 3) % 8
         return pa.table({"src": pa.array(a), "dst": pa.array(b)})
 
-    return hits(events.map_batches(edges, batch_format="pyarrow"), iterations=2)
+    return hits(map_rows(events, edges), iterations=2)
 
 
 _HITS_SQL = """
@@ -9610,14 +9588,14 @@ _BFS_LEVELS_SQL = _bfs_sql(6)
 def q_clustering_coeff(sf_dir: str):
     """Per-node local clustering coefficient
     (stages/graph.py:clustering_coeff — the node-resolved
-    Suri–Vassilvitskii oriented-wedge join, wedge rows carrying their
-    center so a closed wedge credits all three corners): same
-    event-derived graph as q_triangles; exact integer
-    cc_ppm = 2e6·tri // (deg·(deg−1)) so the grouped SQL triangle join
-    replays bit-for-bit."""
-    from commons_codec_ray.stages.graph import clustering_coeff
+    oriented-wedge count on the triangle shards, a closed wedge
+    crediting all three corners): same event-derived graph as
+    q_triangles; exact integer cc_ppm = 2e6·tri // (deg·(deg−1)) so
+    the grouped SQL triangle join replays bit-for-bit. The input
+    follows pool placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import clustering_coeff, map_rows
 
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id"])
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9625,7 +9603,7 @@ def q_clustering_coeff(sf_dir: str):
         b = (a // 8) * 8 + (eid * 3) % 8
         return pa.table({"src": pa.array(a), "dst": pa.array(b)})
 
-    return clustering_coeff(events.map_batches(edges, batch_format="pyarrow"))
+    return clustering_coeff(map_rows(events, edges))
 
 
 _CLUSTERING_COEFF_SQL = """
@@ -9725,19 +9703,16 @@ def q_kcore_sharded(sf_dir: str):
 def q_densest_subgraph(sf_dir: str):
     """Densest-subgraph 2-approx (stages/graph.py:densest_subgraph —
     Bahmani et al., VLDB 2012, ε=0): iterated average-degree peel with
-    the exact integer removal test deg·V ≤ 2E, best prefix by exact
-    rational density compare. Same event-derived two-family graph as
-    q_kcore_sharded (the 8-block subrange is the planted dense region
-    the peel must isolate); the oracle unrolls 8 identical rounds and picks the
-    winner with a cross-product NOT-EXISTS argmax."""
-    from commons_codec_ray.stages.graph import densest_subgraph
-    # shuffle parallelism follows block count: keep the cap whatever the
-    # size (PERF.md "Round-5: components read-block cap")
-    events = rd.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id"],
-        override_num_blocks=max(8, pool_size(1 << 30) // 2),
-    )
+    the exact integer removal test deg·V ≤ 2E, run on the k-core
+    shards, best prefix by exact rational density compare. Same
+    event-derived two-family graph as q_kcore_sharded (the 8-block
+    subrange is the planted dense region the peel must isolate), so
+    the same 4 setup rows per event; the oracle unrolls 8 identical
+    rounds and picks the winner with a cross-product NOT-EXISTS argmax.
+    The input follows pool placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import densest_subgraph, map_rows
+
+    events = _graph_events(sf_dir)
 
     def edges(t: pa.Table) -> pa.Table:
         eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9754,9 +9729,7 @@ def q_densest_subgraph(sf_dir: str):
 
     # max_rounds matches the oracle's unroll EXACTLY (8): a peel depth
     # the oracle can't see must be an engine ERROR, not a mismatch
-    return densest_subgraph(
-        events.map_batches(edges, batch_format="pyarrow"), max_rounds=8
-    )
+    return densest_subgraph(map_rows(events, edges), max_rounds=8)
 
 
 def _densest_sql(rounds: int) -> str:
@@ -12655,7 +12628,7 @@ QUERIES = {
     "bigrams": q_bigrams,
     "retention": q_retention,
     "triangles": q_triangles,
-    "triangles_exchange": q_triangles_exchange,
+    "triangles_exchange": q_triangles,
     "normalize_text": q_normalize_text,
     "histogram": q_histogram,
     "cdc_feed_enriched": q_cdc_feed_enriched,

@@ -1361,8 +1361,7 @@ def near_dedup_incremental(
         for _ in range(A)
     ]
 
-    from commons_codec_ray.stages.graph import _pagerank_route as route_fn
-    from commons_codec_ray.stages.graph import components_sharded
+    from commons_codec_ray.stages.graph import _route_to_shards, components_sharded
 
     def explode(t: pa.Table, _epoch: int) -> pa.Table:
         ids = t[id_column].to_numpy(zero_copy_only=False)
@@ -1413,7 +1412,7 @@ def near_dedup_incremental(
             refs = routed.to_arrow_refs()
             pend = []
             for blk in refs:
-                parts = route_fn.options(num_returns=A).remote(blk, A)
+                parts = _route_to_shards.options(num_returns=A).remote(blk, A)
                 if A == 1:
                     parts = [parts]
                 pend.extend(shards[o].insert_batch.remote(parts[o]) for o in range(A))

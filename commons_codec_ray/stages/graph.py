@@ -28,24 +28,27 @@ straight off the shard-local edges (no exchange); per-round state is
 one int64 per node.  ``personalized_pagerank`` is the same shards with
 the teleport restricted to a seed set.
 
-The same actor shape carries ``components_sharded``, ``kcore_sharded``,
-``sssp`` (hence ``bfs_levels``) and ``link_prediction``: all five run
-on one scaffold, :func:`_shard_pool`, which sizes the pool, routes the
-static rows to the shards once, and kills every spawned shard on the
-way out, however the call ends. Placement follows size: below
+The same actor shape carries every operator of this module:
+``components_sharded``, ``kcore_sharded`` and ``densest_subgraph``
+(one peel, per-round thresholds), ``sssp`` (hence ``bfs_levels``),
+``hits``, ``triangle_count`` and ``clustering_coeff`` (one triangle
+shard), and ``link_prediction``. All run on one scaffold,
+:func:`_shard_pool`, which sizes the pool, routes the static rows to
+the shards once, and kills every spawned shard on the way out, however
+the call ends. Placement follows size: below
 :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS` setup rows the default
 pool is ONE shard, a plain instance of the same shard class in the
 driver, since a fresh shard process costs ~0.45 s against ~0.01 s of
 supersteps at that size. Larger inputs, or ``num_shards`` ≥ 2, spawn
-the shards as actors with one set of options (no CPU reserved).
-``components_sharded`` and ``kcore_sharded`` are the engine's only
-connected-components and k-core implementations: the Dataset-shuffle
-variants, which re-exchanged the whole edge table every round, were
-10-50× slower on the catalog (PERF.md "One components and one k-core
-engine").
+the shards as actors with one set of options (no CPU reserved). Each
+operator has this one implementation: the Dataset-shuffle variants,
+which re-exchanged the whole edge table every round, were 10-50×
+slower on the catalog (PERF.md "One components and one k-core engine",
+"One graph substrate").
 
-These five take their edges as a Ray Dataset or as a ``pa.Table``, and
-return the same kind (``link_prediction`` always returns a table). A
+They take their edges as a Ray Dataset or as a ``pa.Table``, and
+return the same kind (``link_prediction``, ``triangle_count`` and
+``clustering_coeff``, reduced in the driver, always return a table). A
 table is the low-latency form: the setup is built with one call in the
 driver and no Ray Data execution runs at all, where a Dataset pays
 ~0.1 s of executor start-up for a one-block read (PERF.md "Small graph
@@ -62,7 +65,6 @@ import functools
 from contextlib import contextmanager
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -94,10 +96,6 @@ def _route_to_shards(tbl: pa.Table, num_shards: int) -> list[pa.Table] | pa.Tabl
     return _returns(
         [t.slice(bounds[o], bounds[o + 1] - bounds[o]) for o in range(num_shards)]
     )
-
-
-# stages/dedup.py routes its LSH setup blocks through the old name
-_pagerank_route = _route_to_shards
 
 
 def _returns(outs: list):
@@ -213,6 +211,14 @@ def _firsts(*keys: np.ndarray) -> np.ndarray:
     return new
 
 
+def _distinct_pairs(k: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (k, p) pairs, sorted by k, then p."""
+    order = np.lexsort((p, k))
+    k, p = k[order], p[order]
+    keep = _firsts(k, p)
+    return k[keep], p[keep]
+
+
 class _Shard:
     """What every shard shares: the static rows routed to it, and the
     owner of a node (``hash_bucket(node) % A``, the routing rule). The
@@ -243,11 +249,7 @@ class _Shard:
         """CSR of the routed (key, peer) rows, duplicates dropped: the
         owned nodes ``v``, their degrees ``counts``, the ``peer`` of each
         edge and its owner. Returns each node's first edge."""
-        k, p = self._static("key", "peer")
-        order = np.lexsort((p, k))
-        k, p = k[order], p[order]
-        keep = _firsts(k, p)
-        k, self.peer = k[keep], p[keep]
+        k, self.peer = _distinct_pairs(*self._static("key", "peer"))
         starts = np.flatnonzero(_firsts(k))
         self.v = k[starts]
         self.counts = np.diff(np.r_[starts, len(k)])
@@ -256,6 +258,14 @@ class _Shard:
 
     def _owner(self, keys: np.ndarray) -> np.ndarray:
         return hash_bucket(keys, self.nb).to_numpy(zero_copy_only=False) % self.A
+
+    def _layout(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The order that groups ``keys`` by owner shard, and each
+        owner's bounds in it: a frozen layout makes every outbox a pure
+        slice."""
+        owner = self._owner(keys)
+        order = np.argsort(owner, kind="stable")
+        return order, np.searchsorted(owner[order], np.arange(self.A + 1))
 
     def _slices(self, bounds, **cols: np.ndarray) -> list[pa.Table]:
         """Rows ``bounds[o]:bounds[o+1]`` of ``cols`` for each shard o."""
@@ -269,6 +279,19 @@ class _Shard:
         order = np.argsort(owners, kind="stable")
         bounds = np.searchsorted(owners[order], np.arange(self.A + 1))
         return self._slices(bounds, **{c: v[order] for c, v in cols.items()})
+
+
+def _sym_rows(t: pa.Table, src: str, dst: str, nb: int) -> pa.Table:
+    """Setup rows of the undirected simple graph on ``t``'s edges: each
+    edge once per direction as (key, peer), owned by hash(key), with
+    self-loops dropped. The shards drop the multi-edges
+    (:meth:`_Shard._adjacency`)."""
+    a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
+    b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+    keep = a != b
+    k = np.concatenate([a[keep], b[keep]])
+    p = np.concatenate([b[keep], a[keep]])
+    return pa.table({"_b": hash_bucket(k, nb), "key": pa.array(k), "peer": pa.array(p)})
 
 
 class _PagerankShard(_Shard):
@@ -295,26 +318,19 @@ class _PagerankShard(_Shard):
         key, d, kind = self._static("key", "dst", "kind")
         e_sel = kind == 0
         v = np.unique(key[~e_sel])
-        s, d = key[e_sel], d[e_sel]
         # distinct directed edges (multi-edges collapse, self-loops stay)
-        order = np.lexsort((d, s))
-        s, d = s[order], d[order]
-        keep = _firsts(s, d)
-        s, d = s[keep], d[keep]
+        s, d = _distinct_pairs(key[e_sel], d[e_sel])
         # outdegree per source over the distinct edges (every edge of
         # a source lives in this shard — routing keys on hash(src))
         counts = np.diff(np.r_[np.flatnonzero(_firsts(s)), len(s)])
         deg = np.repeat(counts, counts)
         self.v = v
         self.teleport = np.ones(len(v), bool) if self.seeds is None else np.isin(v, self.seeds)
-        # freeze the per-owner layout: reorder edges by the owner of
-        # their destination so each iteration's outbox is a pure slice
-        owner = self._owner(d)
-        order = np.argsort(owner, kind="stable")
+        # reorder edges by the owner of their destination
+        order, self.bounds = self._layout(d)
         self.dst = d[order]
         self.deg = deg[order].astype(np.int64)
         self.src_pos = np.searchsorted(v, s[order])
-        self.bounds = np.searchsorted(owner[order], np.arange(self.A + 1))
         return int(self.teleport.sum())
 
     def _outbox(self, c_edge: np.ndarray):
@@ -465,96 +481,6 @@ def personalized_pagerank(
     )
 
 
-def _orient_by_exchange(edges, deg_partial, pack_sb, nb):
-    """Attach deg(u) then deg(v) via two node-keyed exchanges — the
-    degree table stays sharded (never collected, never broadcast).
-    Each exchange co-buckets per-batch degree partials with the edge
-    rows keyed on that endpoint; the bucket merge sums the partials and
-    gathers the degree onto each edge row."""
-    from commons_codec_ray.util import hash_bucket
-
-    def deg_rows(t: pa.Table) -> pa.Table:
-        d = deg_partial(t)
-        n = d["n"].to_numpy(zero_copy_only=False)
-        z = np.zeros(len(n), np.int64)
-        return pa.table(
-            {
-                "_nb": hash_bucket(n, nb),
-                "n": d["n"],
-                "c": d["c"],
-                "o": pa.array(z, pa.int64()),
-                "w": pa.array(z, pa.int64()),
-                "is_deg": pa.array(np.ones(len(n), bool)),
-            }
-        )
-
-    def edge_by_u(t: pa.Table) -> pa.Table:
-        u = t["u"].to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy(zero_copy_only=False)
-        z = np.zeros(len(u), np.int64)
-        return pa.table(
-            {
-                "_nb": hash_bucket(u, nb),
-                "n": pa.array(u, pa.int64()),
-                "c": pa.array(z, pa.int64()),
-                "o": pa.array(v, pa.int64()),
-                "w": pa.array(z, pa.int64()),
-                "is_deg": pa.array(np.zeros(len(u), bool)),
-            }
-        )
-
-    def attach_du(df: pd.DataFrame) -> pd.DataFrame:
-        deg = df.loc[df["is_deg"]].groupby("n")["c"].sum()
-        e = df.loc[~df["is_deg"]]
-        return pd.DataFrame(
-            {
-                "u": e["n"].to_numpy(np.int64),
-                "v": e["o"].to_numpy(np.int64),
-                "du": deg.loc[e["n"]].to_numpy(np.int64),
-            }
-        )
-
-    with_du = (
-        edges.map_batches(deg_rows, batch_format="pyarrow")
-        .union(edges.map_batches(edge_by_u, batch_format="pyarrow"))
-        .groupby("_nb")
-        .map_groups(attach_du, batch_format="pandas")
-    )
-
-    def edge_by_v(t: pa.Table) -> pa.Table:
-        v = t["v"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "_nb": hash_bucket(v, nb),
-                "n": pa.array(v, pa.int64()),
-                "c": pa.array(np.zeros(len(v), np.int64), pa.int64()),
-                "o": t["u"].cast(pa.int64()),
-                "w": t["du"].cast(pa.int64()),
-                "is_deg": pa.array(np.zeros(len(v), bool)),
-            }
-        )
-
-    def attach_dv_and_orient(df: pd.DataFrame) -> pa.Table:
-        deg = df.loc[df["is_deg"]].groupby("n")["c"].sum()
-        e = df.loc[~df["is_deg"]]
-        u = e["o"].to_numpy(np.int64)
-        v = e["n"].to_numpy(np.int64)
-        du = e["w"].to_numpy(np.int64)
-        dv = deg.loc[e["n"]].to_numpy(np.int64)
-        # total order (deg, id): u first iff du <= dv (u < v by canon)
-        u_first = du <= dv
-        x = np.where(u_first, u, v)
-        y = np.where(u_first, v, u)
-        return pack_sb(x, y)
-
-    return (
-        edges.map_batches(deg_rows, batch_format="pyarrow")
-        .union(with_du.map_batches(edge_by_v, batch_format="pyarrow"))
-        .groupby("_nb")
-        .map_groups(attach_dv_and_orient, batch_format="pandas")
-    )
-
-
 def _check_pair_ids(ids: np.ndarray, op_name: str) -> None:
     """Raise ``ValueError`` unless every id is in [0, 2^31): a pair then
     packs as ``(u << 32) | v`` into one non-negative int64 key, and
@@ -567,53 +493,12 @@ def _check_pair_ids(ids: np.ndarray, op_name: str) -> None:
         )
 
 
-def _canon_pair_edges(edges_ds, src: str, dst: str, nb: int, op_name: str):
-    """Canonical distinct (u < v) edge table via PAIR-keyed bucket
-    dedupe — shared by triangle_count and clustering_coeff. Node ids
-    must fit 31 bits so a pair packs into one int64 key
-    (:func:`_check_pair_ids`)."""
-
-    def canon(t: pa.Table) -> pa.Table:
-        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        _check_pair_ids(u, op_name)
-        _check_pair_ids(v, op_name)
-        pack = (u << 32) | v
-        return pa.table(
-            {
-                "_pb": hash_bucket(pack, nb),
-                "u": pa.array(u, pa.int64()),
-                "v": pa.array(v, pa.int64()),
-            }
-        )
-
-    return (
-        edges_ds.map_batches(canon, batch_format="pyarrow")
-        .groupby("_pb")
-        .map_groups(
-            lambda df: df.drop_duplicates(["u", "v"])[["u", "v"]],
-            batch_format="pandas",
-        )
-        .materialize()
-    )
-
-
-def _pair_deg_partial(t: pa.Table) -> pa.Table:
-    """Per-batch degree partials over a distinct (u, v) edge table."""
-    nodes = np.concatenate(
-        [
-            t["u"].to_numpy(zero_copy_only=False),
-            t["v"].to_numpy(zero_copy_only=False),
-        ]
-    )
-    uniq, cnt = np.unique(nodes, return_counts=True)
-    return pa.table(
-        {"n": pa.array(uniq, pa.int64()), "c": pa.array(cnt, pa.int64())}
-    )
+def _pair_rows(t: pa.Table, src: str, dst: str, nb: int, op_name: str) -> pa.Table:
+    """:func:`_sym_rows` for the operators that pack a node pair into
+    one int64 (:func:`_check_pair_ids`)."""
+    rows = _sym_rows(t, src, dst, nb)
+    _check_pair_ids(rows["key"].to_numpy(), op_name)
+    return rows
 
 
 def _run_reps(x_sorted: np.ndarray) -> np.ndarray:
@@ -628,9 +513,7 @@ def _wedge_index_pairs(reps: np.ndarray, lo: int = 0):
     """Fully vectorized wedge generation: position ``lo + i`` pairs as
     LEFT with the ``reps[i]`` positions after it (``reps`` a slice of
     :func:`_run_reps`), returned as (lefts, rights) POSITION arrays —
-    the O(Σ deg²) core shared by triangle_count, clustering_coeff and
-    the link-prediction shards, which pass one chunk of positions at a
-    time."""
+    the O(Σ deg²) core of the triangle and link-prediction shards."""
     total = int(reps.sum())
     if total == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
@@ -640,131 +523,154 @@ def _wedge_index_pairs(reps: np.ndarray, lo: int = 0):
     return lefts, rights
 
 
-def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
-                   num_buckets: int | None = None,
-                   degree_mode: str = "broadcast"):
-    """Exact distributed triangle count (engine-added; the classic
-    MapReduce shape of Suri & Vassilvitskii's MR-NodeIterator++):
+def _wedge_chunks(reps: np.ndarray):
+    """Position ranges (lo, hi) that split the wedges of ``reps`` into
+    chunks of about :data:`WEDGE_CHUNK` (ranges of left positions, so
+    even one hub's wedges are split), for :func:`_wedge_index_pairs`;
+    ranges that open no wedge are skipped."""
+    before = np.r_[0, np.cumsum(reps)]  # wedges opened before each position
+    lo = 0
+    while lo < len(reps):
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + WEDGE_CHUNK, "right")) - 1)
+        if before[hi] > before[lo]:
+            yield lo, hi
+        lo = hi
 
-    1. canonicalize (u < v, self-loops dropped) and dedupe multi-edges
-       in PAIR-keyed buckets — one exchange;
-    2. orient every edge from its (degree, id)-smaller endpoint — the
-       total order caps every out-degree at O(√m), which bounds the
-       wedge blow-up;
-    3. generate wedges (pairs of out-neighbors) per source, vectorized
-       (triu indices per source run), and meet them with the edge set
-       in PAIR-keyed buckets — membership count = triangles, each
-       counted exactly once.
 
-    ``degree_mode="broadcast"`` (default) rides degrees on a ``ray.put``
-    broadcast (nodes ≪ edges — the usual graph regime).
-    ``degree_mode="exchange"`` never materializes the degree table
-    anywhere: deg(u) then deg(v) are attached by two node-keyed
-    exchanges (degree partials and edge rows co-bucketed on the node,
-    merged per bucket) — the billion-node path where even the node set
-    exceeds driver memory.  Both modes produce identical counts (the
-    orientation order is a pure function of (deg, id)).  Node ids must
-    fit 31 bits so a (u, v) pair packs into one int64 bucket key — a
-    ``ValueError``, never a silent wrap.
+class _WedgeShard(_Shard):
+    """A shard of the deduped symmetric adjacency (CSR) of every node
+    whose hash bucket it owns, for the operators that pair two
+    neighbours of a center (wedges). Node ids fit 31 bits, so a pair
+    packs into one int64."""
 
-    Returns a one-row table ``(n_edges, n_triangles)``.
-    """
-    import ray
+    def build(self) -> pa.Table:
+        """Freeze the CSR; returns the owned (node, deg) rows."""
+        self._adjacency()
+        return pa.table({"node": pa.array(self.v), "deg": pa.array(self.counts)})
 
-    from commons_codec_ray.util import adaptive_buckets, hash_bucket
+    def _is_edge(self, p: np.ndarray) -> np.ndarray:
+        """Which packed pairs ``a << 32 | b`` (a owned here) are edges:
+        the owned adjacency packed the same way is sorted, one lookup."""
+        return _find((np.repeat(self.v, self.counts) << 32) | self.peer, p)[1]
 
+
+def _degrees(shards) -> tuple[np.ndarray, np.ndarray, object]:
+    """Build the wedge shards; returns every node's degree as sorted
+    (nodes, degs) arrays and their ``ray.put`` broadcast, or ``None`` in
+    a pool of one, whose shard holds every degree (nodes ≪ edges)."""
+    t = pa.concat_tables(ray.get([w.build.remote() for w in shards])).sort_by("node")
+    nodes, degs = t["node"].to_numpy(), t["deg"].to_numpy()
+    return nodes, degs, ray.put((nodes, degs)) if len(shards) > 1 else None
+
+
+class _TriangleShard(_WedgeShard):
+    """One shard of triangle counting. Every edge is oriented from its
+    (deg, id)-smaller end, a total order that caps every out-degree at
+    O(√m) and so bounds the wedges. :meth:`wedges` pairs the
+    out-neighbours a < b of each owned center c and sends (c, a, b) to
+    owner(a); :meth:`meet` closes it against a's own adjacency. A
+    triangle is exactly one closed wedge, at its smallest corner."""
+
+    def wedges(self, deg):
+        """The oriented wedges of the owned centers, generated
+        :data:`WEDGE_CHUNK` at a time, as A outboxes of
+        (p = a << 32 | b, c) by owner of a. ``deg`` is the driver's
+        sorted (node, deg) broadcast, or ``None`` in a pool of one."""
+        nodes, degs = (self.v, self.counts) if deg is None else deg
+        c = np.repeat(self.v, self.counts)
+        dc = np.repeat(self.counts, self.counts)
+        dp = degs[np.searchsorted(nodes, self.peer)]
+        out = (dc < dp) | ((dc == dp) & (c < self.peer))
+        c, y = c[out], self.peer[out]
+        ps, cs = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        reps = _run_reps(c)
+        for lo, hi in _wedge_chunks(reps):
+            lefts, rights = _wedge_index_pairs(reps[lo:hi], lo)
+            # peers are sorted within a center, so y[left] < y[right]
+            ps.append((y[lefts] << 32) | y[rights])
+            cs.append(c[lefts])
+        p, c = np.concatenate(ps), np.concatenate(cs)
+        return _returns(self._split(self._owner(p >> 32), p=p, c=c))
+
+    def meet(self, *inboxes: pa.Table) -> pa.Table:
+        """Credit each corner of every closed inbox wedge once: the
+        (node, t) rows, summed by node."""
+        p, c = _cat(inboxes, "p"), _cat(inboxes, "c")
+        closed = self._is_edge(p)
+        p, c = p[closed], c[closed]
+        corners = np.concatenate([c, p >> 32, p & 0x7FFFFFFF])
+        node, t = _sum_by(corners, np.ones(len(corners), np.int64))
+        return pa.table({"node": pa.array(node), "t": pa.array(t)})
+
+
+def _triangles(edges_ds, src, dst, num_buckets, num_shards, op_name: str):
+    """Every node's degree and triangle count over the undirected simple
+    graph of ``edges_ds``: sorted (nodes, degs) of the nodes with an
+    edge, and the (node, t) sums of the nodes in a triangle."""
     nb = num_buckets or adaptive_buckets()
+    setup = map_rows(edges_ds, lambda t: _pair_rows(t, src, dst, nb, op_name))
+    with _shard_pool(_TriangleShard, setup, num_shards, nb) as shards:
+        A = len(shards)
+        nodes, degs, deg = _degrees(shards)
+        outs = [_fan_out(w.wedges, A, deg) for w in shards]
+        credits = ray.get([w.meet.remote(*_inbox(outs, o)) for o, w in enumerate(shards)])
+    return nodes, degs, *_sum_by(_cat(credits, "node"), _cat(credits, "t"))
 
-    edges = _canon_pair_edges(edges_ds, src, dst, nb, "triangle_count")
-    n_edges = edges.count()
-    deg_partial = _pair_deg_partial
 
-    def pack_sb(x: np.ndarray, y: np.ndarray) -> pa.Table:
-        return pa.table(
-            {
-                "_sb": hash_bucket(x, nb),
-                "x": pa.array(x, pa.int64()),
-                "y": pa.array(y, pa.int64()),
-            }
-        )
+def triangle_count(edges_ds, src: str = "src", dst: str = "dst",
+                   num_buckets: int | None = None, num_shards: int | None = None):
+    """Exact triangle count (engine-added; the oriented-wedge shape of
+    Suri & Vassilvitskii's MR-NodeIterator++) on :func:`_shard_pool`
+    (:class:`_TriangleShard`):
 
-    if degree_mode == "exchange":
-        oriented = _orient_by_exchange(edges, deg_partial, pack_sb, nb)
-    else:
-        degp = edges.map_batches(deg_partial, batch_format="pyarrow").to_pandas()
-        deg = degp.groupby("n")["c"].sum()
-        deg_nodes = deg.index.to_numpy(np.int64)
-        deg_vals = deg.to_numpy(np.int64)
-        dref = ray.put((deg_nodes, deg_vals))
+    1. setup: each edge in both directions, self-loops dropped, routed
+       once to the owner of hash(x); each shard dedupes its symmetric
+       CSR and reports its (node, deg) rows, which the driver
+       broadcasts once (a pool of one needs no broadcast);
+    2. every edge is oriented from its (degree, id)-smaller end, and
+       each owned center's pairs of out-neighbours (a < b) become
+       wedges, generated :data:`WEDGE_CHUNK` at a time;
+    3. ONE exchange: each wedge goes to owner(a), which credits its
+       three corners once if (a, b) is an edge;
+    4. the driver sums the per-node credits: every triangle is credited
+       three times, once per corner.
 
-        def orient(t: pa.Table) -> pa.Table:
-            nodes_s, degs = ray.get(dref)
-            u = t["u"].to_numpy(zero_copy_only=False)
-            v = t["v"].to_numpy(zero_copy_only=False)
-            du = degs[np.searchsorted(nodes_s, u)]
-            dv = degs[np.searchsorted(nodes_s, v)]
-            # total order (deg, id): u first iff (du, u) < (dv, v); u < v always
-            u_first = (du < dv) | (du == dv)
-            x = np.where(u_first, u, v)
-            y = np.where(u_first, v, u)
-            return pack_sb(x, y)
-
-        oriented = edges.map_batches(orient, batch_format="pyarrow")
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.sort_values(["x", "y"], kind="mergesort")
-        x = g["x"].to_numpy()
-        y = g["y"].to_numpy()
-        lefts, rights = _wedge_index_pairs(_run_reps(x))
-        if not len(lefts):
-            return pd.DataFrame({"a": [], "b": []}).astype("int64")
-        ya, yb = y[lefts], y[rights]
-        return pd.DataFrame({"a": np.minimum(ya, yb), "b": np.maximum(ya, yb)})
-
-    def wedge_bucket(df: pd.DataFrame) -> pa.Table:
-        pack = (df["a"].to_numpy(np.int64) << 32) | df["b"].to_numpy(np.int64)
-        return pa.table(
-            {
-                "_pb": hash_bucket(pack, nb),
-                "p": pa.array(pack, pa.int64()),
-                "is_edge": pa.array(np.zeros(len(df), dtype=bool)),
-            }
-        )
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        pack = (
-            t["u"].to_numpy(zero_copy_only=False) << 32
-        ) | t["v"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "_pb": hash_bucket(pack, nb),
-                "p": pa.array(pack, pa.int64()),
-                "is_edge": pa.array(np.ones(t.num_rows, dtype=bool)),
-            }
-        )
-
-    tagged = (
-        oriented.groupby("_sb")
-        .map_groups(wedges, batch_format="pandas")
-        .map_batches(wedge_bucket, batch_format="pandas")
-        .union(edges.map_batches(edge_rows, batch_format="pyarrow"))
-    )
-
-    def count_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        eset = df.loc[df["is_edge"], "p"]
-        w = df.loc[~df["is_edge"], "p"]
-        return pd.DataFrame({"tri": [int(w.isin(eset).sum())]})
-
-    tri = (
-        tagged.groupby("_pb")
-        .map_groups(count_bucket, batch_format="pandas")
-        .to_pandas()["tri"]
-        .sum()
-    )
+    Node ids must fit 31 bits so a (u, v) pair packs into one int64 —
+    a ``ValueError``, never a silent wrap. Returns a one-row
+    ``pa.Table`` ``(n_edges, n_triangles)``; ``n_edges`` counts the
+    distinct undirected edges.
+    """
+    _, degs, _, t = _triangles(edges_ds, src, dst, num_buckets, num_shards, "triangle_count")
     return pa.table(
         {
-            "n_edges": pa.array([n_edges], pa.int64()),
-            "n_triangles": pa.array([int(tri)], pa.int64()),
+            "n_edges": pa.array([int(degs.sum()) // 2], pa.int64()),
+            "n_triangles": pa.array([int(t.sum()) // 3], pa.int64()),
+        }
+    )
+
+
+def clustering_coeff(edges_ds, src: str = "src", dst: str = "dst",
+                     num_buckets: int | None = None, num_shards: int | None = None):
+    """Per-node triangle counts and LOCAL clustering coefficient — the
+    node-resolved :func:`triangle_count` (the same shards and wedges;
+    each node reports its own credit sum):
+
+    cc(v) = 2·tri(v) / (deg(v)·(deg(v)−1)), emitted as the exact
+    integer ``cc_ppm = 2_000_000·tri // (deg·(deg−1))`` (0 when
+    deg < 2) so the SQL oracle matches bit-for-bit. Node ids must fit
+    31 bits. Returns a ``pa.Table`` ``(node, deg, triangles, cc_ppm)``
+    for every node with an edge.
+    """
+    nodes, d, tn, t = _triangles(edges_ds, src, dst, num_buckets, num_shards, "clustering_coeff")
+    tri = np.zeros(len(nodes), np.int64)
+    tri[np.searchsorted(nodes, tn)] = t
+    cc = np.where(d >= 2, (2_000_000 * tri) // np.maximum(d * (d - 1), 1), 0)
+    return pa.table(
+        {
+            "node": pa.array(nodes, pa.int64()),
+            "deg": pa.array(d, pa.int64()),
+            "triangles": pa.array(tri, pa.int64()),
+            "cc_ppm": pa.array(cc, pa.int64()),
         }
     )
 
@@ -977,24 +883,23 @@ class _KCoreShard(_Shard):
     endpoint dies), so total message volume is ≤ 2|E| regardless of
     peel depth. The peel is simultaneous: decrements emitted in round r
     are applied before round r+1's death check, so every round's
-    deaths are judged on the degrees of the pre-round snapshot.
+    deaths are judged on the degrees of the pre-round snapshot. The
+    threshold is the caller's per round: fixed for :func:`kcore_sharded`,
+    the round's average degree for :func:`densest_subgraph`.
     """
-
-    def __init__(self, num_shards: int, nb: int, k: int):
-        super().__init__(num_shards, nb)
-        self.k = k
 
     def build(self) -> int:
         self._adjacency()
         self.deg = self.counts.copy()
         self.alive = np.ones(len(self.v), bool)
+        self.last = np.full(len(self.v), -1, np.int64)
         return int(len(self.v))
 
-    def peel(self):
+    def peel(self, k: int):
         """Mark every alive node with deg < k dead; emit one (peer)
         death notice per incident edge, routed to the peer's owner.
         Returns A message tables + the local death count."""
-        dead = self.alive & (self.deg < self.k)
+        dead = self.alive & (self.deg < k)
         self.alive[dead] = False
         e_sel = np.repeat(dead, self.counts)
         return (
@@ -1007,12 +912,33 @@ class _KCoreShard(_Shard):
         one of its neighbors died this round."""
         np.subtract.at(self.deg, np.searchsorted(self.v, _cat(inboxes, "key")), 1)
 
+    def density(self, r: int) -> tuple[int, int]:
+        """Round ``r``'s share of the alive subgraph: its nodes with an
+        alive edge (V) and their degree sum (2E). Each of them records
+        ``r`` as the last round it was counted in."""
+        counted = self.alive & (self.deg > 0)
+        self.last[counted] = r
+        return int(counted.sum()), int(self.deg[counted].sum())
+
     def result(self) -> pa.Table:
         sel = self.alive
         return pa.table(
             {
                 "node": pa.array(self.v[sel], pa.int64()),
                 "deg": pa.array(self.deg[sel], pa.int64()),
+            }
+        )
+
+    def densest(self, r: int, v_count: int, e_count: int) -> pa.Table:
+        """The owned nodes of round ``r``'s subgraph, with its stats."""
+        node = self.v[self.last >= r]
+        n = len(node)
+        return pa.table(
+            {
+                "node": pa.array(node, pa.int64()),
+                "r": pa.array(np.full(n, r, np.int64)),
+                "v_count": pa.array(np.full(n, v_count, np.int64)),
+                "e_count": pa.array(np.full(n, e_count, np.int64)),
             }
         )
 
@@ -1047,25 +973,13 @@ def kcore_sharded(
     the pool one driver shard unless ``num_shards`` is given.
     """
     nb = num_buckets or adaptive_buckets()
-
-    def explode_setup(t: pa.Table) -> pa.Table:
-        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        kk = np.concatenate([a, b])
-        p = np.concatenate([b, a])
-        return pa.table(
-            {"_b": hash_bucket(kk, nb), "key": pa.array(kk), "peer": pa.array(p)}
-        )
-
-    setup = map_rows(edges_ds, explode_setup)
-    with _shard_pool(_KCoreShard, setup, num_shards, nb, k) as shards:
+    setup = map_rows(edges_ds, lambda t: _sym_rows(t, src, dst, nb))
+    with _shard_pool(_KCoreShard, setup, num_shards, nb) as shards:
         A = len(shards)
         ray.get([w.build.remote() for w in shards])
         for _ in range(max_rounds):
             # peel returns A message tables + the local death count
-            pouts = [w.peel.options(num_returns=A + 1).remote() for w in shards]
+            pouts = [w.peel.options(num_returns=A + 1).remote(k) for w in shards]
             if sum(ray.get([p[A] for p in pouts])) == 0:
                 break
             ray.get([w.decrement.remote(*_inbox(pouts, o)) for o, w in enumerate(shards)])
@@ -1081,7 +995,8 @@ def kcore_sharded(
 
 
 def densest_subgraph(
-    edges_ds, max_rounds: int = 32, src: str = "src", dst: str = "dst"
+    edges_ds, max_rounds: int = 32, src: str = "src", dst: str = "dst",
+    num_shards: int | None = None,
 ):
     """Densest-subgraph 2-approximation by iterated average-degree
     peeling — Bahmani, Kumar & Vassilvitskii's published MapReduce
@@ -1093,244 +1008,45 @@ def densest_subgraph(
     round). At least every minimum-degree node is removed each round,
     so the peel always terminates; on real graphs rounds ≈ log V.
 
-    Engine shape per round: two node-keyed exchanges over the current
-    symmetric edge table (attach deg(u) then deg(v) — same snapshot
-    discipline as :func:`kcore_sharded`) plus a kilobyte (V, E) stat partial;
-    per-round survivor tables stay materialized in the object store so
-    the winning round's node set is read back without re-peeling
-    (total retained ≤ the sum of shrinking rounds < 2·|E| rows).
-    Returns ``(node, r, v_count, e_count)`` — the winning round's
-    nodes with its round index and exact size stats.
+    Runs as the :func:`kcore_sharded` peel (:class:`_KCoreShard`) with
+    a per-round threshold ``k_r = 2E // V + 1``, since
+    ``deg·V ≤ 2E ⇔ deg < k_r``. V counts the alive nodes with an alive
+    edge and 2E is their degree sum, both summed from the shards each
+    round; each node keeps the last round it was counted in, so the
+    winning round's node set is read back without a second peel. Node
+    ids are full int64. ``RuntimeError`` if edges remain after
+    ``max_rounds`` + 1 rounds. Returns ``(node, r, v_count, e_count)``
+    — the winning round's nodes with its round index and exact size
+    stats. ``edges_ds`` may be a ``pa.Table``; the result is then a
+    table, and the pool one driver shard unless ``num_shards`` is given.
     """
-    sym = _sym_edges(edges_ds, src, dst, op_name="densest_subgraph")
-
-    def attach_first(g: pa.Table) -> pa.Table:
-        flag = np.zeros(g.num_rows, bool)
-        flag[0] = True
-        return g.append_column(
-            "du", pa.array(np.full(g.num_rows, g.num_rows, np.int64))
-        ).append_column("first_u", pa.array(flag))
-
-    def attach_v(g: pa.Table) -> pa.Table:
-        return g.append_column(
-            "dv", pa.array(np.full(g.num_rows, g.num_rows, np.int64))
-        )
-
-    def stat_partial(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "v": pa.array(
-                    [int(t["first_u"].to_numpy(zero_copy_only=False).sum())]
-                ),
-                "e2": pa.array([t.num_rows]),
-            }
-        )
-
-    stats: list[tuple[int, int, int]] = []
-    rounds: list = []  # per-round NODE tables only (V rows each — the
-    # full deg-attached edge tables would hold ~2|E| rows per round in
-    # the object store for the whole call; the winner readback needs
-    # just the node set)
-    for r in range(max_rounds + 1):
-        if sym.count() == 0:
-            break
-        t1 = sym.groupby("u").map_groups(attach_first, batch_format="pyarrow")
-        t1 = t1.materialize()
-        parts = t1.map_batches(stat_partial, batch_format="pyarrow").take_all()
-        V = sum(int(p["v"]) for p in parts)
-        E2 = sum(int(p["e2"]) for p in parts)
-        stats.append((r, V, E2 // 2))
-        rounds.append(
-            t1.map_batches(
-                lambda t: t.filter(t["first_u"]).select(["u"]),
-                batch_format="pyarrow",
-            ).materialize()
-        )
-
-        def keep_dense(t: pa.Table, _V=V, _E2=E2) -> pa.Table:
-            du = t["du"].to_numpy(zero_copy_only=False)
-            dv = t["dv"].to_numpy(zero_copy_only=False)
-            m = (du * _V > _E2) & (dv * _V > _E2)
-            return t.select(["u", "v"]).filter(pa.array(m))
-
-        sym = (
-            t1.groupby("v")
-            .map_groups(attach_v, batch_format="pyarrow")
-            .map_batches(keep_dense, batch_format="pyarrow")
-            .materialize()
-        )
-    else:
-        raise RuntimeError(
-            f"densest_subgraph did not terminate within max_rounds="
-            f"{max_rounds} (every round removes at least the min-degree "
-            "nodes, so this indicates max_rounds set below log-depth)"
-        )
-
-    if not stats:  # empty graph
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array([], pa.int64()),
-                    "r": pa.array([], pa.int64()),
-                    "v_count": pa.array([], pa.int64()),
-                    "e_count": pa.array([], pa.int64()),
-                }
+    nb = adaptive_buckets()
+    setup = map_rows(edges_ds, lambda t: _sym_rows(t, src, dst, nb))
+    with _shard_pool(_KCoreShard, setup, num_shards, nb) as shards:
+        A = len(shards)
+        ray.get([w.build.remote() for w in shards])
+        stats: list[tuple[int, int, int]] = []
+        for r in range(max_rounds + 1):
+            V, E2 = (sum(c) for c in zip(*ray.get([w.density.remote(r) for w in shards])))
+            if E2 == 0:
+                break
+            stats.append((r, V, E2 // 2))
+            pouts = [w.peel.options(num_returns=A + 1).remote(E2 // V + 1) for w in shards]
+            ray.get([w.decrement.remote(*_inbox(pouts, o)) for o, w in enumerate(shards)])
+        else:
+            raise RuntimeError(
+                f"densest_subgraph did not terminate within max_rounds="
+                f"{max_rounds} (every round removes at least the min-degree "
+                "nodes, so this indicates max_rounds set below log-depth)"
             )
-        )
-
-    # exact rational argmax of E/V: a beats b iff E_a·V_b > E_b·V_a
-    best_r, best_v, best_e = stats[0]
-    for r, V, E in stats[1:]:
-        if E * best_v > best_e * V:
-            best_r, best_v, best_e = r, V, E
-
-    def winner_nodes(t: pa.Table, _r=best_r, _v=best_v, _e=best_e) -> pa.Table:
-        n = t.num_rows
-        return pa.table(
-            {
-                "node": t["u"].cast(pa.int64()),
-                "r": pa.array(np.full(n, _r, np.int64)),
-                "v_count": pa.array(np.full(n, _v, np.int64)),
-                "e_count": pa.array(np.full(n, _e, np.int64)),
-            }
-        )
-
-    return rounds[best_r].map_batches(winner_nodes, batch_format="pyarrow")
-
-
-def clustering_coeff(edges_ds, src: str = "src", dst: str = "dst",
-                     num_buckets: int | None = None):
-    """Per-node triangle counts and LOCAL clustering coefficient —
-    the node-resolved variant of :func:`triangle_count` (same
-    Suri–Vassilvitskii oriented-wedge shape, but every wedge row
-    carries its CENTER so a closed wedge credits all three corners):
-
-    cc(v) = 2·tri(v) / (deg(v)·(deg(v)−1)), emitted as the exact
-    integer ``cc_ppm = 2_000_000·tri // (deg·(deg−1))`` (0 when
-    deg < 2) so the SQL oracle matches bit-for-bit.
-
-    Scale shape: one pair-keyed dedupe exchange, one oriented wedge
-    generation (out-degrees capped at O(√m) by the (deg, id) order),
-    one pair-keyed meet; degrees and the final per-node reduction ride
-    the driver under the same nodes ≪ edges assumption as
-    triangle_count's broadcast mode (the `_orient_by_exchange`
-    machinery is the escalation path). Returns
-    ``(node, deg, triangles, cc_ppm)`` for every node with an edge.
-    """
-    import ray
-
-    from commons_codec_ray.util import adaptive_buckets, hash_bucket
-
-    nb = num_buckets or adaptive_buckets()
-
-    edges = _canon_pair_edges(edges_ds, src, dst, nb, "clustering_coeff")
-
-    degp = edges.map_batches(_pair_deg_partial, batch_format="pyarrow").to_pandas()
-    deg = degp.groupby("n")["c"].sum()
-    deg_nodes = deg.index.to_numpy(np.int64)
-    deg_vals = deg.to_numpy(np.int64)
-    dref = ray.put((deg_nodes, deg_vals))
-
-    def orient(t: pa.Table) -> pa.Table:
-        nodes_s, degs = ray.get(dref)
-        u = t["u"].to_numpy(zero_copy_only=False)
-        v = t["v"].to_numpy(zero_copy_only=False)
-        du = degs[np.searchsorted(nodes_s, u)]
-        dv = degs[np.searchsorted(nodes_s, v)]
-        u_first = (du < dv) | (du == dv)
-        x = np.where(u_first, u, v)
-        y = np.where(u_first, v, u)
-        return pa.table(
-            {
-                "_sb": hash_bucket(x, nb),
-                "x": pa.array(x, pa.int64()),
-                "y": pa.array(y, pa.int64()),
-            }
-        )
-
-    def wedges(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.sort_values(["x", "y"], kind="mergesort")
-        x = g["x"].to_numpy()
-        y = g["y"].to_numpy()
-        lefts, rights = _wedge_index_pairs(_run_reps(x))
-        if not len(lefts):
-            return pd.DataFrame(
-                {"a": [], "b": [], "center": []}
-            ).astype("int64")
-        ya, yb = y[lefts], y[rights]
-        return pd.DataFrame(
-            {
-                "a": np.minimum(ya, yb),
-                "b": np.maximum(ya, yb),
-                "center": x[lefts],
-            }
-        )
-
-    def wedge_rows(df: pd.DataFrame) -> pa.Table:
-        pack = (df["a"].to_numpy(np.int64) << 32) | df["b"].to_numpy(np.int64)
-        return pa.table(
-            {
-                "_pb": hash_bucket(pack, nb),
-                "p": pa.array(pack, pa.int64()),
-                "center": pa.array(df["center"].to_numpy(np.int64), pa.int64()),
-                "is_edge": pa.array(np.zeros(len(df), dtype=bool)),
-            }
-        )
-
-    def edge_rows(t: pa.Table) -> pa.Table:
-        pack = (
-            t["u"].to_numpy(zero_copy_only=False) << 32
-        ) | t["v"].to_numpy(zero_copy_only=False)
-        n = len(pack)
-        return pa.table(
-            {
-                "_pb": hash_bucket(pack, nb),
-                "p": pa.array(pack, pa.int64()),
-                "center": pa.array(np.full(n, -1, np.int64)),
-                "is_edge": pa.array(np.ones(n, dtype=bool)),
-            }
-        )
-
-    def meet(df: pd.DataFrame) -> pd.DataFrame:
-        closed = df.loc[df["is_edge"], "p"]
-        w = df[~df["is_edge"]]
-        hit = w[w["p"].isin(closed)]
-        if not len(hit):
-            return pd.DataFrame({"node": [], "t": []}).astype("int64")
-        p = hit["p"].to_numpy(np.int64)
-        nodes = np.concatenate(
-            [hit["center"].to_numpy(np.int64), p >> 32, p & 0x7FFFFFFF]
-        )
-        uniq, cnt = np.unique(nodes, return_counts=True)
-        return pd.DataFrame({"node": uniq, "t": cnt.astype(np.int64)})
-
-    oriented = edges.map_batches(orient, batch_format="pyarrow")
-    tri_parts = (
-        oriented.groupby("_sb")
-        .map_groups(wedges, batch_format="pandas")
-        .map_batches(wedge_rows, batch_format="pandas")
-        .union(edges.map_batches(edge_rows, batch_format="pyarrow"))
-        .groupby("_pb")
-        .map_groups(meet, batch_format="pandas")
-        .to_pandas()
-    )
-    tri = (
-        tri_parts.groupby("node")["t"].sum()
-        if len(tri_parts)
-        else pd.Series(dtype=np.int64)
-    )
-    tri_map = tri.to_dict()
-    t_arr = np.array([int(tri_map.get(int(n), 0)) for n in deg_nodes], np.int64)
-    d = deg_vals
-    cc = np.where(d >= 2, (2_000_000 * t_arr) // np.maximum(d * (d - 1), 1), 0)
-    return pa.table(
-        {
-            "node": pa.array(deg_nodes, pa.int64()),
-            "deg": pa.array(d, pa.int64()),
-            "triangles": pa.array(t_arr, pa.int64()),
-            "cc_ppm": pa.array(cc.astype(np.int64), pa.int64()),
-        }
-    )
+        if not stats:  # no edges: an empty result
+            return _collect([w.densest.remote(0, 0, 0) for w in shards], edges_ds)
+        # exact rational argmax of E/V: a beats b iff E_a·V_b > E_b·V_a
+        best_r, best_v, best_e = stats[0]
+        for r, V, E in stats[1:]:
+            if E * best_v > best_e * V:
+                best_r, best_v, best_e = r, V, E
+        return _collect([w.densest.remote(best_r, best_v, best_e) for w in shards], edges_ds)
 
 
 RA_SCALE = 1_000_000_000  # fixed-point scale for resource-allocation scores
@@ -1354,7 +1070,7 @@ WEDGE_CHUNK = 1 << 20
 _LINK_ORDER = [("cn", "descending"), ("a", "ascending"), ("b", "ascending")]
 
 
-class _LinkShard(_Shard):
+class _LinkShard(_WedgeShard):
     """One shard of link prediction: the deduped symmetric adjacency
     (CSR) of every node whose hash bucket this shard owns.
 
@@ -1371,27 +1087,15 @@ class _LinkShard(_Shard):
         super().__init__(num_shards, nb)
         self.ra = ra
 
-    def build(self) -> pa.Table:
-        """Freeze the CSR; returns the owned (node, deg) rows."""
-        self._adjacency()
-        return pa.table({"node": pa.array(self.v), "deg": pa.array(self.counts)})
-
     def wedges(self):
         """All wedges of the owned centers, generated and pre-reduced
-        :data:`WEDGE_CHUNK` at a time (chunks of left endpoints, so
-        even one hub's wedges are split), as A outboxes of
+        :data:`WEDGE_CHUNK` at a time, as A outboxes of
         (p = a << 32 | b, cn[, w]) by owner of a."""
         reps = _run_reps(np.repeat(np.arange(len(self.v)), self.counts))
         w_pos = np.repeat(RA_SCALE // self.counts, self.counts) if self.ra else None
-        before = np.r_[0, np.cumsum(reps)]  # wedges opened before each position
         acc, pending = [np.empty(0, np.int64)] * (3 if self.ra else 2), []
-        lo = 0
-        while lo < len(reps):
-            hi = max(lo + 1, int(np.searchsorted(before, before[lo] + WEDGE_CHUNK, "right")) - 1)
+        for lo, hi in _wedge_chunks(reps):
             lefts, rights = _wedge_index_pairs(reps[lo:hi], lo)
-            lo = hi
-            if not len(lefts):
-                continue
             # peers are sorted within a center, so peer[left] < peer[right]
             p = (self.peer[lefts] << 32) | self.peer[rights]
             vals = [np.ones(len(p), np.int64)] + ([w_pos[lefts]] if self.ra else [])
@@ -1410,8 +1114,7 @@ class _LinkShard(_Shard):
         sorted (node, deg) broadcast, or ``None`` in a pool of one."""
         cols = ("p", "cn", "w") if self.ra else ("p", "cn")
         p, cn, *w = _sum_by(*(_cat(inboxes, c) for c in cols))
-        # the owned adjacency packed the same way is sorted: one lookup
-        _, is_edge = _find((np.repeat(self.v, self.counts) << 32) | self.peer, p)
+        is_edge = self._is_edge(p)
         p, cn = p[~is_edge], cn[~is_edge]
         a, b = p >> 32, p & 0x7FFFFFFF
         if self.ra:
@@ -1504,25 +1207,12 @@ def link_prediction(edges_ds, src: str = "src", dst: str = "dst",
         raise ValueError(f"unknown link-prediction score: {score!r}")
     nb = num_buckets or adaptive_buckets()
 
-    def explode_setup(t: pa.Table) -> pa.Table:
-        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = a != b
-        k = np.concatenate([a[keep], b[keep]])
-        _check_pair_ids(k, "link_prediction")
-        p = np.concatenate([b[keep], a[keep]])
-        return pa.table({"_b": hash_bucket(k, nb), "key": pa.array(k), "peer": pa.array(p)})
-
-    setup = map_rows(edges_ds, explode_setup)
+    setup = map_rows(edges_ds, lambda t: _pair_rows(t, src, dst, nb, "link_prediction"))
     ra = score == "resource_allocation"
     scol = "ra" if ra else "jaccard_ppm"
     with _shard_pool(_LinkShard, setup, num_shards, nb, ra) as shards:
         A = len(shards)
-        degs = ray.get([w.build.remote() for w in shards])
-        deg = None
-        if A > 1:
-            t = pa.concat_tables(degs).sort_by("node")
-            deg = ray.put((t["node"].to_numpy(), t["deg"].to_numpy()))
+        deg = _degrees(shards)[2]
         outs = [_fan_out(w.wedges, A) for w in shards]
         tops = ray.get(
             [w.score.remote(top_k, deg, *_inbox(outs, o)) for o, w in enumerate(shards)]
@@ -1530,8 +1220,71 @@ def link_prediction(edges_ds, src: str = "src", dst: str = "dst",
     return pa.concat_tables(tops).sort_by([(scol, "descending"), *_LINK_ORDER]).slice(0, top_k)
 
 
+class _HitsShard(_Shard):
+    """One shard of HITS: the distinct in-edges and out-edges of every
+    node whose bucket this shard owns, both keyed on the owned end, and
+    the nodes' authority and hub scores.
+
+    A half-step folds the inbox into one score and sends it along one
+    side's edge copies: authorities along the in-edges (to the
+    source's owner, forming hubs), hubs along the out-edges (to the
+    destination's owner, forming authorities). Only the contributions
+    move; the edges never leave the shard after setup.
+    """
+
+    def build(self) -> None:
+        key, peer, inward = self._static("key", "peer", "inward")
+        self.v = np.unique(key)
+        # scores[0] authority, scores[1] hub (h_0 = 1); sides[s] sends scores[s]
+        self.scores = [np.zeros(len(self.v), np.int64), np.ones(len(self.v), np.int64)]
+        self.sides = []
+        for sel in (inward == 1, inward == 0):
+            k, p = _distinct_pairs(key[sel], peer[sel])  # distinct directed edges
+            order, bounds = self._layout(p)
+            self.sides.append((np.searchsorted(self.v, k[order]), p[order], bounds))
+
+    def _outbox(self, s: int):
+        pos, peer, bounds = self.sides[s]
+        return _returns(self._slices(bounds, key=peer, c=self.scores[s][pos]))
+
+    def contrib0(self):
+        """h_0 = 1 along the out-edges."""
+        return self._outbox(1)
+
+    def step(self, s: int, last: bool, *inboxes: pa.Table):
+        """Fold the inbox into ``scores[s]`` (a node with no incoming
+        contribution scores 0), then send it on, or on the ``last``
+        half-step return the (node, kind, score) rows."""
+        keys, cs = _cat(inboxes, "key"), _cat(inboxes, "c")
+        # pre-sum guard (exact python ints): max contribution × inbox
+        # rows bounds every per-node sum, so the int64 sums below can
+        # never wrap silently — the 2^44 check alone would miss a wrap
+        # on a >2^19-degree hub whose addends each passed it
+        if len(cs) and int(cs.max()) * len(cs) >= 1 << 62:
+            raise OverflowError(
+                "hits(): contribution sum may exceed int64 "
+                "(max contribution x inbox rows >= 2^62); lower iterations or rescale"
+            )
+        score = np.zeros(len(self.v), np.int64)
+        k, tot = _sum_by(keys, cs)
+        score[np.searchsorted(self.v, k)] = tot
+        if len(score) and int(score.max()) >= 1 << 44:
+            raise OverflowError("hits(): score exceeded 2^44; lower iterations or rescale")
+        self.scores[s] = score
+        if not last:
+            return self._outbox(s)
+        n = len(self.v)
+        return pa.table(
+            {
+                "node": pa.array(np.concatenate([self.v, self.v])),
+                "kind": pa.array(np.repeat(["auth", "hub"], n), pa.string()),
+                "score": pa.array(np.concatenate(self.scores)),
+            }
+        )
+
+
 def hits(edges_ds, iterations: int = 2, src: str = "src", dst: str = "dst",
-         num_buckets: int | None = None):
+         num_buckets: int | None = None, num_shards: int | None = None):
     """Exact-integer HITS (Kleinberg, JACM 1999): ``iterations`` rounds
     of the alternating power iteration, long-format output —
     ``(node:int64, kind:'auth'|'hub', score:int64)``.
@@ -1547,224 +1300,51 @@ def hits(edges_ds, iterations: int = 2, src: str = "src", dst: str = "dst",
     so it is SKIPPED: every score stays an exact int64 and a SQL oracle
     replays the rounds with unrolled CTE joins, bit-for-bit at any
     cluster size. Growth is bounded instead by a guard: scores are
-    checked against 2^44 each round (one more round multiplies by at
-    most the max degree, so int64 cannot wrap silently); callers with
-    hotter graphs lower ``iterations`` or rescale inputs.
+    checked against 2^44 each half-step (one more round multiplies by
+    at most the max degree, so int64 cannot wrap silently), and every
+    sum is checked before it is taken; callers with hotter graphs lower
+    ``iterations`` or rescale inputs.
 
-    Scale shape: the unioned-exchange Pregel shape (the static edges
-    unioned into every round's exchange, alternating key sides). Setup is
-    ONE exchange that dedupes edges and node sentinels into TWO keyed
-    copies — hash(src) buckets ``[0, nb)`` for the hub phase, hash(dst)
-    buckets ``[nb, 2nb)`` for the authority phase (disjoint bucket-id
-    namespaces, so a single groupby routes both). Each half-iteration
-    is then one ``union + groupby`` exchange in which the sums AND the
-    next phase's per-edge contributions are emitted in the same group
-    pass. Because HITS alternates key sides every half-round, the
-    static edge copies do ride each exchange (the documented cost of
-    the zero-actor variant; the actor-sharded fix is the same
-    :class:`_PagerankShard` machinery with both copies pinned — edges
-    move at setup only — left as the >billion-edge path).
+    Runs on :func:`_shard_pool` (:class:`_HitsShard`): each edge is
+    routed once to the owner of its source (out-edge copy) and once to
+    the owner of its destination (in-edge copy), two setup rows per
+    edge; each half-step is then one contribution exchange as direct
+    plasma objects between shards, with the static edges pinned.
+    ``edges_ds`` may be a ``pa.Table``; the result is then a table, and
+    the pool one driver shard unless ``num_shards`` is given.
     """
+    if iterations < 1:
+        raise ValueError(f"hits needs iterations >= 1, got {iterations}")
     nb = num_buckets or adaptive_buckets()
-    kinds = {"edge": np.int8(0), "sentinel": np.int8(1), "contrib": np.int8(2),
-             "score": np.int8(3)}
 
     def explode_setup(t: pa.Table) -> pa.Table:
         s = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
         d = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = np.unique(np.concatenate([s, d]))  # batch-local node candidates
-        ne, nv = len(s), len(v)
-        b_src = hash_bucket(s, nb).to_numpy(zero_copy_only=False)
-        b_dst = hash_bucket(d, nb).to_numpy(zero_copy_only=False) + nb
-        b_v0 = hash_bucket(v, nb).to_numpy(zero_copy_only=False)
-        zero_e = np.zeros(ne, np.int64)
-        zero_v = np.zeros(nv, np.int64)
+        k = np.concatenate([s, d])
         return pa.table(
             {
-                "_b": pa.array(np.concatenate([b_src, b_dst, b_v0, b_v0 + nb])),
-                "key": pa.array(np.concatenate([s, d, v, v])),
-                "other": pa.array(np.concatenate([d, s, zero_v, zero_v])),
-                "c": pa.array(np.concatenate([zero_e, zero_e, zero_v, zero_v])),
-                "kind": pa.array(
-                    np.concatenate(
-                        [
-                            np.zeros(2 * ne, np.int8),
-                            np.ones(2 * nv, np.int8),
-                        ]
-                    )
-                ),
+                "_b": hash_bucket(k, nb),
+                "key": pa.array(k),
+                "peer": pa.array(np.concatenate([d, s])),
+                "inward": pa.array(np.repeat(np.array([0, 1], np.int8), len(s))),
             }
         )
 
-    def setup_group(g: pd.DataFrame) -> pa.Table:
-        e = g[g["kind"] == kinds["edge"]].drop_duplicates(["key", "other"])
-        v = np.unique(g.loc[g["kind"] == kinds["sentinel"], "key"].to_numpy(np.int64))
-        bucket = np.int64(g["_b"].iloc[0])
-        ne, nv = len(e), len(v)
-        return pa.table(
-            {
-                "_b": pa.array(np.full(ne + nv, bucket)),
-                "key": pa.array(
-                    np.concatenate([e["key"].to_numpy(np.int64), v])
-                ),
-                "other": pa.array(
-                    np.concatenate([e["other"].to_numpy(np.int64), np.zeros(nv, np.int64)])
-                ),
-                "c": pa.array(np.zeros(ne + nv, np.int64)),
-                "kind": pa.array(
-                    np.concatenate([np.zeros(ne, np.int8), np.ones(nv, np.int8)])
-                ),
-            }
-        )
-
-    static = (
-        edges_ds.map_batches(explode_setup, batch_format="pyarrow")
-        .groupby("_b")
-        .map_groups(setup_group, batch_format="pandas")
-        .materialize()
-    )
-
-    def side(lo: int, hi: int):
-        def pick(t: pa.Table) -> pa.Table:
-            b = t["_b"].to_numpy(zero_copy_only=False)
-            return t.filter(pa.array((b >= lo) & (b < hi)))
-
-        return pick
-
-    # round-0 contributions (h0 = 1) fall straight out of the dst-keyed
-    # static edges: each distinct edge (u,v) contributes 1 at hash(v)
-    def contrib0(t: pa.Table) -> pa.Table:
-        b = t["_b"].to_numpy(zero_copy_only=False)
-        k = t["kind"].to_numpy(zero_copy_only=False)
-        sel = (b >= nb) & (k == kinds["edge"])
-        n = int(sel.sum())
-        return pa.table(
-            {
-                "_b": pa.array(b[sel]),
-                "key": pa.array(t["key"].to_numpy(zero_copy_only=False)[sel]),
-                "other": pa.array(np.zeros(n, np.int64)),
-                "c": pa.array(np.ones(n, np.int64)),
-                "kind": pa.array(np.full(n, kinds["contrib"], np.int8)),
-            }
-        )
-
-    _GUARD = np.int64(1) << np.int64(44)
-
-    def _rows(b, key, other, c, kind) -> pa.Table:
-        return pa.table(
-            {
-                "_b": pa.array(np.asarray(b, np.int64)),
-                "key": pa.array(np.asarray(key, np.int64)),
-                "other": pa.array(np.asarray(other, np.int64)),
-                "c": pa.array(np.asarray(c, np.int64)),
-                "kind": pa.array(np.asarray(kind, np.int8)),
-            }
-        )
-
-    def half_step(out_label: str | None, next_lo: int, emit_contribs: bool = True):
-        """One half-iteration: sum contribs per key (sentinels keep the
-        zero-score nodes), emit next-phase contributions per edge; when
-        ``out_label`` is set also emit tagged score rows (kind=3), which
-        every later exchange passes through untouched. Returns ARROW
-        tables — the output unions with arrow static blocks and Ray's
-        sort sampler requires one block type."""
-
-        def step(g: pd.DataFrame) -> pa.Table:
-            passthru = g[g["kind"] == kinds["score"]]
-            cont = g[g["kind"] == kinds["contrib"]]
-            v = np.unique(
-                g.loc[g["kind"] == kinds["sentinel"], "key"].to_numpy(np.int64)
-            )
-            # pre-SUM guard (exact python ints): max contribution × bucket
-            # rows bounds every per-key sum, so the int64 groupby below can
-            # never wrap silently — the post-sum 2^44 check alone would miss
-            # a wrap on a >2^19-degree hub whose addends each passed it
-            if len(cont):
-                m = int(cont["c"].max())
-                if m and m * len(cont) >= (1 << 62):
-                    raise OverflowError(
-                        "hits(): contribution sum may exceed int64 "
-                        "(max contribution x bucket rows >= 2^62); "
-                        "lower iterations or rescale"
-                    )
-            tot = cont.groupby("key")["c"].sum()
-            score = pd.Series(np.zeros(len(v), np.int64), index=v)
-            score.loc[tot.index] = tot.to_numpy(np.int64)
-            if len(score) and int(score.max()) >= int(_GUARD):
-                raise OverflowError(
-                    "hits(): score exceeded 2^44; lower iterations or rescale"
-                )
+    setup = map_rows(edges_ds, explode_setup)
+    with _shard_pool(_HitsShard, setup, num_shards, nb) as shards:
+        A = len(shards)
+        ray.get([w.build.remote() for w in shards])
+        outs = [_fan_out(w.contrib0, A) for w in shards]
+        # half-steps alternate authority (s = 0) and hub (s = 1)
+        for half in range(2 * iterations - 1):
             outs = [
-                _rows(
-                    passthru["_b"].to_numpy(np.int64),
-                    passthru["key"].to_numpy(np.int64),
-                    passthru["other"].to_numpy(np.int64),
-                    passthru["c"].to_numpy(np.int64),
-                    passthru["kind"].to_numpy(np.int8),
-                )
+                _fan_out(w.step, A, half % 2, False, *_inbox(outs, o))
+                for o, w in enumerate(shards)
             ]
-            e = g[g["kind"] == kinds["edge"]]
-            if emit_contribs and len(e):
-                u = e["other"].to_numpy(np.int64)  # opposite endpoint
-                c = score.loc[e["key"].to_numpy(np.int64)].to_numpy(np.int64)
-                outs.append(
-                    _rows(
-                        hash_bucket(u, nb).to_numpy(zero_copy_only=False) + next_lo,
-                        u,
-                        np.zeros(len(u), np.int64),
-                        c,
-                        np.full(len(u), kinds["contrib"], np.int8),
-                    )
-                )
-            if out_label is not None:
-                outs.append(
-                    _rows(
-                        np.full(len(v), -1 if out_label == "auth" else -2, np.int64),
-                        score.index.to_numpy(np.int64),
-                        np.zeros(len(v), np.int64),
-                        score.to_numpy(np.int64),
-                        np.full(len(v), kinds["score"], np.int8),
-                    )
-                )
-            return pa.concat_tables(outs)
-
-        return step
-
-    stream = static.map_batches(contrib0, batch_format="pyarrow")
-    for k in range(iterations):
-        last = k == iterations - 1
-        # authority phase: dst-keyed buckets [nb, 2nb)
-        stream = (
-            static.map_batches(side(nb, 2 * nb), batch_format="pyarrow")
-            .union(stream)
-            .groupby("_b")
-            .map_groups(half_step("auth" if last else None, 0), batch_format="pandas")
+        return _collect(
+            [w.step.remote(1, True, *_inbox(outs, o)) for o, w in enumerate(shards)],
+            edges_ds,
         )
-        # hub phase: src-keyed buckets [0, nb); the final half-step has
-        # no next phase, so it skips the contribution emission
-        stream = (
-            static.map_batches(side(0, nb), batch_format="pyarrow")
-            .union(stream)
-            .groupby("_b")
-            .map_groups(
-                half_step("hub" if last else None, nb, emit_contribs=not last),
-                batch_format="pandas",
-            )
-        )
-
-    def finalize(t: pa.Table) -> pa.Table:
-        k = t["kind"].to_numpy(zero_copy_only=False)
-        sel = k == kinds["score"]
-        b = t["_b"].to_numpy(zero_copy_only=False)[sel]
-        return pa.table(
-            {
-                "node": pa.array(t["key"].to_numpy(zero_copy_only=False)[sel]),
-                "kind": pa.array(np.where(b == -1, "auth", "hub")),
-                "score": pa.array(t["c"].to_numpy(zero_copy_only=False)[sel]),
-            }
-        )
-
-    return stream.map_batches(finalize, batch_format="pyarrow")
 
 
 def bfs_levels(edges_ds, source: int, max_levels: int = 6,

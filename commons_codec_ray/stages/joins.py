@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from commons_codec_ray.util import adaptive_buckets, hash_bucket
 
@@ -59,6 +60,19 @@ def _key_bucket(t: pa.Table, by: list[str], num_buckets: int) -> pa.Array:
         t.select(by).to_pandas(), index=False
     ).to_numpy()
     return pa.array((h & np.uint64(num_buckets - 1)).astype(np.int64))
+
+
+def _sides(t: pa.Table, left_cols: list[str], right_cols: list[str]):
+    """One bucket of a :func:`_tagged_union` as (left rows, right rows)
+    pandas frames. The split is made in Arrow, before ``to_pandas``: the
+    union null-pads each side's own columns on the other side's rows,
+    and pandas would turn such an int64 column into float64 (ids above
+    2^53 then lose precision)."""
+    is_r = t["_right"]
+    return (
+        t.filter(pc.invert(is_r)).select(left_cols).to_pandas(),
+        t.filter(is_r).select(right_cols).to_pandas(),
+    )
 
 
 def _tagged_union(left_ds, right_ds, all_cols, types, by, num_buckets):
@@ -114,9 +128,9 @@ def asof_join(
     right_columns = right_columns or [c for c in right_ds.schema().names if c not in (on, by)]
     left_cols = left_ds.schema().names
 
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df.loc[~df["_right"], left_cols].sort_values([on, by], kind="mergesort")
-        r = df.loc[df["_right"], [by, on, *right_columns]]
+    def join_bucket(t: pa.Table) -> pd.DataFrame:
+        l, r = _sides(t, left_cols, [by, on, *right_columns])
+        l = l.sort_values([on, by], kind="mergesort")
         if len(r):
             # deterministic tie-break: keep ONE WHOLE right row per
             # (by, on) — drop_duplicates is row-atomic, unlike
@@ -144,7 +158,7 @@ def asof_join(
     all_cols = list(dict.fromkeys([*left_cols, by, on, *right_columns]))
     types = _union_types(left_ds, right_ds)
     tagged = _tagged_union(left_ds, right_ds, all_cols, types, by, num_buckets)
-    return tagged.groupby("_jb").map_groups(join_bucket, batch_format="pandas")
+    return tagged.groupby("_jb").map_groups(join_bucket, batch_format="pyarrow")
 
 
 def hash_join(
@@ -189,13 +203,13 @@ def hash_join(
         else {}
     )
 
-    def join_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        l = df.loc[~df["_right"], left_cols].astype(left_dtypes)
-        r = df.loc[df["_right"], [*on_cols, *right_columns]].astype(right_dtypes)
+    def join_bucket(t: pa.Table) -> pd.DataFrame:
+        l, r = _sides(t, left_cols, [*on_cols, *right_columns])
+        l, r = l.astype(left_dtypes), r.astype(right_dtypes)
         return l.merge(r, on=on_cols, how=how, suffixes=("", suffix))
 
     tagged = _tagged_union(left_ds, right_ds, all_cols, types, on, num_buckets)
-    return tagged.groupby("_jb").map_groups(join_bucket, batch_format="pandas")
+    return tagged.groupby("_jb").map_groups(join_bucket, batch_format="pyarrow")
 
 
 def range_join_agg(
@@ -226,40 +240,39 @@ def range_join_agg(
     right_extra = [value] if value else []
     all_cols = list(dict.fromkeys([*left_cols, by, on, *right_extra]))
 
-    def band_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([by, on], kind="mergesort")
-        n = len(df)
-        keys_by = df[by].to_numpy(dtype="int64")
-        ts = df[on].to_numpy().astype("datetime64[us]").astype(np.int64)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keys_by[1:] != keys_by[:-1]
-        uidx = np.cumsum(new_key) - 1
-        first_ts = ts[np.flatnonzero(new_key)][uidx]
-        off = ts - first_ts
+    def band_bucket(t: pa.Table) -> pd.DataFrame:
+        l, r = _sides(t, left_cols, [by, on, *right_extra])
+        l = l.sort_values([by, on], kind="mergesort")
+        r = r.sort_values([by, on], kind="mergesort")
+        keys_by = np.concatenate([l[by].to_numpy(dtype="int64"), r[by].to_numpy(dtype="int64")])
+        ts = np.concatenate(
+            [s[on].to_numpy().astype("datetime64[us]").astype(np.int64) for s in (l, r)]
+        )
+        uniq, uidx = np.unique(keys_by, return_inverse=True)
+        first_ts = np.full(len(uniq), np.iinfo(np.int64).max)
+        np.minimum.at(first_ts, uidx, ts)
+        off = ts - first_ts[uidx]
         span = int(off.max()) + int(window_us) + 2
-        n_keys = int(uidx[-1]) + 1
+        n_keys = len(uniq)
         # int64-safe bound: loud failure beats silently-wrong band counts
         assert n_keys * span < (1 << 63), (
             f"composite range-join key overflows int64: {n_keys} keys x "
             f"span {span} us — raise num_buckets or shrink the time extent"
         )
         key = uidx * np.int64(span) + off
-        is_r = df["_right"].to_numpy()
-        rk = key[is_r]
-        lk = key[~is_r]
+        lk, rk = key[: len(l)], key[len(l):]
         hi = np.searchsorted(rk, lk, side="right")
         lo = np.searchsorted(rk, lk - np.int64(window_us), side="left")
-        out = df.loc[~is_r, left_cols].copy()
+        out = l.copy()
         out["n_in_range"] = (hi - lo).astype("int64")
         if value:
-            rv = df.loc[is_r, value].to_numpy(dtype="float64")
+            rv = r[value].to_numpy(dtype="float64")
             csum = np.concatenate([[0.0], np.cumsum(rv)])
             out["sum_in_range"] = csum[hi] - csum[lo]
         return out
 
     tagged = _tagged_union(left_ds, right_ds, all_cols, types, by, num_buckets)
-    return tagged.groupby("_jb").map_groups(band_bucket, batch_format="pandas")
+    return tagged.groupby("_jb").map_groups(band_bucket, batch_format="pyarrow")
 
 
 def snapshot_diff(

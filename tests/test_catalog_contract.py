@@ -39,7 +39,8 @@ def con(sf_dir):
     "name",
     [
         "lm_score", "lm_score_sharded", "salted_join", "hash_join", "semi_join",
-        "semi_join_bloom", "anti_join", "minhash_dedup", "minhash_dedup_narrow",
+        "semi_join_bloom", "anti_join", "minhash_dedup", "minhash_dedup_narrow", "triangles",
+        "triangles_exchange",
     ],
 )
 def test_entry_matches_its_oracle(ray_session, sf_dir, con, name):

@@ -130,27 +130,6 @@ def test_triangle_count_vs_bruteforce(ray_session):
     assert got["n_triangles"].iloc[0] == tri // 3
 
 
-def test_triangle_count_exchange_degrees_matches_broadcast(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from commons_codec_ray.stages.graph import triangle_count
-
-    rng = np.random.RandomState(29)
-    a = rng.randint(0, 60, 2500).astype("int64")
-    b = rng.randint(0, 60, 2500).astype("int64")
-    ds = rd.from_arrow(
-        pa.table({"src": pa.array(a), "dst": pa.array(b)})
-    ).repartition(5)
-    bc = triangle_count(ds, degree_mode="broadcast").to_pandas()
-    ex = triangle_count(ds, degree_mode="exchange").to_pandas()
-    # the sharded-degree path (no driver degree table, no broadcast)
-    # must count the exact same triangles
-    assert bc["n_edges"].iloc[0] == ex["n_edges"].iloc[0]
-    assert bc["n_triangles"].iloc[0] == ex["n_triangles"].iloc[0]
-    assert bc["n_triangles"].iloc[0] > 0
-
-
 class TestComponentsSharded:
     @staticmethod
     def _pairs_table(pairs):
@@ -363,7 +342,7 @@ class TestKCoreSharded:
 def test_32_bit_id_limit_is_only_in_sym_edges(ray_session):
     import pytest
 
-    from commons_codec_ray.stages.graph import densest_subgraph, kcore_sharded
+    from commons_codec_ray.stages.graph import _sym_edges, densest_subgraph, kcore_sharded
 
     big = 1 << 32
     t = pa.table(
@@ -372,12 +351,19 @@ def test_32_bit_id_limit_is_only_in_sym_edges(ray_session):
             "dst": pa.array([big + 1, big + 2, big + 2], pa.int64()),
         }
     )
-    # _sym_edges packs (u, v) into one int64 for its dedupe exchange
+    # _sym_edges (q_assortativity's dedupe) packs (u, v) into one int64
     with pytest.raises(Exception, match="32"):
-        densest_subgraph(rd.from_arrow(t))
-    # kcore_sharded handles full-int64 ids: the triangle is a 2-core
+        _sym_edges(rd.from_arrow(t), "src", "dst").materialize()
+    # kcore_sharded and densest_subgraph handle full-int64 ids: the
+    # triangle is a 2-core, and the whole triangle is the densest round
     got = kcore_sharded(rd.from_arrow(t), k=2, num_shards=2).to_pandas()
     assert sorted(got["node"].astype(int)) == [big, big + 1, big + 2]
+    for data, n in ((rd.from_arrow(t), 2), (t, None)):
+        got = densest_subgraph(data, num_shards=n)
+        got = got if isinstance(got, pa.Table) else pa.Table.from_pandas(got.to_pandas())
+        assert sorted(got.to_pylist(), key=lambda r: r["node"]) == [
+            {"node": x, "r": 0, "v_count": 3, "e_count": 3} for x in (big, big + 1, big + 2)
+        ]
 
 
 def test_kcore_ids_in_upper_32bit_range_work(ray_session):
@@ -758,7 +744,15 @@ def _table_ops():
         "link_prediction_ra": lambda e, n: graph.link_prediction(
             e, top_k=20, score="resource_allocation", num_shards=n
         ),
+        "hits": lambda e, n: graph.hits(e, iterations=2, num_shards=n),
+        "densest_subgraph": lambda e, n: graph.densest_subgraph(e, num_shards=n),
+        "triangle_count": lambda e, n: graph.triangle_count(e, num_shards=n),
+        "clustering_coeff": lambda e, n: graph.clustering_coeff(e, num_shards=n),
     }
+
+
+# these reduce to a driver-side table whatever they were given
+TABLE_ALWAYS = ("link_prediction", "link_prediction_ra", "triangle_count", "clustering_coeff")
 
 
 TABLE_CASES = [
@@ -794,7 +788,7 @@ def test_table_in_table_out_matches_the_dataset_path(ray_session, op, num_shards
     got = call(tbl, num_shards)
     assert isinstance(got, pa.Table), type(got)
     want = call(rd.from_arrow(tbl).repartition(3), num_shards)
-    assert isinstance(want, pa.Table) == op.startswith("link_prediction")
+    assert isinstance(want, pa.Table) == (op in TABLE_ALWAYS)
     assert got.num_rows > 0
     assert _rows_of(got) == _rows_of(want)
 
@@ -806,9 +800,11 @@ def test_empty_edge_table_keeps_the_full_schema(ray_session, op, num_shards):
     assert isinstance(got, pa.Table), type(got)
     names, types, rows = _rows_of(got)
     assert (names, types, rows) == _rows_of(call(rd.from_arrow(_weighted(0)), num_shards))
-    assert types == [pa.int64()] * len(names)
-    # the traversals still reach their source, at distance/level 0
-    assert rows == ([(1, 0)] if op in ("sssp", "bfs_levels") else [])
+    string_kind = [pa.int64(), pa.string(), pa.int64()]
+    assert types == (string_kind if op == "hits" else [pa.int64()] * len(names))
+    # the traversals still reach their source, at distance/level 0; the
+    # triangle count is one row of zeros
+    assert rows == {"sssp": [(1, 0)], "bfs_levels": [(1, 0)], "triangle_count": [(0, 0)]}.get(op, [])
 
 
 @pytest.mark.parametrize("num_shards", [None, 2])

@@ -20,7 +20,8 @@ from commons_codec_ray.stages import graph
 
 SHARD_POOL_QUERIES = [
     "components", "components_sharded", "pagerank", "ppr", "bfs_levels", "sssp",
-    "kcore", "kcore_sharded", "link_prediction", "link_prediction_ra",
+    "kcore", "kcore_sharded", "link_prediction", "link_prediction_ra", "hits",
+    "densest_subgraph", "triangles", "triangles_exchange", "clustering_coeff",
 ]
 
 
@@ -98,7 +99,13 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df[cols].sort_values(cols).reset_index(drop=True)
 
 
-@pytest.mark.parametrize("name", ["pagerank", "link_prediction", "components", "kcore"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pagerank", "link_prediction", "components", "kcore", "hits", "densest_subgraph",
+        "triangles", "triangles_exchange", "clustering_coeff",
+    ],
+)
 def test_spawned_pool_on_the_floor_read_matches_oracle(ray_session, sf_dir, monkeypatch, name):
     monkeypatch.setattr(util, "DRIVER_POOL_ROWS", 0)
     out = QUERIES[name](sf_dir)

@@ -117,9 +117,9 @@ def test_hash_join_name_collision_gets_suffix():
 
 def test_hash_join_matches_pandas_on_skewed_data():
     """One hot key carries half the probe side: all its matches land in
-    one bucket, and the join still equals a plain ``pandas.merge``.
-    Values are compared, not dtypes: a left int64 column that shares a
-    bucket with right rows comes back as float64 (null padding)."""
+    one bucket, and the join still equals a plain ``pandas.merge``,
+    dtypes included: the left int64 ``lv`` stays int64 in buckets that
+    also hold right rows."""
     rng = np.random.default_rng(7)
     keys = np.where(rng.random(4000) < 0.5, 42, rng.integers(0, 200, 4000))
     lt = pa.table({"k": keys.astype("int64"), "lv": np.arange(4000, dtype="int64")})
@@ -131,7 +131,32 @@ def test_hash_join_matches_pandas_on_skewed_data():
         want = lt.to_pandas().merge(rt.to_pandas().astype({"rv": "Int64"}), on="k", how=how)
         a = got.sort_values(["k", "lv"]).reset_index(drop=True)[["k", "lv", "rv"]]
         b = want.sort_values(["k", "lv"]).reset_index(drop=True)[["k", "lv", "rv"]]
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
+        pd.testing.assert_frame_equal(a, b)
+
+
+BIG = (1 << 53) + 1  # the first int64 that float64 cannot hold
+
+
+def test_hash_join_keeps_left_int64_above_2_53():
+    # the union null-pads lv on the right row of key 1's bucket; a
+    # float64 detour would round BIG to 2^53
+    left = _ds([{"k": 1, "lv": BIG}, {"k": 2, "lv": BIG + 2}])
+    right = _ds([{"k": 1, "rv": 10}])
+    for how in ("inner", "left"):
+        out = hash_join(left, right, on="k", how=how).to_pandas().sort_values("k")
+        assert str(out["lv"].dtype) == "int64", how
+        assert out["lv"].tolist() == [BIG, BIG + 2][: len(out)], how
+
+
+def test_asof_and_range_joins_keep_left_int64_above_2_53():
+    left = _ds([{"event_id": BIG, "user_id": 1, "ts": t(10)}])
+    right = _ds([{"user_id": 1, "ts": t(5), "r_event_id": BIG + 2}])
+    out = asof_join(left, right, on="ts", by="user_id").to_pandas()
+    assert str(out["event_id"].dtype) == "int64"
+    assert out["event_id"].tolist() == [BIG] and out["r_event_id"].tolist() == [BIG + 2]
+    out = range_join_agg(left, right, on="ts", by="user_id").to_pandas()
+    assert str(out["event_id"].dtype) == "int64"
+    assert out["event_id"].tolist() == [BIG] and out["n_in_range"].tolist() == [1]
 
 
 def test_hash_join_outer_pads_both_sides_with_nullable_ints():

@@ -19,7 +19,10 @@ from ray._private import state
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
-SHARD_CLASSES = {"_PagerankShard", "_CCShard", "_KCoreShard", "_SSSPShard", "_LinkShard"}
+SHARD_CLASSES = {
+    "_PagerankShard", "_CCShard", "_KCoreShard", "_SSSPShard", "_LinkShard", "_HitsShard",
+    "_TriangleShard",
+}
 
 # a 4-clique 0..3, a tail 3 -> 4 -> 5, and a separate edge 10 - 11
 SRC = [0, 0, 0, 1, 1, 2, 3, 4, 10]
@@ -37,7 +40,8 @@ _SCRIPT = textwrap.dedent(
     ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
     try:
         from commons_codec_ray.stages.graph import (
-            components_sharded, kcore_sharded, link_prediction, pagerank, sssp,
+            clustering_coeff, components_sharded, densest_subgraph, hits, kcore_sharded,
+            link_prediction, pagerank, sssp, triangle_count,
         )
 
         src, dst = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -63,6 +67,20 @@ _SCRIPT = textwrap.dedent(
             assert [(r["a"], r["b"], r["jaccard_ppm"]) for r in top] == [
                 (0, 4, 250_000), (1, 4, 250_000),
             ]
+            scores = hits(edges, iterations=1, num_shards=2).to_pandas()
+            hub = scores[scores["kind"] == "hub"]
+            assert dict(zip(hub["node"].tolist(), hub["score"].tolist())) == {
+                0: 6, 1: 5, 2: 3, 3: 1, 4: 1, 5: 0, 10: 1, 11: 0,
+            }
+            # round 1's 4-clique (density 6/4) beats round 0's 9/8
+            dense = densest_subgraph(edges, num_shards=2).to_pandas()
+            assert sorted(dense["node"].tolist()) == [0, 1, 2, 3]
+            assert set(zip(dense["r"], dense["v_count"], dense["e_count"])) == {(1, 4, 6)}
+            tri = triangle_count(edges, num_shards=2).to_pylist()
+            assert tri == [{"n_edges": 9, "n_triangles": 4}]
+            assert rows(clustering_coeff(edges, num_shards=2), "cc_ppm") == {
+                0: 1_000_000, 1: 1_000_000, 2: 1_000_000, 3: 500_000, 4: 0, 5: 0, 10: 0, 11: 0,
+            }
         print("SHARDED-OK")
     finally:
         ray.shutdown()
@@ -123,11 +141,15 @@ def _edges(src, dst, w=None, table=False):
 
 def test_no_shard_outlives_a_call(ray_session):
     from commons_codec_ray.stages.graph import (
+        clustering_coeff,
         components_sharded,
+        densest_subgraph,
+        hits,
         kcore_sharded,
         link_prediction,
         pagerank,
         sssp,
+        triangle_count,
     )
 
     pair_tbl = pa.table({"id_a": SRC, "id_b": DST})
@@ -139,6 +161,10 @@ def test_no_shard_outlives_a_call(ray_session):
             lambda: kcore_sharded(edges, k=3, num_shards=2),
             lambda: sssp(edges, source=0, rounds=3, num_shards=2),
             lambda: link_prediction(edges, num_shards=2),
+            lambda: hits(edges, num_shards=2),
+            lambda: densest_subgraph(edges, num_shards=2),
+            lambda: triangle_count(edges, num_shards=2),
+            lambda: clustering_coeff(edges, num_shards=2),
         ]
         for call in calls:
             out = call()
@@ -148,7 +174,7 @@ def test_no_shard_outlives_a_call(ray_session):
 
 
 def test_no_shard_outlives_a_failed_call(ray_session):
-    from commons_codec_ray.stages.graph import kcore_sharded, sssp
+    from commons_codec_ray.stages.graph import densest_subgraph, hits, kcore_sharded, sssp
 
     for table in (False, True):
         # a path peels from both ends, one node per end per round
@@ -160,4 +186,13 @@ def test_no_shard_outlives_a_failed_call(ray_session):
         big = _edges([0, 1], [1, 2], [1 << 62, 1 << 62], table=table)
         with pytest.raises(OverflowError):
             sssp(big, source=0, rounds=3, num_shards=2)
+        assert _alive_shards() == []
+        with pytest.raises(RuntimeError, match="did not terminate"):
+            densest_subgraph(path, max_rounds=1, num_shards=2)
+        assert _alive_shards() == []
+        # complete digraph on 60 nodes: h_4 = 60^8 passes 2^44
+        u, v = np.meshgrid(np.arange(60), np.arange(60))
+        dense = _edges(u.ravel(), v.ravel(), table=table)
+        with pytest.raises(OverflowError, match="2\\^44"):
+            hits(dense, iterations=4, num_shards=2)
         assert _alive_shards() == []
