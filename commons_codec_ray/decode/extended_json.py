@@ -181,15 +181,6 @@ def decode_bson(raw: bytes, treatment=None) -> dict:
     return out
 
 
-def decode_bson_stream(raw: bytes, treatment=None) -> list[dict]:
-    """Concatenated BSON documents (mongodump framing) → list of
-    decoded dicts — the bulk sibling of :func:`decode_bson`."""
-    return [
-        (treatment(d) if treatment is not None else d)
-        for d in _bson_wire.loads_stream(raw)
-    ]
-
-
 # --- converter flags (ST5) --------------------------------------------------
 
 

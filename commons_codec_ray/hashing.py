@@ -23,10 +23,6 @@ import pyarrow as pa
 DEFAULT_NUM_PARTITIONS = 64
 
 
-def stable_hash_str(s: str) -> int:
-    return zlib.crc32(s.encode("utf-8"))
-
-
 def shuffle_keys_for(
     tables: pa.ChunkedArray | pa.Array, partition_ids: pa.ChunkedArray | pa.Array
 ) -> pa.Array:

@@ -1840,7 +1840,13 @@ def q_near_dedup(sf_dir: str):
     """End-to-end near-duplicate removal: corpus + case-perturbed re-crawl
     → MinHash+LSH pairs → connected components → keep min-id per cluster.
     Disjoint per-doc vocabulary ⇒ survivors are EXACTLY the originals,
-    verified hash-exact by the SQL oracle."""
+    verified hash-exact by the SQL oracle.
+
+    No incremental twin (a persistent LSH-index actor pool fed in
+    waves) is kept: it took the whole corpus in one call and killed its
+    index on return, for the same survivors in 6.1-7.0 s at sf0.1
+    against 2.0-2.7 s here (PERF.md "Retired twin engines"), and the
+    ``near_dedup_incremental`` entry runs this function."""
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     corpus = docs.map_batches(_planted_corpus, batch_format="pyarrow")
     survivors = dedup_stage.near_dedup(corpus, threshold=0.7)
@@ -1848,22 +1854,6 @@ def q_near_dedup(sf_dir: str):
 
 
 _NEAR_DEDUP_SQL = "SELECT doc_id FROM documents"
-
-
-def q_near_dedup_incremental(sf_dir: str):
-    """Streaming near-dedup (stages/dedup.py:near_dedup_incremental):
-    the planted corpus arrives in 4 deterministic waves (epoch =
-    splitmix(doc_id) mod 4, so originals and their re-crawl copies land
-    in arbitrary different waves) and each wave is deduped against a
-    PERSISTENT actor-sharded LSH index of everything seen so far — a
-    pair is discovered exactly once, when its later member arrives, so
-    wave N costs only wave N (never old-vs-old re-pairing). Final
-    survivors are observationally identical to batch near_dedup, hence
-    the same closed-form oracle."""
-    docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    corpus = docs.map_batches(_planted_corpus, batch_format="pyarrow")
-    survivors = dedup_stage.near_dedup_incremental(corpus, threshold=0.7, epochs=4)
-    return survivors.select_columns(["doc_id"])
 
 
 def q_near_dedup_best(sf_dir: str):
@@ -2874,6 +2864,12 @@ WHERE CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS UBIGINT) % 10
 """
 
 
+# The most rows one event_type may hold on q_percent_rank's one-exchange
+# path, where each partition is ranked in one pandas group; above it the
+# query takes the sampled value-range path.
+_PERCENT_RANK_GUARD = 4_000_000
+
+
 def q_percent_rank(sf_dir: str):
     """Exact distributed percent_rank / cume_dist per partition as
     INTEGER rationals (parts-per-million via floor division — no float
@@ -2887,7 +2883,7 @@ def q_percent_rank(sf_dir: str):
     rows in one pandas group, which caps per-key cardinality at worker
     memory. A cheap per-key count partial (map-only, kilobytes on the
     driver) checks that bound first; any key above
-    ``GRAFT_PERCENT_RANK_GUARD`` rows (default 4M) switches the whole
+    ``_PERCENT_RANK_GUARD`` rows (4M) switches the whole
     query to stages/ranking.py:keyed_percent_rank — the sampled
     composite-range machinery that spreads ONE hot key across many
     value-range partitions (bit-identical integer outputs either way;
@@ -2898,7 +2894,6 @@ def q_percent_rank(sf_dir: str):
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
     )
 
-    guard = int(os.environ.get("GRAFT_PERCENT_RANK_GUARD", "4000000"))
     per_key = (
         events.map_batches(
             lambda t: t.select(["event_type"])
@@ -2911,7 +2906,7 @@ def q_percent_rank(sf_dir: str):
         .groupby("event_type")["n"]
         .sum()
     )
-    if len(per_key) and int(per_key.max()) > guard:
+    if len(per_key) and int(per_key.max()) > _PERCENT_RANK_GUARD:
         from commons_codec_ray.stages.ranking import keyed_percent_rank
 
         return keyed_percent_rank(
@@ -7331,6 +7326,48 @@ def _graph_events(sf_dir: str):
     )
 
 
+def _block_edges(sf_dir: str):
+    """The deterministic directed block graph of q_pagerank and the
+    graph entries after it, encoded identically in their SQL oracles:
+    ``src = eid % 1200``, ``dst`` in the same 8-node block,
+    ``(src // 8) * 8 + (eid * 3) % 8``. The input follows pool
+    placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import map_rows
+
+    def edges(t: pa.Table) -> pa.Table:
+        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        a = eid % 1200
+        b = (a // 8) * 8 + (eid * 3) % 8
+        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
+
+    return map_rows(_graph_events(sf_dir), edges)
+
+
+def _two_family_edges(sf_dir: str):
+    """The varied-degree two-family graph of q_kcore_sharded,
+    q_densest_subgraph and q_assortativity, encoded identically in
+    their SQL oracles: a low-degree circular band on 0..1399
+    (node-dependent forward offsets) and near-complete 8-node blocks on
+    0..319, two edges per event. The input follows pool placement
+    (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import map_rows
+
+    def edges(t: pa.Table) -> pa.Table:
+        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        a1 = eid % 1400
+        b1 = (a1 + 1 + (eid % (1 + a1 % 4))) % 1400
+        a2 = eid % 320
+        b2 = (a2 // 8) * 8 + (eid // 64) % 8
+        return pa.table(
+            {
+                "src": pa.array(np.concatenate([a1, a2])),
+                "dst": pa.array(np.concatenate([b1, b2])),
+            }
+        )
+
+    return map_rows(_graph_events(sf_dir), edges)
+
+
 def q_components_sharded(sf_dir: str):
     """Connected components (stages/graph.py components_sharded), the
     ``components`` and ``components_sharded`` entries: a deterministic
@@ -7341,18 +7378,9 @@ def q_components_sharded(sf_dir: str):
     messages move (a delta min-label hop phase + a pointer-jump phase,
     rounds ≈ log2 of the component diameter). The input follows pool
     placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import components_sharded, map_rows
+    from commons_codec_ray.stages.graph import components_sharded
 
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
-
-    pairs = map_rows(events, edges)
-    return components_sharded(pairs)
+    return components_sharded(_block_edges(sf_dir), id_a="src", id_b="dst")
 
 
 _COMPONENTS_SQL = """
@@ -9221,19 +9249,9 @@ def q_pagerank(sf_dir: str):
     count follows the setup block count. Measured
     at sf0.1/32 cpus: 3.46 s (r4 unioned variant, 5 sorts) → 1.74 s
     sharded."""
-    from commons_codec_ray.stages.graph import map_rows, pagerank
+    from commons_codec_ray.stages.graph import pagerank
 
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
-
-    return pagerank(
-        map_rows(events, edges), iterations=4
-    )
+    return pagerank(_block_edges(sf_dir), iterations=4)
 
 
 def q_triangles(sf_dir: str):
@@ -9245,17 +9263,9 @@ def q_triangles(sf_dir: str):
     closing edge. Same deterministic event-derived graph as
     q_pagerank/q_components_sharded. The input follows pool placement
     (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import map_rows, triangle_count
+    from commons_codec_ray.stages.graph import triangle_count
 
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
-
-    return triangle_count(map_rows(events, edges))
+    return triangle_count(_block_edges(sf_dir))
 
 
 _TRIANGLES_SQL = """
@@ -9272,73 +9282,20 @@ SELECT (SELECT CAST(count(*) AS BIGINT) FROM e) AS n_edges,
 
 
 def q_assortativity(sf_dir: str):
-    """Degree assortativity (Newman 2002): Pearson correlation of
-    endpoint degrees over the symmetric distinct edge list — positive
-    ⇒ hubs attach to hubs. Engine: the deduped symmetric table
-    (graph._sym_edges, one exchange), degrees broadcast (nodes ≪
-    edges), then EXACT int64 moment partials (n, Σx, Σy, Σxy, Σx²,
-    Σy²) per batch — r is computed in float ONCE on the driver from
-    exact integers (order-invariant), rounded 4dp to match DuckDB's
-    streaming corr. Uses the varied-degree two-family graph
-    (q_kcore_sharded's) so r is well-defined."""
-    import ray
+    """Degree assortativity (stages/graph.py ``assortativity``, Newman
+    2002): Pearson correlation of endpoint degrees over the symmetric
+    distinct edge list — positive ⇒ hubs attach to hubs. Each shard of
+    the deduped symmetric CSR sums the EXACT integer moments (n, Σx,
+    Σy, Σxy, Σx², Σy²) of its edge rows against the broadcast degrees;
+    r is computed in float ONCE on the driver from the exact sums
+    (order-invariant) and rounded 4dp to match DuckDB's streaming corr.
+    Uses the varied-degree two-family graph (q_kcore_sharded's) so r is
+    well-defined. The input follows pool placement (``_graph_events``)."""
+    from commons_codec_ray.stages.graph import assortativity
 
-    from commons_codec_ray.stages.graph import _sym_edges
-
-    events = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id"])
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a1 = eid % 1400
-        b1 = (a1 + 1 + (eid % (1 + a1 % 4))) % 1400
-        a2 = eid % 320
-        b2 = (a2 // 8) * 8 + (eid // 64) % 8
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([a1, a2])),
-                "dst": pa.array(np.concatenate([b1, b2])),
-            }
-        )
-
-    sym = _sym_edges(
-        events.map_batches(edges, batch_format="pyarrow"), "src", "dst"
-    )
-
-    def deg_partial(t: pa.Table) -> pa.Table:
-        u, c = np.unique(t["u"].to_numpy(zero_copy_only=False), return_counts=True)
-        return pa.table({"n": pa.array(u, pa.int64()), "c": pa.array(c, pa.int64())})
-
-    degp = sym.map_batches(deg_partial, batch_format="pyarrow").to_pandas()
-    deg = degp.groupby("n")["c"].sum()
-    dref = ray.put((deg.index.to_numpy(np.int64), deg.to_numpy(np.int64)))
-
-    def moments(t: pa.Table) -> pa.Table:
-        nodes_s, degs = ray.get(dref)
-        x = degs[np.searchsorted(nodes_s, t["u"].to_numpy(zero_copy_only=False))]
-        y = degs[np.searchsorted(nodes_s, t["v"].to_numpy(zero_copy_only=False))]
-        return pa.table(
-            {
-                "n": pa.array([len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum())], pa.int64()),
-                "sy": pa.array([int(y.sum())], pa.int64()),
-                "sxy": pa.array([int((x * y).sum())], pa.int64()),
-                "sxx": pa.array([int((x * x).sum())], pa.int64()),
-                "syy": pa.array([int((y * y).sum())], pa.int64()),
-            }
-        )
-
-    parts = sym.map_batches(moments, batch_format="pyarrow").to_pandas().sum()
-    n, sx, sy = int(parts["n"]), int(parts["sx"]), int(parts["sy"])
-    sxy, sxx, syy = int(parts["sxy"]), int(parts["sxx"]), int(parts["syy"])
-    num = n * sxy - sx * sy
-    den = float(np.sqrt(float(n * sxx - sx * sx) * float(n * syy - sy * sy)))
-    r = float(num) / den if den > 0 else float("nan")
-    return pa.table(
-        {
-            "assortativity": pa.array(duckdb_round(np.array([r]), 4), pa.float64()),
-            "n_pairs": pa.array([n], pa.int64()),
-        }
-    )
+    out = assortativity(_two_family_edges(sf_dir))
+    r = duckdb_round(out["assortativity"].to_numpy(), 4)
+    return out.set_column(0, "assortativity", pa.array(r, pa.float64()))
 
 
 _ASSORTATIVITY_SQL = """
@@ -9369,17 +9326,9 @@ def q_hits(sf_dir: str):
     edge is routed once to both endpoints' shards; a half-step moves
     only contributions. The input follows pool placement
     (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import hits, map_rows
+    from commons_codec_ray.stages.graph import hits
 
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
-
-    return hits(map_rows(events, edges), iterations=2)
+    return hits(_block_edges(sf_dir), iterations=2)
 
 
 _HITS_SQL = """
@@ -9415,18 +9364,10 @@ def q_ppr(sf_dir: str):
     bit-for-bit; zero contributions are pruned in flight (personalized
     mass stays sparse early — the volume win over uniform PageRank).
     The input follows pool placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import map_rows, personalized_pagerank
-
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
+    from commons_codec_ray.stages.graph import personalized_pagerank
 
     return personalized_pagerank(
-        map_rows(events, edges),
+        _block_edges(sf_dir),
         seeds=np.arange(0, 1200, 97, dtype=np.int64),
         iterations=3,
     )
@@ -9593,17 +9534,9 @@ def q_clustering_coeff(sf_dir: str):
     q_triangles; exact integer cc_ppm = 2e6·tri // (deg·(deg−1)) so
     the grouped SQL triangle join replays bit-for-bit. The input
     follows pool placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import clustering_coeff, map_rows
+    from commons_codec_ray.stages.graph import clustering_coeff
 
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a = eid % 1200
-        b = (a // 8) * 8 + (eid * 3) % 8
-        return pa.table({"src": pa.array(a), "dst": pa.array(b)})
-
-    return clustering_coeff(map_rows(events, edges))
+    return clustering_coeff(_block_edges(sf_dir))
 
 
 _CLUSTERING_COEFF_SQL = """
@@ -9680,24 +9613,9 @@ def q_kcore_sharded(sf_dir: str):
     peel depth at every sf; post-fixpoint rounds are no-ops on both
     sides). Its two edge families, each routed both ways, make the 4
     setup rows per event that ``_graph_events`` places its input by."""
-    from commons_codec_ray.stages.graph import kcore_sharded, map_rows
+    from commons_codec_ray.stages.graph import kcore_sharded
 
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a1 = eid % 1400
-        b1 = (a1 + 1 + (eid % (1 + a1 % 4))) % 1400
-        a2 = eid % 320
-        b2 = (a2 // 8) * 8 + (eid // 64) % 8
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([a1, a2])),
-                "dst": pa.array(np.concatenate([b1, b2])),
-            }
-        )
-
-    return kcore_sharded(map_rows(events, edges), k=4)
+    return kcore_sharded(_two_family_edges(sf_dir), k=4)
 
 
 def q_densest_subgraph(sf_dir: str):
@@ -9710,26 +9628,11 @@ def q_densest_subgraph(sf_dir: str):
     the same 4 setup rows per event; the oracle unrolls 8 identical
     rounds and picks the winner with a cross-product NOT-EXISTS argmax.
     The input follows pool placement (``_graph_events``)."""
-    from commons_codec_ray.stages.graph import densest_subgraph, map_rows
-
-    events = _graph_events(sf_dir)
-
-    def edges(t: pa.Table) -> pa.Table:
-        eid = t["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        a1 = eid % 1400
-        b1 = (a1 + 1 + (eid % (1 + a1 % 4))) % 1400
-        a2 = eid % 320
-        b2 = (a2 // 8) * 8 + (eid // 64) % 8
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([a1, a2])),
-                "dst": pa.array(np.concatenate([b1, b2])),
-            }
-        )
+    from commons_codec_ray.stages.graph import densest_subgraph
 
     # max_rounds matches the oracle's unroll EXACTLY (8): a peel depth
     # the oracle can't see must be an engine ERROR, not a mismatch
-    return densest_subgraph(map_rows(events, edges), max_rounds=8)
+    return densest_subgraph(_two_family_edges(sf_dir), max_rounds=8)
 
 
 def _densest_sql(rounds: int) -> str:
@@ -12620,7 +12523,7 @@ QUERIES = {
     "embed_covariance": q_embed_covariance,
     "mutual_info": q_mutual_info,
     "rrf_fusion": q_rrf_fusion,
-    "near_dedup_incremental": q_near_dedup_incremental,
+    "near_dedup_incremental": q_near_dedup,
     "bpe_train": q_bpe_train,
     "bpe_segment": q_bpe_segment,
     "kmeans_pp": q_kmeans_pp,

@@ -130,7 +130,3 @@ class PrimaryKeySchema:
 
 def empty_ops_table() -> pa.Table:
     return OPS_SCHEMA.empty_table()
-
-
-def empty_transcripts_table() -> pa.Table:
-    return TRANSCRIPT_SCHEMA.empty_table()

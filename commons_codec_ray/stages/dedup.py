@@ -34,10 +34,6 @@ def _crc32_column(texts: pa.ChunkedArray | pa.Array) -> pa.Array:
     return pa.array(h.view(np.int64) & 0x7FFFFFFFFFFFFFFF)
 
 
-def add_content_hash(batch: pa.Table, column: str = "text", out: str = "_h") -> pa.Table:
-    return batch.append_column(out, _crc32_column(batch[column]))
-
-
 def exact_dedup(ds, column: str = "text", order_by: str = "doc_id", num_buckets: int | None = None):
     """Exact dedup: keep the min-``order_by`` row per distinct ``column``.
 
@@ -255,36 +251,6 @@ class MinHasher:
         return out
 
 
-def minhash_candidates(ds, hasher: MinHasher | None = None, id_column: str = "doc_id"):
-    """Candidate near-dup pairs via LSH banding.
-
-    explode to (band_key, doc_id) rows → groupby(band_key) → pairs within
-    a bucket. Returns a Dataset of {id_a, id_b, band_key} with id_a < id_b
-    (pairs may repeat across bands; dedup downstream when verifying).
-    """
-    hasher = hasher or MinHasher()
-
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch[id_column].to_numpy(zero_copy_only=False)
-        n = len(ids)
-        keys = np.concatenate(
-            [batch[f"band_{b}"].to_numpy(zero_copy_only=False) for b in range(hasher.bands)]
-        )
-        rep_ids = np.tile(ids, hasher.bands)
-        return pa.table({"band_key": keys, id_column: rep_ids})
-
-    def pairs(group: pa.Table) -> pa.Table:
-        ids = np.sort(group[id_column].to_numpy(zero_copy_only=False))
-        if len(ids) < 2:
-            return pa.table({"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())})
-        ia, ib = np.triu_indices(len(ids), k=1)
-        return pa.table({"id_a": pa.array(ids[ia]), "id_b": pa.array(ids[ib])})
-
-    sigs = ds.map_batches(hasher, batch_format="pyarrow", batch_size=4096)
-    exploded = sigs.map_batches(explode, batch_format="pyarrow")
-    return exploded.groupby("band_key").map_groups(pairs, batch_format="pyarrow")
-
-
 def jaccard_pairs(
     ds,
     threshold: float = 0.7,
@@ -344,35 +310,14 @@ def jaccard_pairs(
         # 512-byte signature as a Python bytes object (measured: the
         # conversion + b"".join dominated the whole verify stage). The
         # fixed-width binary column's data buffer IS the (n, num_perm)
-        # uint64 matrix — one zero-copy frombuffer, then ONE lexsort
-        # finds every band bucket as a run.
+        # uint32 matrix — one zero-copy view, then ONE lexsort finds
+        # every band bucket as a run.
         keys0 = group["band_key"].to_numpy(zero_copy_only=False)
         ids0 = group[id_column].to_numpy(zero_copy_only=False)
-        sig_col = group["_sig"].combine_chunks()
-        buf = sig_col.buffers()[-1]
-        start = sig_col.offset * sig_width
-        sigs0 = np.frombuffer(buf, dtype=np.uint32, count=n * hasher.num_perm,
-                              offset=start).reshape(n, -1)
+        sigs0 = _sig_matrix(group["_sig"], n, hasher.num_perm, sig_width)
         order = np.lexsort((ids0, keys0))
-        keys = keys0[order]
-        ids = ids0[order]
-        sigs = sigs0[order]
-        brk = np.empty(n, dtype=bool)
-        brk[0] = True
-        brk[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(brk)
-        lens = np.diff(np.append(starts, n))
-        ia_parts = [np.empty(0, dtype=np.int64)]
-        ib_parts = [np.empty(0, dtype=np.int64)]
-        two = starts[lens == 2]  # the dominant case, fully vectorized
-        ia_parts.append(two)
-        ib_parts.append(two + 1)
-        for s, L in zip(starts[lens > 2], lens[lens > 2]):  # rare big buckets
-            ti, tj = np.triu_indices(int(L), k=1)
-            ia_parts.append(s + ti)
-            ib_parts.append(s + tj)
-        ia = np.concatenate(ia_parts)
-        ib = np.concatenate(ib_parts)
+        keys, ids, sigs = keys0[order], ids0[order], sigs0[order]
+        ia, ib = _run_pairs(keys)
         if len(ia) == 0:
             return empty
         est, band_eq = _sig_pair_stats(sigs[ia], sigs[ib], n_bands, rows_per_band)
@@ -446,16 +391,6 @@ def _sig_matrix(col, n: int, num_perm: int, sig_width: int) -> np.ndarray:
     ).reshape(n, -1)
 
 
-def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((b, a))
-    a, b = a[order], b[order]
-    keep = np.empty(len(a), dtype=bool)
-    if len(a):
-        keep[0] = True
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    return a[keep], b[keep]
-
-
 def _run_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All within-run index pairs (ia < ib) of a sorted key array."""
     n = len(keys)
@@ -477,14 +412,12 @@ def _run_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sig_pair_stats(sa: np.ndarray, sb: np.ndarray, n_bands: int, rows_per_band: int):
-    """THE near-dup verification statistics, shared by every transport
-    (wide, narrow, streaming index): per aligned pair row, the minhash
+    """THE near-dup verification statistics, shared by the wide and
+    narrow transports: per aligned pair row, the minhash
     component-agreement fraction (the Jaccard estimate) and the
     per-band full-equality matrix. A pair is verified iff
-    est >= threshold AND band_eq.any(axis=1) — keeping this in ONE
-    place is what guarantees the incremental index's pair set equals
-    the batch transports' (the observational-equality contract its
-    oracle relies on)."""
+    est >= threshold AND band_eq.any(axis=1); keeping this in ONE place
+    keeps the two transports' pair sets identical."""
     eqs = sa == sb  # (npairs, num_perm)
     return eqs.mean(axis=1), eqs.reshape(len(sa), n_bands, rows_per_band).all(axis=2)
 
@@ -1203,241 +1136,3 @@ def semdedup(
         .groupby("cid")
         .map_groups(prune, batch_format="pyarrow")
     )
-
-
-class _LSHIndexShard:
-    """One shard of a PERSISTENT banded-LSH index for streaming /
-    incremental near-dedup: buckets of (band, band_key) → member doc
-    ids, plus each member's minhash signature (stored once per shard).
-
-    On insert of a batch of (doc, band, key, sig) rows the shard emits
-    every VERIFIED near-dup pair between the new docs and everything
-    already indexed in the same buckets (plus new×new within the
-    batch) — verification is the exact batch rule (est =
-    component-agreement fraction ≥ threshold AND ≥ 1 fully-equal
-    band), so the verified pair set over a whole run equals the batch
-    :func:`jaccard_pairs` set and survivors match batch
-    :func:`near_dedup` observationally. State grows with the indexed
-    corpus (sig + bucket entry per doc per band, ÷ num_shards): the
-    price of never re-pairing old-vs-old — each arriving epoch costs
-    only its own candidates, the continuous-ingest shape a nightly
-    crawl dedup needs.
-    """
-
-    def __init__(self, threshold: float, num_perm: int, bands: int):
-        self.threshold = threshold
-        self.num_perm = num_perm
-        self.bands = bands
-        self.rows_per_band = num_perm // bands
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        self.sig_by_doc: dict[int, np.ndarray] = {}
-        # pairs this shard already emitted — a pair matching at several
-        # bands that hash to the SAME shard would otherwise be emitted
-        # once per bucket, inflating the driver-guard row count (cross-
-        # shard duplicates remain and are deduped driver-side, so the
-        # guard stays conservative within a small factor)
-        self._emitted: set[tuple[int, int]] = set()
-
-    def insert_batch(self, tbl: pa.Table) -> pa.Table:
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        if tbl.num_rows:
-            ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
-            band = tbl["band"].to_numpy(zero_copy_only=False)
-            key = tbl["key"].to_numpy(zero_copy_only=False)
-            sigs = _var_sig_matrix(tbl["sig"].cast(pa.binary()), self.num_perm)
-            for d, s in zip(ids, sigs):
-                self.sig_by_doc.setdefault(int(d), s.copy())
-            order = np.lexsort((ids, key, band))
-            bk = np.stack([band[order], key[order]], axis=1)
-            starts = np.flatnonzero(
-                np.r_[True, (np.diff(bk, axis=0) != 0).any(axis=1)]
-            )
-            bounds = np.r_[starts, len(order)]
-            for si in range(len(starts)):
-                rows = order[bounds[si]:bounds[si + 1]]
-                bkey = (int(band[rows[0]]), int(key[rows[0]]))
-                old = self.buckets.get(bkey)
-                new_ids = [int(i) for i in dict.fromkeys(ids[rows].tolist())]
-                cand: list[tuple[int, int]] = []
-                if old:
-                    cand += [(o, nnew) for nnew in new_ids for o in old if o != nnew]
-                cand += [
-                    (new_ids[i], new_ids[j])
-                    for i in range(len(new_ids))
-                    for j in range(i + 1, len(new_ids))
-                ]
-                if cand:
-                    a = np.fromiter((min(p) for p in cand), np.int64, len(cand))
-                    b = np.fromiter((max(p) for p in cand), np.int64, len(cand))
-                    sa = np.stack([self.sig_by_doc[int(x)] for x in a])
-                    sb = np.stack([self.sig_by_doc[int(x)] for x in b])
-                    est, band_eq = _sig_pair_stats(
-                        sa, sb, self.bands, self.rows_per_band
-                    )
-                    keep = (est >= self.threshold) & band_eq.any(axis=1)
-                    if keep.any():
-                        ka, kb = a[keep], b[keep]
-                        fresh = np.fromiter(
-                            (
-                                (int(x), int(y)) not in self._emitted
-                                for x, y in zip(ka, kb)
-                            ),
-                            bool,
-                            len(ka),
-                        )
-                        ka, kb = ka[fresh], kb[fresh]
-                        self._emitted.update(
-                            (int(x), int(y)) for x, y in zip(ka, kb)
-                        )
-                        out_a.append(ka)
-                        out_b.append(kb)
-                if old is None:
-                    self.buckets[bkey] = new_ids
-                else:
-                    seen = set(old)
-                    old.extend(i for i in new_ids if i not in seen)
-        a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-        b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        return pa.table({"id_a": pa.array(a), "id_b": pa.array(b)})
-
-    def stats(self) -> dict:
-        return {
-            "docs": len(self.sig_by_doc),
-            "buckets": len(self.buckets),
-        }
-
-
-def near_dedup_incremental(
-    ds,
-    threshold: float = 0.7,
-    hasher: MinHasher | None = None,
-    id_column: str = "doc_id",
-    epochs: int = 4,
-    num_shards: int | None = None,
-    max_driver_pairs: int = 2_000_000,
-):
-    """Streaming / incremental near-duplicate removal: the corpus
-    arrives in ``epochs`` waves (epoch = splitmix(doc_id) mod epochs —
-    deterministic, so copies and originals land in arbitrary DIFFERENT
-    waves), and each wave is deduped against a PERSISTENT actor-sharded
-    LSH index holding everything indexed so far. A near-dup pair is
-    discovered exactly once — when its later member arrives — so the
-    total pair-discovery work over the run is the same as one batch
-    :func:`jaccard_pairs`, but no epoch ever re-pairs old-vs-old: the
-    marginal cost of wave N is proportional to wave N, the shape a
-    continuously-ingesting crawl pipeline needs (cf. the CDC lane's
-    "only the delta moves" discipline).
-
-    Final survivors = keep-min-id per near-dup cluster over ALL
-    discovered pairs — observationally IDENTICAL to batch
-    :func:`near_dedup` (same verified pair set, same clustering), which
-    is what makes the batch SQL oracle reusable. Pairs accumulate on
-    the driver under ``max_driver_pairs`` (pairs ≈ true near-dups ≪
-    corpus); beyond the guard, fall back to :func:`near_dedup` whose
-    distributed clustering path handles unbounded pair sets.
-    """
-    import ray
-
-    from commons_codec_ray.stages.kmeans import _splitmix
-    from commons_codec_ray.util import pool_size
-
-    hasher = hasher or MinHasher()
-    n_bands = hasher.bands
-    band_cols = [f"band_{b}" for b in range(n_bands)]
-    sigs = (
-        ds.map_batches(hasher, batch_format="pyarrow", batch_size=4096)
-        .select_columns([id_column, "_sig"] + band_cols)
-        .materialize()
-    )
-    A = num_shards or pool_size(8)
-    # no CPU reservation: the index shards idle while the routing tasks
-    # run, and half-CPU shards left a one-CPU cluster no slot for them
-    shard_cls = ray.remote(num_cpus=0)(_LSHIndexShard)
-    shards = [
-        shard_cls.options(scheduling_strategy="SPREAD").remote(
-            threshold, hasher.num_perm, n_bands
-        )
-        for _ in range(A)
-    ]
-
-    from commons_codec_ray.stages.graph import _route_to_shards, components_sharded
-
-    def explode(t: pa.Table, _epoch: int) -> pa.Table:
-        ids = t[id_column].to_numpy(zero_copy_only=False)
-        ep = _splitmix(ids.astype(np.uint64)) % np.uint64(epochs)
-        sel = ep == _epoch
-        if not sel.any():
-            return pa.table(
-                {
-                    "_b": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "band": pa.array([], pa.int64()),
-                    "key": pa.array([], pa.int64()),
-                    "sig": pa.array([], pa.binary()),
-                }
-            )
-        sub = t.filter(pa.array(sel))
-        sids = sub[id_column].to_numpy(zero_copy_only=False)
-        n = len(sids)
-        keys = np.concatenate(
-            [sub[c].to_numpy(zero_copy_only=False) for c in band_cols]
-        )
-        bandv = np.repeat(np.arange(n_bands, dtype=np.int64), n)
-        sig_col = sub["_sig"].cast(pa.binary())
-        sig_rep = pa.concat_arrays(
-            [sig_col.combine_chunks() if isinstance(sig_col, pa.ChunkedArray) else sig_col]
-            * n_bands
-        )
-        return pa.table(
-            {
-                "_b": pa.array(
-                    (keys.astype(np.uint64) % np.uint64(A)).astype(np.int64)
-                ),
-                "doc_id": pa.array(np.tile(sids, n_bands), pa.int64()),
-                "band": pa.array(bandv),
-                "key": pa.array(keys, pa.int64()),
-                "sig": sig_rep,
-            }
-        )
-
-    try:
-        nrows_fn = ray.remote(lambda t: t.num_rows)
-        pair_refs: list = []
-        running = 0
-        for e in range(epochs):
-            routed = sigs.map_batches(
-                lambda t, _e=e: explode(t, _e), batch_format="pyarrow"
-            ).materialize()
-            refs = routed.to_arrow_refs()
-            pend = []
-            for blk in refs:
-                parts = _route_to_shards.options(num_returns=A).remote(blk, A)
-                if A == 1:
-                    parts = [parts]
-                pend.extend(shards[o].insert_batch.remote(parts[o]) for o in range(A))
-            # count pair rows in plasma WITHOUT fetching the tables — the
-            # guard must trip BEFORE the driver materializes them
-            running += sum(ray.get([nrows_fn.remote(r) for r in pend]))
-            if running > max_driver_pairs:
-                # beyond the driver guard the persistent-index variant
-                # offers no clustering advantage — tear the index DOWN
-                # FIRST (it holds every signature indexed so far) and
-                # run the batch distributed path with the memory back
-                for w in shards:
-                    ray.kill(w, no_restart=True)
-                shards = []
-                return near_dedup(
-                    ds,
-                    threshold=threshold,
-                    hasher=hasher,
-                    id_column=id_column,
-                    max_driver_pairs=max_driver_pairs,
-                )
-            pair_refs.extend(pend)
-        # duplicate pairs collapse in the shard adjacency
-        clusters = components_sharded(pa.concat_tables(ray.get(pair_refs)))
-        return _drop_ids(ds, _non_min_members(clusters), id_column)
-    finally:
-        for w in shards:
-            ray.kill(w, no_restart=True)

@@ -32,31 +32,32 @@ The same actor shape carries every operator of this module:
 ``components_sharded``, ``kcore_sharded`` and ``densest_subgraph``
 (one peel, per-round thresholds), ``sssp`` (hence ``bfs_levels``),
 ``hits``, ``triangle_count`` and ``clustering_coeff`` (one triangle
-shard), and ``link_prediction``. All run on one scaffold,
-:func:`_shard_pool`, which sizes the pool, routes the static rows to
-the shards once, and kills every spawned shard on the way out, however
-the call ends. Placement follows size: below
+shard), ``assortativity`` and ``link_prediction``. All run on one
+scaffold, :func:`_shard_pool`, which sizes the pool, routes the static
+rows to the shards once, and kills every spawned shard on the way out,
+however the call ends. Placement follows size: below
 :data:`~commons_codec_ray.util.DRIVER_POOL_ROWS` setup rows the default
 pool is ONE shard, a plain instance of the same shard class in the
 driver, since a fresh shard process costs ~0.45 s against ~0.01 s of
 supersteps at that size. Larger inputs, or ``num_shards`` ≥ 2, spawn
 the shards as actors with one set of options (no CPU reserved). Each
-operator has this one implementation: the Dataset-shuffle variants,
-which re-exchanged the whole edge table every round, were 10-50×
-slower on the catalog (PERF.md "One components and one k-core engine",
-"One graph substrate").
+operator has this one implementation, and the module runs no Dataset
+shuffle: the shuffle variants, which re-exchanged the whole edge table
+every round, were 10-50× slower on the catalog (PERF.md "One
+components and one k-core engine", "One graph substrate", "Last forks
+retired").
 
 They take their edges as a Ray Dataset or as a ``pa.Table``, and
-return the same kind (``link_prediction``, ``triangle_count`` and
-``clustering_coeff``, reduced in the driver, always return a table). A
-table is the low-latency form: the setup is built with one call in the
-driver and no Ray Data execution runs at all, where a Dataset pays
-~0.1 s of executor start-up for a one-block read (PERF.md "Small graph
-queries skip Ray Data"). A table is ONE setup block, so its default
-pool is one driver shard at any size: the caller already holds the
-whole input in the driver, and only ``num_shards`` ≥ 2 spawns shards
-for it. Inputs that should not pass through the driver are given as a
-Dataset.
+return the same kind (``link_prediction``, ``triangle_count``,
+``clustering_coeff`` and ``assortativity``, reduced in the driver,
+always return a table). A table is the low-latency form: the setup is
+built with one call in the driver and no Ray Data execution runs at
+all, where a Dataset pays ~0.1 s of executor start-up for a one-block
+read (PERF.md "Small graph queries skip Ray Data"). A table is ONE
+setup block, so its default pool is one driver shard at any size: the
+caller already holds the whole input in the driver, and only
+``num_shards`` ≥ 2 spawns shards for it. Inputs that should not pass
+through the driver are given as a Dataset.
 """
 
 from __future__ import annotations
@@ -539,9 +540,10 @@ def _wedge_chunks(reps: np.ndarray):
 
 class _WedgeShard(_Shard):
     """A shard of the deduped symmetric adjacency (CSR) of every node
-    whose hash bucket it owns, for the operators that pair two
-    neighbours of a center (wedges). Node ids fit 31 bits, so a pair
-    packs into one int64."""
+    whose hash bucket it owns, which reports its nodes' degrees
+    (:func:`_degrees`). The operators that pair two neighbours of a
+    center (wedges) pack a pair into one int64, so their node ids fit
+    31 bits (:func:`_pair_rows`)."""
 
     def build(self) -> pa.Table:
         """Freeze the CSR; returns the owned (node, deg) rows."""
@@ -672,6 +674,72 @@ def clustering_coeff(edges_ds, src: str = "src", dst: str = "dst",
             "triangles": pa.array(tri, pa.int64()),
             "cc_ppm": pa.array(cc, pa.int64()),
         }
+    )
+
+
+def _moment_sums(x: np.ndarray, y: np.ndarray) -> tuple[int, ...]:
+    """The exact (n, Σx, Σy, Σxy, Σx², Σy²) of non-negative int64 pairs,
+    as Python ints. ``OverflowError`` before any int64 product or sum
+    could wrap: each of the n terms is at most max(x, y)²."""
+    if not len(x):
+        return (0,) * 6
+    m = max(int(x.max()), int(y.max()))
+    if m * m * len(x) >= 1 << 63:
+        raise OverflowError(
+            "assortativity: degree moment sums may exceed int64 "
+            f"(max degree {m}, {len(x)} edge rows)"
+        )
+    return len(x), *(int(v.sum()) for v in (x, y, x * y, x * x, y * y))
+
+
+class _AssortativityShard(_WedgeShard):
+    """One shard of degree assortativity: the deduped symmetric CSR of
+    the owned nodes (any int64 id; nothing is packed), which reports
+    its degrees as the wedge shards do and then sums the degree moments
+    of its edge rows (owned node, peer)."""
+
+    def moments(self, deg) -> tuple[int, ...]:
+        """:func:`_moment_sums` of (deg(node), deg(peer)) over the owned
+        edge rows. ``deg`` is the driver's sorted (node, deg) broadcast,
+        or ``None`` in a pool of one."""
+        nodes, degs = (self.v, self.counts) if deg is None else deg
+        return _moment_sums(
+            np.repeat(self.counts, self.counts), degs[np.searchsorted(nodes, self.peer)]
+        )
+
+
+def assortativity(edges_ds, src: str = "src", dst: str = "dst",
+                  num_buckets: int | None = None, num_shards: int | None = None):
+    """Degree assortativity (Newman 2002): the Pearson correlation of
+    the endpoint degrees over every edge of the undirected simple graph
+    of ``edges_ds``, taken in both directions — positive when hubs
+    attach to hubs. Runs on :func:`_shard_pool`
+    (:class:`_AssortativityShard`):
+
+    1. setup: each edge in both directions, self-loops dropped, routed
+       once to the owner of hash(x); each shard dedupes its symmetric
+       CSR and reports its (node, deg) rows, which the driver
+       broadcasts once (a pool of one needs no broadcast);
+    2. each shard returns the exact integer moment sums (n, Σx, Σy, Σxy,
+       Σx², Σy²) of its edge rows, ``OverflowError`` before an int64
+       sum could wrap;
+    3. the driver adds them as Python ints and computes r in float
+       ONCE, so r is the same at any shard count or block layout.
+
+    Node ids are full int64. Returns a one-row ``pa.Table``
+    ``(assortativity:float64, n_pairs:int64)``: r unrounded (NaN when a
+    degree variance is 0, as for no edge) and the 2E edge rows.
+    """
+    nb = num_buckets or adaptive_buckets()
+    setup = map_rows(edges_ds, lambda t: _sym_rows(t, src, dst, nb))
+    with _shard_pool(_AssortativityShard, setup, num_shards, nb) as shards:
+        deg = _degrees(shards)[2]
+        parts = ray.get([w.moments.remote(deg) for w in shards])
+    n, sx, sy, sxy, sxx, syy = (sum(c) for c in zip(*parts))
+    den = float(np.sqrt(float(n * sxx - sx * sx) * float(n * syy - sy * sy)))
+    r = float(n * sxy - sx * sy) / den if den > 0 else float("nan")
+    return pa.table(
+        {"assortativity": pa.array([r], pa.float64()), "n_pairs": pa.array([n], pa.int64())}
     )
 
 
@@ -816,58 +884,6 @@ def components_sharded(
                 "with log2 of the component diameter)"
             )
         return _collect([w.result.remote() for w in shards], pairs_ds)
-
-
-def _sym_edges(edges_ds, src: str, dst: str, op_name: str = "graph op"):
-    """Canonical symmetric simple-graph edge table (u, v) + (v, u):
-    self-loops dropped, multi-edges collapsed via a packed-int64 dedupe
-    exchange with COARSE hash buckets (same packed edge → same bucket,
-    so per-bucket ``np.unique`` is globally exact — one vectorized UDF
-    call per bucket, not one per distinct edge). Node ids must lie in
-    [0, 2^32): the pack is done in unsigned space (an id at 2^31 would
-    wrap the int64 sign bit under a signed shift)."""
-
-    def canon(t: pa.Table) -> pa.Table:
-        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        keep = a != b
-        a, b = a[keep], b[keep]
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        if len(u) and (int(u.min()) < 0 or int(v.max()) >= 1 << 32):
-            raise ValueError(
-                f"{op_name} packs (u, v) into one int64: node ids must be "
-                "in [0, 2**32); kcore_sharded and components_sharded take "
-                "full-int64 ids"
-            )
-        packed = (u.astype(np.uint64) << np.uint64(32)) | v.astype(np.uint64)
-        packed = packed.view(np.int64)
-        return pa.table(
-            {
-                "_db": hash_bucket(packed, adaptive_buckets()),
-                "_uv": pa.array(packed, pa.int64()),
-            }
-        )
-
-    def uniq(t: pa.Table) -> pa.Table:
-        uv = np.unique(
-            t["_uv"].to_numpy(zero_copy_only=False).astype(np.int64)
-        ).view(np.uint64)
-        u = (uv >> np.uint64(32)).astype(np.int64)
-        v = (uv & np.uint64(0xFFFFFFFF)).astype(np.int64)
-        return pa.table(
-            {
-                "u": pa.array(np.concatenate([u, v]), pa.int64()),
-                "v": pa.array(np.concatenate([v, u]), pa.int64()),
-            }
-        )
-
-    return (
-        edges_ds.map_batches(canon, batch_format="pyarrow")
-        .groupby("_db")
-        .map_groups(uniq, batch_format="pyarrow")
-        .materialize()
-    )
 
 
 class _KCoreShard(_Shard):

@@ -36,10 +36,6 @@ def bpe_token_count(batch: pa.Table, column: str = "text", out: str = "n_bpe_tok
     return batch.append_column(out, n.cast(pa.int64()))
 
 
-def char_count(batch: pa.Table, column: str = "text", out: str = "n_chars_utf8") -> pa.Table:
-    return batch.append_column(out, pc.utf8_length(batch[column]).cast(pa.int64()))
-
-
 class QualityScorer:
     """Heuristic document quality: length, punctuation/stopword/digit
     ratios, mean token length — the usual cheap pre-training filters."""

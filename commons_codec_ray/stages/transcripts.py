@@ -40,7 +40,7 @@ import pandas as pd
 import pyarrow as pa
 
 from commons_codec_ray.envelopes import logical_ops_from_events
-from commons_codec_ray.util import adaptive_buckets, hash_bucket
+from commons_codec_ray.util import hash_bucket
 
 #: payload columns a caller may ask :func:`ops_from_events` to carry
 PAYLOAD_COLUMNS = ("role", "text", "tool", "ts")
@@ -365,9 +365,3 @@ def pack_sequences_bucket(df: pd.DataFrame, budget: int = PACK_BUDGET) -> pd.Dat
             "chunk": chunk,
         }
     )
-
-
-def default_buckets(events_count: int | None = None) -> int:
-    """Adaptive bucket count for the family (one bucket ≈ one pandas
-    frame of conversations; grows with input and cluster)."""
-    return adaptive_buckets(events_count)

@@ -40,7 +40,7 @@ def con(sf_dir):
     [
         "lm_score", "lm_score_sharded", "salted_join", "hash_join", "semi_join",
         "semi_join_bloom", "anti_join", "minhash_dedup", "minhash_dedup_narrow", "triangles",
-        "triangles_exchange",
+        "triangles_exchange", "assortativity", "near_dedup_incremental",
     ],
 )
 def test_entry_matches_its_oracle(ray_session, sf_dir, con, name):

@@ -339,10 +339,8 @@ class TestKCoreSharded:
         assert [f.name for f in ds.schema().base_schema] == ["node", "deg"]
 
 
-def test_32_bit_id_limit_is_only_in_sym_edges(ray_session):
-    import pytest
-
-    from commons_codec_ray.stages.graph import _sym_edges, densest_subgraph, kcore_sharded
+def test_kcore_and_densest_take_full_int64_ids(ray_session):
+    from commons_codec_ray.stages.graph import densest_subgraph, kcore_sharded
 
     big = 1 << 32
     t = pa.table(
@@ -351,11 +349,7 @@ def test_32_bit_id_limit_is_only_in_sym_edges(ray_session):
             "dst": pa.array([big + 1, big + 2, big + 2], pa.int64()),
         }
     )
-    # _sym_edges (q_assortativity's dedupe) packs (u, v) into one int64
-    with pytest.raises(Exception, match="32"):
-        _sym_edges(rd.from_arrow(t), "src", "dst").materialize()
-    # kcore_sharded and densest_subgraph handle full-int64 ids: the
-    # triangle is a 2-core, and the whole triangle is the densest round
+    # the triangle is a 2-core, and the whole triangle is the densest round
     got = kcore_sharded(rd.from_arrow(t), k=2, num_shards=2).to_pandas()
     assert sorted(got["node"].astype(int)) == [big, big + 1, big + 2]
     for data, n in ((rd.from_arrow(t), 2), (t, None)):
@@ -532,22 +526,14 @@ def test_clustering_coeff_vs_bruteforce(ray_session):
     assert set(got.index) == set(adj)
 
 
-def test_assortativity_signs(ray_session):
-    """Star graph is maximally disassortative (r = −1); the query-level
-    machinery is oracle-checked, here we pin the stage-level semantics
-    via the same integer-moment formula on known graphs."""
+def _assortativity_sql(t: pa.Table) -> float:
+    """DuckDB's corr of the endpoint degrees over the symmetric distinct
+    edges of ``t`` (the catalog oracle's formula)."""
     import duckdb
 
-    # star: center 0 with 6 leaves — all edges pair deg 6 with deg 1
-    t = pa.table(
-        {
-            "src": pa.array([0] * 6, pa.int64()),
-            "dst": pa.array(list(range(1, 7)), pa.int64()),
-        }
-    )
     con = duckdb.connect()
     con.register("edges_in", t)
-    r = con.execute(
+    return con.execute(
         """
 WITH e AS (SELECT DISTINCT least(src, dst) u, greatest(src, dst) v FROM edges_in WHERE src <> dst),
 sym AS (SELECT u, v FROM e UNION ALL SELECT v, u FROM e),
@@ -556,7 +542,55 @@ SELECT corr(CAST(du.d AS DOUBLE), CAST(dv.d AS DOUBLE))
 FROM sym s JOIN deg du ON du.n = s.u JOIN deg dv ON dv.n = s.v
 """
     ).fetchone()[0]
-    assert abs(r - (-1.0)) < 1e-9
+
+
+def test_assortativity_signs(ray_session):
+    """The engine's r against DuckDB's corr: a star is maximally
+    disassortative (r = −1), and a random multigraph gives the same r
+    and pair count at every shard count, from a Dataset, and with ids
+    past 2^32 (nothing packs a pair)."""
+    from commons_codec_ray.stages.graph import assortativity
+
+    # star: center 0 with 6 leaves — all edges pair deg 6 with deg 1
+    star = pa.table(
+        {"src": pa.array([0] * 6, pa.int64()), "dst": pa.array(list(range(1, 7)), pa.int64())}
+    )
+    assert assortativity(star).to_pylist() == [{"assortativity": -1.0, "n_pairs": 12}]
+    assert abs(_assortativity_sql(star) - (-1.0)) < 1e-9
+
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(0, 60, 400), rng.integers(0, 60, 400)  # self-loops, multi-edges
+    t = pa.table({"src": pa.array(a), "dst": pa.array(b)})
+    want = assortativity(t).to_pylist()
+    assert abs(want[0]["assortativity"] - _assortativity_sql(t)) < 1e-12
+    for n in (1, 2, 3):
+        assert assortativity(t, num_shards=n).to_pylist() == want, n
+    assert assortativity(rd.from_arrow(t).repartition(4)).to_pylist() == want
+    big = pa.table({"src": pa.array(a + (1 << 40)), "dst": pa.array(b + (1 << 40))})
+    for n in (None, 2):
+        assert assortativity(big, num_shards=n).to_pylist() == want, n
+
+
+def test_assortativity_of_no_edge_is_nan(ray_session):
+    from commons_codec_ray.stages.graph import assortativity
+
+    empty = pa.table({"src": pa.array([], pa.int64()), "dst": pa.array([], pa.int64())})
+    for data in (empty, rd.from_arrow(empty)):
+        for n in (None, 2):
+            out = assortativity(data, num_shards=n).to_pylist()
+            assert out[0]["n_pairs"] == 0 and np.isnan(out[0]["assortativity"]), n
+
+
+def test_assortativity_moment_guard():
+    """Every moment sum is bounded by n·max(x, y)², checked before any
+    int64 product or sum is taken."""
+    from commons_codec_ray.stages.graph import _moment_sums
+
+    x = np.array([1 << 31], np.int64)
+    assert _moment_sums(x, x) == (1, 1 << 31, 1 << 31, 1 << 62, 1 << 62, 1 << 62)
+    with pytest.raises(OverflowError, match="int64"):
+        _moment_sums(np.repeat(x, 2), np.array([1, 1], np.int64))
+    assert _moment_sums(np.empty(0, np.int64), np.empty(0, np.int64)) == (0,) * 6
 
 
 def _lp_reference(a, b, top_k, score="jaccard"):
@@ -748,11 +782,14 @@ def _table_ops():
         "densest_subgraph": lambda e, n: graph.densest_subgraph(e, num_shards=n),
         "triangle_count": lambda e, n: graph.triangle_count(e, num_shards=n),
         "clustering_coeff": lambda e, n: graph.clustering_coeff(e, num_shards=n),
+        "assortativity": lambda e, n: graph.assortativity(e, num_shards=n),
     }
 
 
 # these reduce to a driver-side table whatever they were given
-TABLE_ALWAYS = ("link_prediction", "link_prediction_ra", "triangle_count", "clustering_coeff")
+TABLE_ALWAYS = (
+    "link_prediction", "link_prediction_ra", "triangle_count", "clustering_coeff", "assortativity",
+)
 
 
 TABLE_CASES = [
@@ -793,7 +830,10 @@ def test_table_in_table_out_matches_the_dataset_path(ray_session, op, num_shards
     assert _rows_of(got) == _rows_of(want)
 
 
-@pytest.mark.parametrize("op,num_shards", [c for c in TABLE_CASES if c[0] != "pagerank_seeded"])
+# assortativity's one NaN row: test_assortativity_of_no_edge_is_nan
+@pytest.mark.parametrize(
+    "op,num_shards", [c for c in TABLE_CASES if c[0] not in ("pagerank_seeded", "assortativity")]
+)
 def test_empty_edge_table_keeps_the_full_schema(ray_session, op, num_shards):
     call = _table_ops()[op]
     got = call(_weighted(0), num_shards)

@@ -21,7 +21,7 @@ from commons_codec_ray.stages import graph
 SHARD_POOL_QUERIES = [
     "components", "components_sharded", "pagerank", "ppr", "bfs_levels", "sssp",
     "kcore", "kcore_sharded", "link_prediction", "link_prediction_ra", "hits",
-    "densest_subgraph", "triangles", "triangles_exchange", "clustering_coeff",
+    "densest_subgraph", "triangles", "triangles_exchange", "clustering_coeff", "assortativity",
 ]
 
 
@@ -103,7 +103,7 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
     "name",
     [
         "pagerank", "link_prediction", "components", "kcore", "hits", "densest_subgraph",
-        "triangles", "triangles_exchange", "clustering_coeff",
+        "triangles", "triangles_exchange", "clustering_coeff", "assortativity",
     ],
 )
 def test_spawned_pool_on_the_floor_read_matches_oracle(ray_session, sf_dir, monkeypatch, name):

@@ -170,8 +170,6 @@ def test_near_dedup_keep_min_score():
 def test_near_dedup_without_pairs_keeps_every_doc(ray_session):
     # distinct vocab, so LSH yields no pair: every doc survives under each
     # policy, on the driver path and above max_driver_pairs alike
-    from commons_codec_ray.stages.dedup import near_dedup_incremental
-
     want = [0, 10, 20, 99]
 
     def distinct():
@@ -186,8 +184,6 @@ def test_near_dedup_without_pairs_keeps_every_doc(ray_session):
                 distinct(), threshold=0.7, keep_by=keep_by, max_driver_pairs=max_driver,
             ).to_pandas()
             assert sorted(got["doc_id"]) == want, (max_driver, keep_by)
-    got = near_dedup_incremental(distinct(), threshold=0.7, epochs=2).to_pandas()
-    assert sorted(got["doc_id"]) == want
 
 
 def test_narrow_transport_matches_wide(ray_session):
@@ -281,6 +277,8 @@ def test_lsh_params_tuning():
 
 
 class TestIncrementalNearDedup:
+    """The ``near_dedup_incremental`` catalog entry."""
+
     @staticmethod
     def _corpus(n=120, blocks=5):
         # disjoint-vocab originals + perturbed copies (the planted shape)
@@ -303,47 +301,14 @@ class TestIncrementalNearDedup:
         return rd.from_arrow(t).repartition(blocks)
 
     def test_matches_batch_near_dedup(self, ray_session):
-        from commons_codec_ray.stages.dedup import near_dedup, near_dedup_incremental
+        """The ``near_dedup_incremental`` entry IS batch ``near_dedup``,
+        which removes every copy of a corpus spread over several blocks."""
+        from commons_codec_ray.pipelines.queries import QUERIES
+        from commons_codec_ray.stages.dedup import near_dedup
 
-        batch = sorted(near_dedup(self._corpus(), threshold=0.7).to_pandas()["doc_id"])
-        for epochs in (1, 3, 5):
-            inc = sorted(
-                near_dedup_incremental(
-                    self._corpus(), threshold=0.7, epochs=epochs
-                ).to_pandas()["doc_id"]
-            )
-            assert inc == batch, epochs
-        # sanity: the copies were actually removed
-        assert all(d < 10_000 for d in batch) and len(batch) == 120
-
-    def test_shard_count_invariance(self, ray_session):
-        from commons_codec_ray.stages.dedup import near_dedup_incremental
-
-        a = sorted(
-            near_dedup_incremental(
-                self._corpus(), epochs=3, num_shards=1
-            ).to_pandas()["doc_id"]
-        )
-        b = sorted(
-            near_dedup_incremental(
-                self._corpus(), epochs=3, num_shards=4
-            ).to_pandas()["doc_id"]
-        )
-        assert a == b
-
-    def test_guard_falls_back_to_batch(self, ray_session):
-        # max_driver_pairs=0 trips the guard on the first wave: the index
-        # is torn down and the batch path must still produce the right
-        # survivors (teardown-before-fallback, review finding)
-        from commons_codec_ray.stages.dedup import near_dedup, near_dedup_incremental
-
-        want = sorted(near_dedup(self._corpus(), threshold=0.7).to_pandas()["doc_id"])
-        got = sorted(
-            near_dedup_incremental(
-                self._corpus(), threshold=0.7, epochs=3, max_driver_pairs=0
-            ).to_pandas()["doc_id"]
-        )
-        assert got == want
+        assert QUERIES["near_dedup_incremental"] is QUERIES["near_dedup"]
+        kept = sorted(near_dedup(self._corpus(), threshold=0.7).to_pandas()["doc_id"])
+        assert kept == list(range(120))
 
 
 _ONE_CPU_SCRIPT = """
@@ -353,7 +318,7 @@ import ray.data as rd
 
 ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
 try:
-    from commons_codec_ray.stages.dedup import near_dedup_incremental
+    from commons_codec_ray.stages.dedup import near_dedup
 
     ids, texts = [], []
     for i in range(60):
@@ -364,7 +329,7 @@ try:
             ids.append(10_000 + i)
             texts.append(" ".join(t.upper() for t in toks))
     ds = rd.from_arrow(pa.table({"doc_id": ids, "text": texts}))
-    kept = sorted(near_dedup_incremental(ds, threshold=0.7, epochs=2).to_pandas()["doc_id"])
+    kept = sorted(near_dedup(ds, threshold=0.7).to_pandas()["doc_id"])
     assert kept == list(range(60)), kept
     print("DEDUP-OK")
 finally:
@@ -372,11 +337,10 @@ finally:
 """
 
 
-def test_incremental_near_dedup_on_one_logical_cpu():
-    """The LSH index shards reserve no CPU, so the routing and pair
-    tasks find a slot on a one-CPU cluster. With half a CPU per shard
-    the call never finished. The session fixture pins 4 CPUs, so the
-    call runs in a subprocess with its own ``ray.init``, in its own
+def test_near_dedup_on_one_logical_cpu():
+    """``near_dedup`` (and so the ``near_dedup_incremental`` entry)
+    finishes on a one-CPU cluster. The session fixture pins 4 CPUs, so
+    the call runs in a subprocess with its own ``ray.init``, in its own
     process group so a hung run's Ray processes die with it."""
     import os
     import signal
@@ -401,6 +365,6 @@ def test_incremental_near_dedup_on_one_logical_cpu():
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        raise AssertionError(f"near_dedup_incremental at num_cpus=1 still running after {timeout_s} s")
+        raise AssertionError(f"near_dedup at num_cpus=1 still running after {timeout_s} s")
     assert proc.returncode == 0, err[-3000:]
     assert "DEDUP-OK" in out

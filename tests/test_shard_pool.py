@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120
 SHARD_CLASSES = {
     "_PagerankShard", "_CCShard", "_KCoreShard", "_SSSPShard", "_LinkShard", "_HitsShard",
-    "_TriangleShard",
+    "_TriangleShard", "_AssortativityShard",
 }
 
 # a 4-clique 0..3, a tail 3 -> 4 -> 5, and a separate edge 10 - 11
@@ -40,8 +40,8 @@ _SCRIPT = textwrap.dedent(
     ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
     try:
         from commons_codec_ray.stages.graph import (
-            clustering_coeff, components_sharded, densest_subgraph, hits, kcore_sharded,
-            link_prediction, pagerank, sssp, triangle_count,
+            assortativity, clustering_coeff, components_sharded, densest_subgraph, hits,
+            kcore_sharded, link_prediction, pagerank, sssp, triangle_count,
         )
 
         src, dst = json.loads(sys.argv[1]), json.loads(sys.argv[2])
@@ -81,6 +81,9 @@ _SCRIPT = textwrap.dedent(
             assert rows(clustering_coeff(edges, num_shards=2), "cc_ppm") == {
                 0: 1_000_000, 1: 1_000_000, 2: 1_000_000, 3: 500_000, 4: 0, 5: 0, 10: 0, 11: 0,
             }
+            # the 9 edges both ways; the same r as one driver shard's
+            r = assortativity(edges, num_shards=2).to_pylist()
+            assert r == assortativity(edge_tbl).to_pylist() and r[0]["n_pairs"] == 18
         print("SHARDED-OK")
     finally:
         ray.shutdown()
@@ -141,6 +144,7 @@ def _edges(src, dst, w=None, table=False):
 
 def test_no_shard_outlives_a_call(ray_session):
     from commons_codec_ray.stages.graph import (
+        assortativity,
         clustering_coeff,
         components_sharded,
         densest_subgraph,
@@ -165,6 +169,7 @@ def test_no_shard_outlives_a_call(ray_session):
             lambda: densest_subgraph(edges, num_shards=2),
             lambda: triangle_count(edges, num_shards=2),
             lambda: clustering_coeff(edges, num_shards=2),
+            lambda: assortativity(edges, num_shards=2),
         ]
         for call in calls:
             out = call()

@@ -148,7 +148,7 @@ def test_percent_rank_guard_switches_paths(ray_session, tmp_path, monkeypatch):
     equal its own fast-path output on the same input."""
     import pyarrow.parquet as pq
 
-    from commons_codec_ray.pipelines.queries import q_percent_rank
+    from commons_codec_ray.pipelines import queries
 
     rng = np.random.default_rng(3)
     n = 5_000
@@ -164,13 +164,13 @@ def test_percent_rank_guard_switches_paths(ray_session, tmp_path, monkeypatch):
         ),
         tmp_path / "events.parquet",
     )
-    fast = (
-        q_percent_rank(str(tmp_path)).to_pandas().sort_values("event_id").reset_index(drop=True)
-    )
-    monkeypatch.setenv("GRAFT_PERCENT_RANK_GUARD", "100")
-    ranged = (
-        q_percent_rank(str(tmp_path)).to_pandas().sort_values("event_id").reset_index(drop=True)
-    )
+    def ranks():
+        out = queries.q_percent_rank(str(tmp_path)).to_pandas()
+        return out.sort_values("event_id").reset_index(drop=True)
+
+    fast = ranks()
+    monkeypatch.setattr(queries, "_PERCENT_RANK_GUARD", 100)
+    ranged = ranks()
     assert list(ranged.columns) == list(fast.columns)
     for c in ("pr_ppm", "cd_ppm"):
         assert (ranged[c].to_numpy() == fast[c].to_numpy()).all()
