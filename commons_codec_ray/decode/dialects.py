@@ -24,7 +24,12 @@ row (OP_DEAD) instead of failing the task.
 
 from __future__ import annotations
 
-from typing import Any
+from collections.abc import Callable
+from typing import Any, NamedTuple
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from commons_codec_ray.decode import dynamodb_types
 from commons_codec_ray.schemas import OP_DELETE, OP_SCHEMA_CHANGE, OP_UPSERT
@@ -361,4 +366,264 @@ DECODERS = {
         "connect": decode_connect,
         "mongo": decode_mongo,
     }.items()
+}
+
+
+# --- columnar builders --------------------------------------------------------
+# The three dialects EventsToEnvelopes emits also have a columnar builder.
+# The decode stage parses a dialect group with one ``pyarrow.json.read_json``
+# call under the builder's ``schema``; if that parse raises or infers any
+# field the schema lacks, the group goes to the row loop. The builder then
+# takes only the rows it can prove its row decoder above decodes cleanly,
+# and emits for them the op columns the row loop would emit. Every other
+# row (controls, poison, both-null keys, unexpected shapes) stays with the
+# row loop, so the two paths agree by construction.
+#
+# Arrow reads a JSON null and a missing field alike, while the row
+# decoders mostly read both through ``dict.get``. Where a row decoder does
+# tell them apart (a DynamoDB attribute ``null`` is an error), the builder
+# requires the field to be present.
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+RECORD_FIELDS = ("conv_id", "turn_idx", "role", "text", "tool", "ts")
+_RECORD = pa.struct(
+    [
+        ("conv_id", pa.string()),
+        ("turn_idx", pa.int64()),
+        ("role", pa.string()),
+        ("text", pa.string()),
+        ("tool", pa.string()),
+        ("ts", pa.string()),
+    ]
+)
+
+
+class Columns(NamedTuple):
+    """What a builder took from a parsed group of n rows: ``ok`` (n
+    bools) marks the rows it decoded, ``parent`` gives each output row's
+    group row (ascending; a binlog row may give several or none), and
+    ``cols`` holds the output columns ``op``, ``table_name`` and
+    :data:`RECORD_FIELDS` (``turn_idx`` as int32)."""
+
+    ok: np.ndarray
+    parent: np.ndarray
+    cols: dict[str, pa.Array]
+
+
+class ColumnarDialect(NamedTuple):
+    decoder: Callable  # the DECODERS entry the builder mirrors
+    schema: pa.Schema
+    build: Callable[[pa.RecordBatch, str], Columns]
+
+
+def np_mask(mask) -> np.ndarray:
+    """Boolean Arrow array → numpy, null → False."""
+    return pc.fill_null(mask, False).to_numpy(zero_copy_only=False)
+
+
+def _nonempty(s):
+    """Not null and not "" (never null itself)."""
+    return pc.and_kleene(pc.is_valid(s), pc.not_equal(s, ""))
+
+
+def _key_ok(cid, ti) -> np.ndarray:
+    """A record the row loop emits as is: not both keys null (that also
+    covers ``{}``), and ``turn_idx`` null or within int32."""
+    in_range = pc.and_(pc.greater_equal(ti, INT32_MIN), pc.less_equal(ti, INT32_MAX))
+    return np_mask(pc.or_(pc.is_valid(cid), pc.is_valid(ti))) & np_mask(
+        pc.or_(pc.is_null(ti), in_range)
+    )
+
+
+def _columns(ok: np.ndarray, parent: np.ndarray, emit: np.ndarray, **cols) -> Columns:
+    """Columns of the output rows ``emit`` selects."""
+    sel = pa.array(emit)
+    out = {k: pc.filter(v, sel) for k, v in cols.items()}
+    out["turn_idx"] = out["turn_idx"].cast(pa.int32())
+    return Columns(ok, parent[emit], out)
+
+
+def _op_codes(delete: np.ndarray) -> pa.Array:
+    return pa.array(np.where(delete, OP_DELETE, OP_UPSERT).astype(np.int8))
+
+
+def _qualified(schema, name, awsdms: bool = False):
+    """``name`` when its schema (null or "" → ``public``) is ``public``,
+    else ``schema.name``: ``_extract_table``'s address rule, with the
+    ``awsdms_*`` control tables in ``dms`` for Debezium/DMS."""
+    s = pc.if_else(_nonempty(schema), schema, "public")
+    if awsdms:
+        s = pc.if_else(pc.starts_with(name, "awsdms_"), "dms", s)
+    return pc.if_else(pc.equal(s, "public"), name, pc.binary_join_element_wise(s, name, "."))
+
+
+def _record(rec) -> dict:
+    return {k: pc.struct_field(rec, k) for k in RECORD_FIELDS}
+
+
+DEBEZIUM_SCHEMA = pa.schema(
+    [
+        ("data", _RECORD),
+        ("before-image", pa.struct([])),
+        (
+            "metadata",
+            pa.struct(
+                [
+                    ("operation", pa.string()),
+                    ("schema-name", pa.string()),
+                    ("table-name", pa.string()),
+                    ("commit-timestamp", pa.string()),
+                    ("stream-position", pa.string()),
+                    ("transaction-id", pa.int64()),
+                    ("record-type", pa.string()),
+                ]
+            ),
+        ),
+    ]
+)
+
+
+def build_debezium(p: pa.RecordBatch, default_table: str) -> Columns:
+    """Data records of load/insert/update/delete envelopes."""
+    meta, data = p["metadata"], p["data"]
+    operation = pc.struct_field(meta, "operation")
+    tname = pc.struct_field(meta, "table-name")
+    rec = _record(data)
+    ok = (
+        np_mask(pc.is_valid(data))
+        & np_mask(pc.is_in(operation, value_set=pa.array(["load", "insert", "update", "delete"])))
+        & ~np_mask(pc.equal(pc.struct_field(meta, "record-type"), "control"))
+        & np_mask(_nonempty(tname))  # else _extract_table reads past metadata
+        & _key_ok(rec["conv_id"], rec["turn_idx"])
+    )
+    return _columns(
+        ok,
+        np.arange(len(ok)),
+        ok,
+        op=_op_codes(np_mask(pc.equal(operation, "delete"))),
+        table_name=_qualified(pc.struct_field(meta, "schema-name"), tname, awsdms=True),
+        **rec,
+    )
+
+
+BINLOG_SCHEMA = pa.schema(
+    [
+        ("op", pa.string()),
+        ("rows", pa.list_(pa.struct([("before", _RECORD), ("after", _RECORD)]))),
+        ("table", pa.struct([("schema", pa.string()), ("name", pa.string())])),
+        ("log_pos", pa.int64()),
+        ("server_id", pa.int64()),
+    ]
+)
+
+
+def build_binlog(p: pa.RecordBatch, default_table: str) -> Columns:
+    """One output row per element of ``rows``; rotate/heartbeat envelopes
+    are taken and emit nothing."""
+    op, rows, table = p["op"], p["rows"], p["table"]
+    name = pc.struct_field(table, "name")
+    skip = np_mask(pc.is_in(op, value_set=pa.array(["rotate", "heartbeat"])))
+    delete = np_mask(pc.equal(op, "delete_rows"))
+    data_op = (
+        np_mask(pc.is_in(op, value_set=pa.array(["write_rows", "update_rows", "delete_rows"])))
+        & np_mask(pc.is_valid(rows))
+        & np_mask(_nonempty(name))  # else _extract_table reads past table
+    )
+    flat = pc.list_flatten(rows)
+    parent = pc.list_parent_indices(rows).to_numpy()
+    el_delete = delete[parent]
+    image = pc.if_else(
+        pa.array(el_delete), pc.struct_field(flat, "before"), pc.struct_field(flat, "after")
+    )
+    rec = _record(image)
+    el_ok = np_mask(pc.is_valid(image)) & _key_ok(rec["conv_id"], rec["turn_idx"])
+    ok = data_op.copy()
+    ok[parent[~el_ok]] = False  # one bad row fails its whole envelope
+    emit = ok[parent]
+    ok |= skip
+    return _columns(
+        ok,
+        parent,
+        emit,
+        op=_op_codes(el_delete),
+        table_name=_qualified(pc.struct_field(table, "schema"), name).take(pa.array(parent)),
+        **rec,
+    )
+
+
+_S = pa.struct([("S", pa.string())])
+_N = pa.struct([("N", pa.string())])
+_S_OR_NULL = pa.struct([("S", pa.string()), ("NULL", pa.bool_())])
+DDBSTREAM_SCHEMA = pa.schema(
+    [
+        ("eventSource", pa.string()),
+        ("eventName", pa.string()),
+        (
+            "dynamodb",
+            pa.struct(
+                [
+                    ("Keys", pa.struct([("conv_id", _S), ("turn_idx", _N)])),
+                    ("ApproximateCreationDateTime", pa.int64()),
+                    (
+                        "NewImage",
+                        pa.struct(
+                            [("conv_id", _S), ("turn_idx", _N)]
+                            + [(f, _S_OR_NULL) for f in RECORD_FIELDS[2:]]
+                        ),
+                    ),
+                ]
+            ),
+        ),
+    ]
+)
+
+
+def build_ddbstream(p: pa.RecordBatch, default_table: str) -> Columns:
+    """INSERT/MODIFY read ``NewImage``, REMOVE reads ``Keys``; every
+    descriptor must carry exactly one of the markers its column takes."""
+    name, ddb = p["eventName"], p["dynamodb"]
+    remove = pc.equal(name, "REMOVE")
+    image = pc.struct_field(ddb, "NewImage")
+
+    def key(path):  # REMOVE reads Keys, INSERT/MODIFY read NewImage
+        return pc.if_else(
+            remove, pc.struct_field(ddb, ["Keys", *path]), pc.struct_field(image, path)
+        )
+
+    cid = key(["conv_id", "S"])
+    n = key(["turn_idx", "N"])
+    # ``N`` becomes float(N) and then int(...): exact for a plain int32
+    # literal, so only those are taken
+    plain = np_mask(pc.match_substring_regex(n, r"^-?[0-9]{1,10}$"))
+    ti = pc.if_else(pa.array(plain), n, None).cast(pa.int64())
+    ok = (
+        np_mask(pc.equal(p["eventSource"], "aws:dynamodb"))
+        & np_mask(pc.is_in(name, value_set=pa.array(["INSERT", "MODIFY", "REMOVE"])))
+        & np_mask(pc.is_valid(cid))
+        & plain
+        & _key_ok(cid, ti)
+    )
+    rec = {"conv_id": cid, "turn_idx": ti}
+    upsert = ~np_mask(remove)
+    for f in RECORD_FIELDS[2:]:
+        s = pc.struct_field(image, [f, "S"])
+        # exactly one marker; a JSON ``null`` attribute is an error there
+        one = np_mask(pc.xor(pc.is_valid(s), pc.is_valid(pc.struct_field(image, [f, "NULL"]))))
+        ok &= ~upsert | one
+        rec[f] = pc.if_else(remove, pa.scalar(None, pa.string()), s)
+    return _columns(
+        ok,
+        np.arange(len(ok)),
+        ok,
+        op=_op_codes(~upsert),
+        table_name=pa.repeat(pa.scalar(default_table), len(ok)),
+        **rec,
+    )
+
+
+COLUMNAR = {
+    "debezium": ColumnarDialect(DECODERS["debezium"], DEBEZIUM_SCHEMA, build_debezium),
+    "binlog": ColumnarDialect(DECODERS["binlog"], BINLOG_SCHEMA, build_binlog),
+    "ddbstream": ColumnarDialect(DECODERS["ddbstream"], DDBSTREAM_SCHEMA, build_ddbstream),
 }

@@ -5,9 +5,10 @@ null through the full decode→apply path."""
 import json
 
 import pyarrow as pa
+import pytest
 
 from commons_codec_ray.config import PipelineConfig
-from commons_codec_ray.schemas import OP_UPSERT
+from commons_codec_ray.schemas import OP_DEAD, OP_UPSERT
 from commons_codec_ray.stages.applier import apply_ops_to_base, final_state
 from commons_codec_ray.stages.decode_stage import DecodeEnvelopes
 
@@ -73,3 +74,32 @@ def test_empty_vs_null_and_utf8_through_apply():
     out = final_state(apply_ops_to_base(None, ops)).sort_by("turn_idx")
     texts = out["text"].to_pylist()
     assert texts == ["", None, "Räuber — 测试 🚀"]
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("role", 5, "MessageFormatError: role: expected a string, got int"),
+        ("ts", 1_704_067_200, "MessageFormatError: ts: expected a string, got int"),
+        ("turn_idx", "x", "ValueError: invalid literal for int() with base 10: 'x'"),
+        ("turn_idx", 2**40, "MessageFormatError: turn_idx 1099511627776 out of int32 range"),
+    ],
+    ids=["role-int", "ts-int", "turn_idx-str", "turn_idx-2e40"],
+)
+def test_mistyped_field_dead_letters_one_row(field, value, error):
+    """One mistyped field dead-letters its own envelope; its batch-mates
+    decode as usual instead of the whole batch failing."""
+    bad = json.loads(_payload("b", 7, "bad", "2024-01-01T00:00:00"))
+    bad["data"][field] = value
+    env = _env_rows(
+        [
+            {"lsn": 0, "payload": _payload("a", 0, "good", "2024-01-01T00:00:00")},
+            {"lsn": 1, "payload": json.dumps(bad)},
+            {"lsn": 2, "payload": _payload("a", 2, "good too", "2024-01-01T00:00:00")},
+        ]
+    )
+    ops = DecodeEnvelopes(PipelineConfig(), combine=False)(env)
+    assert ops["op"].to_pylist() == [OP_UPSERT, OP_DEAD, OP_UPSERT]
+    assert ops["error"].to_pylist() == [None, error, None]
+    assert ops["text"].to_pylist() == ["good", None, "good too"]
+    assert json.loads(ops["aux"][1].as_py()) == {"dialect": "debezium", "payload": json.dumps(bad)}
