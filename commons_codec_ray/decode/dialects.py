@@ -372,8 +372,8 @@ DECODERS = {
 # --- columnar builders --------------------------------------------------------
 # The three dialects EventsToEnvelopes emits also have a columnar builder.
 # The decode stage parses a dialect group with one ``pyarrow.json.read_json``
-# call under the builder's ``schema``; if that parse raises or infers any
-# field the schema lacks, the group goes to the row loop. The builder then
+# call under the builder's ``schema``; rows that break the schema go to
+# the row loop (``stages/decode_stage.py::_parse_group``). The builder then
 # takes only the rows it can prove its row decoder above decodes cleanly,
 # and emits for them the op columns the row loop would emit. Every other
 # row (controls, poison, both-null keys, unexpected shapes) stays with the
@@ -412,7 +412,6 @@ class Columns(NamedTuple):
 
 
 class ColumnarDialect(NamedTuple):
-    decoder: Callable  # the DECODERS entry the builder mirrors
     schema: pa.Schema
     build: Callable[[pa.RecordBatch, str], Columns]
 
@@ -448,10 +447,42 @@ def _op_codes(delete: np.ndarray) -> pa.Array:
     return pa.array(np.where(delete, OP_DELETE, OP_UPSERT).astype(np.int8))
 
 
+def extract_table(payload: dict, default: str) -> str:
+    """Table address from the envelope — the reference's ``TableAddress``
+    derivation (model.py:20-29): Debezium-style ``metadata.schema-name``/
+    ``table-name`` (with the awsdms_* control tables diverted to the
+    ``dms`` schema, transform/aws_dms.py:47-55), binlog-style
+    ``table.{schema,name}``; the ``public`` schema is elided.
+    :func:`_qualified` is its columnar mirror."""
+    m = payload.get("metadata")
+    if isinstance(m, dict):
+        t = m.get("table-name")
+        if t:
+            s = m.get("schema-name") or "public"
+            if t.startswith("awsdms_"):
+                s = "dms"
+            return t if s == "public" else f"{s}.{t}"
+    t = payload.get("table")
+    if isinstance(t, dict):
+        name = t.get("name")
+        if name:
+            s = t.get("schema") or "public"
+            return name if s == "public" else f"{s}.{name}"
+    ns = payload.get("ns")
+    if isinstance(ns, dict):  # MongoDB change-stream namespace {db, coll}
+        coll = ns.get("coll")
+        if coll:
+            db = ns.get("db") or "public"
+            return coll if db == "public" else f"{db}.{coll}"
+    return default
+
+
 def _qualified(schema, name, awsdms: bool = False):
     """``name`` when its schema (null or "" → ``public``) is ``public``,
-    else ``schema.name``: ``_extract_table``'s address rule, with the
-    ``awsdms_*`` control tables in ``dms`` for Debezium/DMS."""
+    else ``schema.name``: :func:`extract_table`'s address rule, with the
+    ``awsdms_*`` control tables in ``dms`` for Debezium/DMS. A builder
+    takes a row only when its ``table-name``/``table.name`` is non-empty,
+    so the ``table``/``ns`` fallbacks never apply to the rows it takes."""
     s = pc.if_else(_nonempty(schema), schema, "public")
     if awsdms:
         s = pc.if_else(pc.starts_with(name, "awsdms_"), "dms", s)
@@ -494,7 +525,7 @@ def build_debezium(p: pa.RecordBatch, default_table: str) -> Columns:
         np_mask(pc.is_valid(data))
         & np_mask(pc.is_in(operation, value_set=pa.array(["load", "insert", "update", "delete"])))
         & ~np_mask(pc.equal(pc.struct_field(meta, "record-type"), "control"))
-        & np_mask(_nonempty(tname))  # else _extract_table reads past metadata
+        & np_mask(_nonempty(tname))  # else extract_table reads past metadata
         & _key_ok(rec["conv_id"], rec["turn_idx"])
     )
     return _columns(
@@ -528,7 +559,7 @@ def build_binlog(p: pa.RecordBatch, default_table: str) -> Columns:
     data_op = (
         np_mask(pc.is_in(op, value_set=pa.array(["write_rows", "update_rows", "delete_rows"])))
         & np_mask(pc.is_valid(rows))
-        & np_mask(_nonempty(name))  # else _extract_table reads past table
+        & np_mask(_nonempty(name))  # else extract_table reads past table
     )
     flat = pc.list_flatten(rows)
     parent = pc.list_parent_indices(rows).to_numpy()
@@ -623,7 +654,7 @@ def build_ddbstream(p: pa.RecordBatch, default_table: str) -> Columns:
 
 
 COLUMNAR = {
-    "debezium": ColumnarDialect(DECODERS["debezium"], DEBEZIUM_SCHEMA, build_debezium),
-    "binlog": ColumnarDialect(DECODERS["binlog"], BINLOG_SCHEMA, build_binlog),
-    "ddbstream": ColumnarDialect(DECODERS["ddbstream"], DDBSTREAM_SCHEMA, build_ddbstream),
+    "debezium": ColumnarDialect(DEBEZIUM_SCHEMA, build_debezium),
+    "binlog": ColumnarDialect(BINLOG_SCHEMA, build_binlog),
+    "ddbstream": ColumnarDialect(DDBSTREAM_SCHEMA, build_ddbstream),
 }

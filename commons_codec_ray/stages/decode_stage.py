@@ -20,10 +20,14 @@ Two paths decode a batch, and a source row's outputs all come from one:
   groups stay in the row loop. (An earlier measurement, ~6.0 µs/event
   for the parse alone, used one schema for all three dialects on
   another box; per-dialect schemas parse in well under half that.)
+  Arrow stops at the first row that breaks the schema; the parse
+  resumes after a row it names, so one mistyped row costs a re-parse
+  of the rows before it, not the group (``_parse_group``).
 - The row loop: ``orjson`` parse, dialect decoder, per-row checks and
   spill, one envelope at a time. It decodes every row a builder does
-  not take — controls, poison, the other five dialects, groups whose
-  parse raises or infers an unexpected field — and whole batches for
+  not take — controls, poison, the other five dialects, rows Arrow
+  rejects (a mistyped field, a duplicate key), dialect groups that carry
+  a field the builder's schema lacks — and whole batches for
   the universal layout, treatment rules and OBJECT/MAP columns. It is
   the reference the builders are tested against
   (``tests/test_columnar_decode.py``).
@@ -46,6 +50,7 @@ the all-to-all exchange under update-heavy workloads.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -66,7 +71,7 @@ from commons_codec_ray.decode.dialects import (
     INT32_MAX,
     INT32_MIN,
     MessageFormatError,
-    np_mask,
+    extract_table,
 )
 from commons_codec_ray.hashing import partition_ids_for, shuffle_keys_for
 from commons_codec_ray.schemas import OP_DEAD, OP_DELETE, OP_UPSERT, OPS_SCHEMA
@@ -78,35 +83,6 @@ _KNOWN = frozenset(("conv_id", "turn_idx", "role", "text", "tool", "ts"))
 # envelopes a dialect group decodes faster in the row loop
 # (tools/decode_kernel_bench.py, PERF.md "Columnar decode").
 MIN_GROUP_ROWS = 512
-
-
-def _extract_table(payload: dict, default: str) -> str:
-    """Table address from the envelope — the reference's ``TableAddress``
-    derivation (model.py:20-29): Debezium-style ``metadata.schema-name``/
-    ``table-name`` (with the awsdms_* control tables diverted to the
-    ``dms`` schema, transform/aws_dms.py:47-55), binlog-style
-    ``table.{schema,name}``; the ``public`` schema is elided."""
-    m = payload.get("metadata")
-    if isinstance(m, dict):
-        t = m.get("table-name")
-        if t:
-            s = m.get("schema-name") or "public"
-            if t.startswith("awsdms_"):
-                s = "dms"
-            return t if s == "public" else f"{s}.{t}"
-    t = payload.get("table")
-    if isinstance(t, dict):
-        name = t.get("name")
-        if name:
-            s = t.get("schema") or "public"
-            return name if s == "public" else f"{s}.{name}"
-    ns = payload.get("ns")
-    if isinstance(ns, dict):  # MongoDB change-stream namespace {db, coll}
-        coll = ns.get("coll")
-        if coll:
-            db = ns.get("db") or "public"
-            return coll if db == "public" else f"{db}.{coll}"
-    return default
 
 
 def object_columns(config: PipelineConfig) -> frozenset[str]:
@@ -160,11 +136,7 @@ class DecodeEnvelopes:
         # the columnar builders cover the direct layout with no per-row
         # rewrite; anything else decodes in the row loop
         plain = layout == "direct" and not self.treatments and not self.object_columns
-        self.builders = (
-            {d: c for d, c in COLUMNAR.items() if self.decoders.get(d) is c.decoder}
-            if plain
-            else {}
-        )
+        self.builders = dict(COLUMNAR) if plain else {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payload = batch["payload"].combine_chunks()
@@ -234,7 +206,7 @@ class DecodeEnvelopes:
             try:
                 parsed = loads(payloads[i])
                 decoded = decoders[dialects[i]](parsed)
-                tname = _extract_table(parsed, default_table)
+                tname = extract_table(parsed, default_table)
                 if not isinstance(tname, str):
                     raise MessageFormatError(f"table name {tname!r} is not a string")
                 treatment = treatments.get(tname) if treatments else None
@@ -409,43 +381,112 @@ _ROW_TYPES = {
 def _parse_group(
     schema: pa.Schema, payload: pa.Array, rows: np.ndarray
 ) -> tuple[np.ndarray, pa.RecordBatch] | None:
-    """Parse the payloads of ``rows`` with one ``pyarrow.json.read_json``
-    call under ``schema``. Returns (rows parsed, their records) only when
-    every row parsed to exactly one record and nothing was inferred
-    beyond ``schema``; otherwise None, and the rows are left to the row
-    loop.
+    """Parse the payloads of ``rows`` under ``schema`` with
+    ``pyarrow.json.read_json``. Returns (rows parsed, their records), or
+    None when no row parsed; rows not returned are left to the row loop.
 
     A payload joins the group only if it starts with ``{`` and ends with
     ``}``. Arrow parses the newline-joined group as a stream of values,
     so a payload holding no object, or two, or a value left open, would
     shift the rows after it; a payload of that shape that still parses
     can only yield two records or close the object the next one opens,
-    and the row count or the parse catches both."""
-    group = payload.take(pa.array(rows))
-    framed = np_mask(pc.and_(pc.starts_with(group, "{"), pc.ends_with(group, "}")))
+    and the row count or the parse catches both.
+
+    Arrow stops at the first row that breaks ``schema`` (a mistyped
+    field, a duplicate key, a field the schema lacks). When its error
+    names that row, the row goes to the row loop and the parse resumes
+    after it; the rows before it are parsed again in one call at the
+    end. Every parse that is kept is checked by its row count, so a
+    wrong row number costs time, not correctness. The split pays only
+    where rejected rows are sparse, so the parse gives up on the rest of
+    the group once it has read fewer than ``_ROWS_PER_SPLIT`` rows per
+    rejected row, and at once when the error names no row (a field the
+    schema lacks)."""
+    group = payload if len(rows) == len(payload) else payload.take(pa.array(rows))
+    framed = _framed(group)
     if not framed.all():
         rows, group = rows[framed], group.filter(pa.array(framed))
     if not len(rows):
         return None
     joined = pc.binary_join_element_wise(group, "", "\n")
-    offsets = np.frombuffer(
-        joined.buffers()[1], dtype=np.int64 if pa.types.is_large_string(joined.type) else np.int32
-    )[joined.offset : joined.offset + len(joined) + 1]
-    buf = joined.buffers()[2][offsets[0] : offsets[-1]]
-    try:
-        parsed = pj.read_json(
-            pa.BufferReader(buf),
-            # one block: Arrow then reads the group as one value stream
-            read_options=pj.ReadOptions(use_threads=False, block_size=len(buf) + 1),
-            parse_options=pj.ParseOptions(
-                explicit_schema=schema, unexpected_field_behavior="infer"
-            ),
-        )
-    except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+    offsets = _offsets(joined)
+    buf = joined.buffers()[2].slice(offsets[0], offsets[-1] - offsets[0])
+    starts = offsets - offsets[0]  # row i is buf[starts[i]:starts[i + 1]]
+
+    bad: list[int] = []  # rows Arrow rejected, ascending
+    start, tail = 0, None  # tail: the records of rows[start:]
+    while start < len(rows):
+        try:
+            tail = _read_json(schema, buf.slice(starts[start]))
+            break
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as exc:
+            m = _BAD_ROW.search(str(exc))
+            n = int(m.group(1)) if m else -1
+            if not 0 <= n < len(rows) - start or (len(bad) + 1) * _ROWS_PER_SPLIT > start + n:
+                break
+            bad.append(start + n)
+            start += n + 1
+
+    taken, parts = [], []
+    if start > len(bad):  # rows before ``start`` that Arrow did not reject
+        keep = np.ones(start, dtype=bool)
+        keep[bad] = False
+        view = memoryview(buf)
+        ends = [-1, *bad]
+        head = pa.py_buffer(b"".join(view[starts[i + 1] : starts[j]] for i, j in zip(ends, bad)))
+        try:
+            records = _read_json(schema, head)
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+            records = None
+        if records is not None and records.num_rows == keep.sum():
+            taken.append(rows[:start][keep])
+            parts.append(records)
+    if tail is not None and tail.num_rows == len(rows) - start:
+        taken.append(rows[start:])
+        parts.append(tail)
+    if not parts:
         return None
-    if parsed.num_rows != len(rows) or not parsed.schema.equals(schema):
-        return None
-    return rows, parsed.combine_chunks().to_batches()[0]
+    return np.concatenate(taken), pa.concat_tables(parts).combine_chunks().to_batches()[0]
+
+
+# Arrow's JSON errors end with the row they stopped at
+_BAD_ROW = re.compile(r" in row (\d+)$")
+# The rows before a rejected row are parsed twice, so the builder then
+# saves ~0.9 µs a row (6.4 for the row loop, 2 × 2.4 parse, 0.7 build)
+# and pays the failed call's ~100 µs after ~110 rows; 256 leaves a margin
+# (tools/decode_kernel_bench.py ``mistyped`` and ``rare`` logs).
+_ROWS_PER_SPLIT = 256
+
+
+def _offsets(strings: pa.Array) -> np.ndarray:
+    """The n + 1 value offsets of a (large) string array."""
+    dtype = np.int64 if pa.types.is_large_string(strings.type) else np.int32
+    return np.frombuffer(strings.buffers()[1], dtype=dtype)[
+        strings.offset : strings.offset + len(strings) + 1
+    ]
+
+
+def _framed(strings: pa.Array) -> np.ndarray:
+    """Which strings start with ``{`` and end with ``}``, read off the
+    value buffer (null → False)."""
+    offsets = _offsets(strings)
+    begin, end = offsets[:-1], offsets[1:]
+    framed = end - begin >= 2
+    if strings.null_count:
+        framed &= strings.is_valid().to_numpy(zero_copy_only=False)
+    if framed.any():
+        data = np.frombuffer(strings.buffers()[2], dtype=np.uint8)
+        framed[framed] = (data[begin[framed]] == ord("{")) & (data[end[framed] - 1] == ord("}"))
+    return framed
+
+
+def _read_json(schema: pa.Schema, buf: pa.Buffer) -> pa.Table:
+    return pj.read_json(
+        pa.BufferReader(buf),
+        # one block: Arrow then reads the buffer as one value stream
+        read_options=pj.ReadOptions(use_threads=False, block_size=buf.size + 1),
+        parse_options=pj.ParseOptions(explicit_schema=schema, unexpected_field_behavior="error"),
+    )
 
 
 def _clamp_ts_range(arr: pa.Array) -> pa.Array:

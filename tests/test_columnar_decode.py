@@ -9,6 +9,7 @@ batch, poison and odd shapes included."""
 import json
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from commons_codec_ray.envelopes import (
     encode_debezium,
     encode_maxwell,
 )
+from commons_codec_ray.schemas import OP_DEAD
 from commons_codec_ray.stages import decode_stage
 from commons_codec_ray.stages.decode_stage import DecodeEnvelopes
 
@@ -181,16 +183,32 @@ def _nan(d, p, draw):
     return d, '{"q": NaN, ' + json.dumps(p)[1:]
 
 
+def _raw_field(d, p, draw):
+    """A lone surrogate escape, a valid pair or NaN as the raw JSON of a
+    field the builders emit (``text``/``role``; ``S`` of it for
+    DynamoDB), where the two parsers must agree on the value."""
+    raw = draw(st.sampled_from(['"\\ud800"', '"a\\udc00b"', '"\\ud83d\\ude00"', "NaN"]))
+    mark = "@@raw@@"
+    _record(p, d)[draw(st.sampled_from(["text", "role"]))] = (
+        {"S": mark} if d == "ddbstream" else mark
+    )
+    return d, json.dumps(p).replace(f'"{mark}"', raw)
+
+
 # mutations whose payloads still parse under the builders' schemas, so
 # the builders themselves must tell these rows apart
 _SHAPES = [
     _clean, _clean, _clean, _clean, _number_literal, _binlog_rows, _table, _null_keys,
     _odd_descriptor, _drop_attribute, _other_dialect,
 ]
-# mutations that make Arrow reject or widen the whole dialect group
+# mutations that make Arrow reject the row or the whole dialect group
 _BREAKING = [
     _control, _poison, _extra_field, _duplicate_key, _surrogate, _competing_table, _mistyped, _nan,
+    _raw_field,
 ]
+# clean rows between rows Arrow rejects and names: the parse resumes
+# after each named row, and the rows before it are parsed again
+_SPLITTING = [_clean, _clean, _clean, _mistyped, _duplicate_key, _raw_field]
 
 
 @st.composite
@@ -238,23 +256,25 @@ def _decode_both(batch, monkeypatch, combine):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    envelopes=st.sampled_from([_SHAPES, _SHAPES + _BREAKING]).flatmap(
+    envelopes=st.sampled_from([_SHAPES, _SHAPES + _BREAKING, _SPLITTING]).flatmap(
         lambda mutations: st.lists(_envelope(mutations), min_size=1, max_size=40)
-    )
+    ),
+    rows_per_split=st.sampled_from([0, decode_stage._ROWS_PER_SPLIT]),
 )
-def test_builders_match_row_loop(envelopes):
+def test_builders_match_row_loop(envelopes, rows_per_split):
     batch = _batch(envelopes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decode_stage, "MIN_GROUP_ROWS", 1)  # builders take groups of any size
+        # 0: the parse resumes after every row Arrow names
+        mp.setattr(decode_stage, "_ROWS_PER_SPLIT", rows_per_split)
         for combine in (True, False):
             got, want = _decode_both(batch, mp, combine)
             assert got.schema.equals(want.schema, check_metadata=True)
             assert got.equals(want), (got.to_pylist(), want.to_pylist())
 
 
-def test_clean_batch_skips_row_loop(monkeypatch):
-    n = 3 * decode_stage.MIN_GROUP_ROWS  # one group per dialect, none below the minimum
-    events = pa.table(
+def _events(n: int) -> pa.Table:
+    return pa.table(
         {
             "event_id": pa.array(range(n), pa.int64()),
             "ts": pa.array([1_704_067_200_000_000 + i for i in range(n)], pa.int64()).cast(
@@ -266,15 +286,62 @@ def test_clean_batch_skips_row_loop(monkeypatch):
             "props": pa.array(['{"k": %d}' % i for i in range(n)], pa.string()),
         }
     )
-    batch = EventsToEnvelopes()(events)
+
+
+def _row_loop_calls(monkeypatch) -> list:
+    """Record the source rows of each row-loop call (None: all rows)."""
     calls = []
     real = DecodeEnvelopes._decode_rows
 
     def spy(self, payload, dialect, rows):
-        calls.append(len(payload) if rows is None else len(rows))
+        calls.append(None if rows is None else rows.tolist())
         return real(self, payload, dialect, rows)
 
     monkeypatch.setattr(DecodeEnvelopes, "_decode_rows", spy)
+    return calls
+
+
+def test_clean_batch_skips_row_loop(monkeypatch):
+    n = 3 * decode_stage.MIN_GROUP_ROWS  # one group per dialect, none below the minimum
+    batch = EventsToEnvelopes()(_events(n))
+    calls = _row_loop_calls(monkeypatch)
     out = DecodeEnvelopes(combine=False)(batch)
     assert calls == []
     assert out.num_rows == batch.num_rows
+
+
+def test_rejected_rows_alone_go_to_row_loop(monkeypatch):
+    """Arrow stops at a mistyped row and names it; the parse resumes
+    after it, so where such rows are sparse only they reach the row
+    loop."""
+    batch = EventsToEnvelopes(dialect="debezium", duplicates=False)(_events(1200))
+    bad = [300, 700, 1199]
+    payloads = batch["payload"].to_pylist()
+    for i in bad:
+        rec = json.loads(payloads[i])
+        rec["data"]["role"] = 5
+        payloads[i] = json.dumps(rec)
+    batch = batch.set_column(
+        batch.schema.get_field_index("payload"), "payload", pa.array(payloads, pa.string())
+    )
+    calls = _row_loop_calls(monkeypatch)
+    got = DecodeEnvelopes(combine=False)(batch)
+    assert calls == [bad]
+    monkeypatch.setattr(decode_stage, "COLUMNAR", {})
+    assert got.equals(DecodeEnvelopes(combine=False)(batch))
+    assert got.filter(pc.equal(got["op"], OP_DEAD))["source_offset"].to_pylist() == [
+        batch["source_offset"][i].as_py() for i in bad
+    ]
+
+
+def test_unexpected_field_sends_group_to_row_loop(monkeypatch):
+    """Schema-evolved records carry a field the builder's schema lacks:
+    Arrow stops at the first one without naming a row, and the group
+    decodes in the row loop."""
+    batch = EventsToEnvelopes(dialect="debezium", duplicates=False, extra_int_field="rating")(
+        _events(1200)
+    )
+    calls = _row_loop_calls(monkeypatch)
+    got = DecodeEnvelopes(combine=False)(batch)
+    assert calls == [None]
+    assert got["aux"].null_count < got.num_rows  # the extra field spilled to aux

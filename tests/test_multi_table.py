@@ -9,8 +9,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from commons_codec_ray.config import PipelineConfig
+from commons_codec_ray.decode.dialects import extract_table
 from commons_codec_ray.pipelines.cdc import CDCPipeline
-from commons_codec_ray.stages.decode_stage import DecodeEnvelopes, _extract_table
+from commons_codec_ray.stages.decode_stage import DecodeEnvelopes
 
 
 def envelope(lsn, conv, turn, text, table="transcripts", schema="public"):
@@ -26,16 +27,16 @@ def envelope(lsn, conv, turn, text, table="transcripts", schema="public"):
 
 
 def test_extract_table_rules():
-    assert _extract_table({"metadata": {"table-name": "t", "schema-name": "public"}}, "d") == "t"
-    assert _extract_table({"metadata": {"table-name": "t", "schema-name": "s"}}, "d") == "s.t"
+    assert extract_table({"metadata": {"table-name": "t", "schema-name": "public"}}, "d") == "t"
+    assert extract_table({"metadata": {"table-name": "t", "schema-name": "s"}}, "d") == "s.t"
     # awsdms_* control tables divert to the dms schema
     assert (
-        _extract_table({"metadata": {"table-name": "awsdms_status", "schema-name": "public"}}, "d")
+        extract_table({"metadata": {"table-name": "awsdms_status", "schema-name": "public"}}, "d")
         == "dms.awsdms_status"
     )
-    assert _extract_table({"table": {"name": "t", "schema": "public"}}, "d") == "t"
-    assert _extract_table({"table": {"name": "t", "schema": "s"}}, "d") == "s.t"
-    assert _extract_table({}, "default_t") == "default_t"
+    assert extract_table({"table": {"name": "t", "schema": "public"}}, "d") == "t"
+    assert extract_table({"table": {"name": "t", "schema": "s"}}, "d") == "s.t"
+    assert extract_table({}, "default_t") == "default_t"
 
 
 def test_decode_routes_tables():

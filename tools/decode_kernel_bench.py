@@ -15,9 +15,14 @@ events of ``perfbench/inputs.py``), re-encoded per case. Cases are named
 
 - mix: ``tri`` (debezium/binlog/ddbstream round-robin, as the
   benchmark log) or ``debezium`` (one dialect);
-- log: ``clean``, or ``poison`` (every envelope with
+- log: ``clean``; ``poison`` (every envelope with
   ``event_id % 97 == 13`` replaced by malformed JSON, the
-  ``q_dead_letter`` shape);
+  ``q_dead_letter`` shape); ``mistyped`` (the same envelopes keep their
+  shape but carry ``role`` as a number, which Arrow rejects and names
+  the row of); ``rare`` (as ``mistyped``, for ``event_id % 4999 == 13``:
+  a few rows a batch); ``evolved`` (``debezium`` only: every upsert carries one
+  more field, ``rating``, as the schema-evolution replays of the query
+  catalog do, which Arrow rejects without naming a row);
 - batch: ``1k``, ``4k``, ``12.5k`` (one row group of the log, the batch
   ``decode_split_task`` passes today) or ``slice`` (the largest
   ``decode_split_task`` slice of the benchmark's first epoch in one
@@ -36,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import statistics
 import sys
 import time
@@ -53,6 +59,7 @@ from commons_codec_ray.stages.decode_stage import DecodeEnvelopes  # noqa: E402
 from perfbench import inputs  # noqa: E402
 
 BATCHES = {"1k": 1_000, "4k": 4_000, "12.5k": inputs.ROW_GROUP}
+LOGS = ("clean", "poison", "mistyped", "rare", "evolved")
 
 
 def events(seed: int) -> list[tuple[pa.Table, int]]:
@@ -67,13 +74,33 @@ def events(seed: int) -> list[tuple[pa.Table, int]]:
     return rounds
 
 
-def log(rounds, mix: str, poison: bool) -> pa.Table:
+# the string value of ``role`` (DynamoDB: of its ``S``)
+_ROLE = re.compile(r'("role":(?:\{"S":)?)"[^"]*"')
+
+
+def log(rounds, mix: str, kind: str) -> pa.Table:
     dialect = None if mix == "tri" else mix
     parts = [
-        EventsToEnvelopes(dialect=dialect, duplicates=False, corrupt=poison, lsn_offset=off)(ev)
+        EventsToEnvelopes(
+            dialect=dialect,
+            duplicates=False,
+            corrupt=kind == "poison",
+            lsn_offset=off,
+            extra_int_field="rating" if kind == "evolved" else None,
+        )(ev)
         for ev, off in rounds
     ]
-    return pa.concat_tables(parts).sort_by("source_offset")
+    tbl = pa.concat_tables(parts).sort_by("source_offset")
+    if kind in ("mistyped", "rare"):
+        hit = tbl["lsn"].to_numpy() % (97 if kind == "mistyped" else 4999) == 13
+        payloads = [
+            _ROLE.sub(r"\g<1>5", p, count=1) if h else p
+            for p, h in zip(tbl["payload"].to_pylist(), hit)
+        ]
+        tbl = tbl.set_column(
+            tbl.schema.get_field_index("payload"), "payload", pa.array(payloads, pa.string())
+        )
+    return tbl
 
 
 def slice_rows() -> int:
@@ -123,15 +150,15 @@ def main() -> None:
     rounds = events(args.seed)
     n_slice = slice_rows()
     results = []
-    for mix in ("tri", "debezium"):
-        for poison in (False, True):
+    for mix, kinds in (("tri", LOGS[:-1]), ("debezium", LOGS)):
+        for kind in kinds:
             tbl = None
             for batch in (*BATCHES, "slice", "slice-rg"):
-                name = f"{mix}-{'poison' if poison else 'clean'}-{batch}"
+                name = f"{mix}-{kind}-{batch}"
                 if args.cases and not any(name.startswith(c) for c in args.cases):
                     continue
                 if tbl is None:
-                    tbl = log(rounds, mix, poison)
+                    tbl = log(rounds, mix, kind)
                 if batch in BATCHES:
                     work = [batches(tbl, BATCHES[batch])]
                 else:
